@@ -202,7 +202,7 @@ func BenchmarkCopyInsertion(b *testing.B) {
 // BenchmarkQueueAllocation measures lifetime analysis plus FIFO queue
 // packing.
 func BenchmarkQueueAllocation(b *testing.B) {
-	c, err := repro.Compile(perfect.KernelFIR4(), 6, repro.Options{Unroll: 4})
+	c, err := repro.New().Compile(context.Background(), repro.Request{Loop: perfect.KernelFIR4(), Clusters: 6, Unroll: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func BenchmarkQueueAllocation(b *testing.B) {
 
 // BenchmarkSimulate measures the cycle-accurate simulator.
 func BenchmarkSimulate(b *testing.B) {
-	c, err := repro.Compile(perfect.KernelFIR4(), 4, repro.Options{})
+	c, err := repro.New().Compile(context.Background(), repro.Request{Loop: perfect.KernelFIR4(), Clusters: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

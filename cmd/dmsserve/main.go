@@ -9,11 +9,13 @@
 // batch driver with a content-addressed schedule cache and an
 // asynchronous job engine — a bounded FIFO admission queue in front of
 // a fixed executor pool (see internal/server and internal/jobs). The
-// wire contract is repro/api/v1, served under /v1.
+// wire contract is repro/api/v1, served under /v1. Admitted batches
+// decompose into compile units that a pool of -executors × -par
+// in-process pullers lease and compile.
 //
 // A coordinator serves the same client API but does no scheduling
-// itself: admitted batches decompose into compile units that worker
-// processes lease in chunks over POST /v1/workers/lease — routed by
+// itself: it starts no pullers, and worker processes lease its compile
+// units in chunks over POST /v1/workers/lease — routed by
 // content hash, so identical loops land on the same worker's warm
 // cache — and resolve over POST /v1/workers/{lease}/results. A worker
 // that crashes mid-chunk loses its lease after -lease-ttl without
@@ -35,9 +37,8 @@
 // live in disk segments under that directory. A coordinator killed
 // mid-batch and restarted over the same -data-dir resumes interrupted
 // jobs under their original IDs — workers drain the recovered queue —
-// and finished jobs stay pollable. A standalone server keeps finished
-// results across restarts; its in-flight batches (which never reach
-// the unit queue) finish as canceled with an explanatory failure.
+// and finished jobs stay pollable. A standalone server resumes the
+// same way, its in-process pullers draining the recovered queue.
 //
 // Submit work with cmd/dmsclient, the pkg/dmsclient SDK, or any HTTP
 // client. The synchronous surface streams NDJSON closed by a summary
@@ -92,7 +93,7 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address (standalone/coordinator)")
 		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "max cached schedules")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-job scheduling timeout (0 = none)")
-		par        = flag.Int("par", 0, "per-batch worker parallelism (0 = GOMAXPROCS)")
+		par        = flag.Int("par", 0, "compile parallelism: in-process pullers per executor (standalone) or concurrent units (worker) (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", jobs.DefaultCapacity, "admission queue capacity (submissions past it answer 429)")
 		executors  = flag.Int("executors", jobs.DefaultWorkers, "batches executing concurrently")
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "retention of finished jobs' results for polling/resume")

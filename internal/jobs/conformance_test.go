@@ -278,10 +278,6 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 
 	t.Run("AckBatchMatchesPerTaskAck", func(t *testing.T) {
 		q := mk(0)
-		ba, ok := q.(BatchAcker)
-		if !ok {
-			t.Fatal("queue does not implement BatchAcker")
-		}
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		q.Enqueue(Task{ID: "c"})
@@ -291,7 +287,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		}
 		// Each element has per-task Ack semantics: unknown IDs fail
 		// without poisoning the rest of the batch.
-		got := ba.AckBatch(lease, []string{"a", "nope", "b"})
+		got := q.AckBatch(lease, []string{"a", "nope", "b"})
 		want := []bool{true, false, true}
 		for i := range want {
 			if got[i] != want[i] {
@@ -300,7 +296,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		}
 		// Exactly-once holds across batches: a re-ack fails, the still
 		// unacked task succeeds.
-		got = ba.AckBatch(lease, []string{"a", "c"})
+		got = q.AckBatch(lease, []string{"a", "c"})
 		if got[0] || !got[1] {
 			t.Fatalf("re-ack batch = %v, want [false true]", got)
 		}
@@ -311,14 +307,13 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 
 	t.Run("AckBatchRefusedAfterExpiry", func(t *testing.T) {
 		q := mk(0)
-		ba := q.(BatchAcker)
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		lease, _ := q.Lease("w", 2, 10*time.Millisecond)
 		if n := q.Expire(time.Now().Add(time.Minute)); n != 2 {
 			t.Fatalf("expiry requeued %d, want 2", n)
 		}
-		for i, ok := range ba.AckBatch(lease, []string{"a", "b"}) {
+		for i, ok := range q.AckBatch(lease, []string{"a", "b"}) {
 			if ok {
 				t.Errorf("expired lease batch-acked element %d", i)
 			}
@@ -330,21 +325,17 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 
 	t.Run("LeaseFilteredSkipsIneligible", func(t *testing.T) {
 		q := mk(0)
-		fl, ok := q.(FilteredLeaser)
-		if !ok {
-			t.Fatal("queue does not implement FilteredLeaser")
-		}
 		q.Enqueue(Task{ID: "a", Payload: "exact"})
 		q.Enqueue(Task{ID: "b", Payload: "dms"})
 		q.Enqueue(Task{ID: "c", Payload: "exact"})
 		onlyDMS := func(task Task) bool { return task.Payload == "dms" }
-		_, tasks := fl.LeaseFiltered("w1", 3, 0, onlyDMS)
+		_, tasks := q.LeaseFiltered("w1", 3, 0, onlyDMS)
 		if len(tasks) != 1 || tasks[0].ID != "b" {
 			t.Fatalf("filtered lease = %v, want just b", tasks)
 		}
 		// The skipped tasks are untouched: a wildcard worker still gets
 		// them, in admission order.
-		_, rest := fl.LeaseFiltered("w2", 3, 0, nil)
+		_, rest := q.LeaseFiltered("w2", 3, 0, nil)
 		if len(rest) != 2 || rest[0].ID != "a" || rest[1].ID != "c" {
 			t.Fatalf("unfiltered lease = %v, want [a c]", rest)
 		}
@@ -352,7 +343,6 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 
 	t.Run("LeaseFilteredRespectsAffinity", func(t *testing.T) {
 		q := mk(0)
-		fl := q.(FilteredLeaser)
 		// w1 owns hash h via a plain lease; filtered leases must not
 		// hand w2 the affinitized follow-up while other work exists.
 		q.Enqueue(Task{ID: "a", Hash: "h"})
@@ -361,7 +351,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		}
 		q.Enqueue(Task{ID: "b", Hash: "h"})
 		q.Enqueue(Task{ID: "c", Hash: "other"})
-		_, tasks := fl.LeaseFiltered("w2", 1, 0, func(Task) bool { return true })
+		_, tasks := q.LeaseFiltered("w2", 1, 0, func(Task) bool { return true })
 		if len(tasks) != 1 || tasks[0].ID != "c" {
 			t.Fatalf("filtered lease = %v, want the unclaimed c", tasks)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -45,10 +46,11 @@ type QueueStats struct {
 //
 // The in-process implementation (NewMemQueue) backs both the engine's
 // batch queue (executors lease one batch at a time with no expiry —
-// in-process consumers do not crash independently) and the
-// coordinator's compile-unit queue (remote workers lease chunks under
-// a TTL and heartbeat by posting results). All implementations must be
-// safe for concurrent use.
+// in-process consumers do not crash independently) and the server's
+// compile-unit queue (in-process pullers lease one unit at a time,
+// also with no expiry; remote workers lease chunks under a TTL and
+// heartbeat by posting results). All implementations must be safe for
+// concurrent use.
 type Queue interface {
 	// Enqueue admits a task, or returns ErrQueueFull when the queue is
 	// at capacity.
@@ -61,6 +63,21 @@ type Queue interface {
 	// hashes migrate instead of starving. An empty lease returns
 	// ("", nil). ttl 0 means the lease never expires.
 	Lease(owner string, max int, ttl time.Duration) (lease string, tasks []Task)
+	// LeaseFiltered is Lease over only the pending tasks for which
+	// eligible returns true (nil = every task, i.e. plain Lease). The
+	// coordinator uses it to route units of an advertised scheduler only
+	// to workers advertising that scheduler. The predicate is called
+	// with the queue's internal lock held, so it must be fast,
+	// side-effect free, and MUST NOT call back into the queue or take
+	// locks ordered after it.
+	LeaseFiltered(owner string, max int, ttl time.Duration, eligible func(Task) bool) (lease string, tasks []Task)
+	// SetLeaseTTL replaces the lease's TTL (and re-arms its deadline
+	// from now; ttl 0 makes the lease never expire), reporting false
+	// when the lease is unknown or already expired. The coordinator
+	// stretches the deadline of leases carrying long-running schedulers
+	// (exact, portfolio), whose II search can legitimately outlast the
+	// default TTL.
+	SetLeaseTTL(lease string, ttl time.Duration) bool
 	// Heartbeat extends the lease's expiry by its TTL, reporting false
 	// when the lease is unknown or already expired.
 	Heartbeat(lease string) bool
@@ -71,6 +88,12 @@ type Queue interface {
 	// result. A lease whose last task is acked completes and is
 	// forgotten. Ack implies Heartbeat.
 	Ack(lease, taskID string) bool
+	// AckBatch acks taskIDs under the lease, returning one Ack result
+	// per ID in order — atomically under one lock acquisition (and, on
+	// a durable queue, one WAL frame), so the coordinator's batched
+	// result path claims a whole posted results[] frame at once. Any
+	// true entry implies a heartbeat.
+	AckBatch(lease string, taskIDs []string) []bool
 	// Nack returns one leased task to the front of the queue (dropping
 	// its hash affinity, so another owner picks it up) and reports
 	// whether the lease owned it.
@@ -97,47 +120,6 @@ type Queue interface {
 	Changed() <-chan struct{}
 	// Stats snapshots the queue gauges and counters.
 	Stats() QueueStats
-}
-
-// BatchAcker is the optional Queue extension for resolving several
-// tasks of one lease in a single call — the coordinator's batched
-// result path acks a whole posted results[] frame at once instead of
-// taking the queue lock (and, on a durable queue, writing a WAL frame)
-// per unit. Semantics are per task and identical to Ack: each entry of
-// the returned slice reports whether the lease still owned that task,
-// atomically under one lock acquisition, and any true entry implies a
-// heartbeat. Queues without it are acked one task at a time.
-type BatchAcker interface {
-	// AckBatch acks taskIDs under the lease, returning one Ack result
-	// per ID in order.
-	AckBatch(lease string, taskIDs []string) []bool
-}
-
-// FilteredLeaser is the optional Queue extension for capability-aware
-// hand-out: Lease restricted to tasks the eligible predicate accepts.
-// The coordinator uses it to route units of an advertised scheduler
-// only to workers advertising that scheduler. The predicate is called
-// with the queue's internal lock held, so it must be fast, side-effect
-// free, and MUST NOT call back into the queue or take locks ordered
-// after it.
-type FilteredLeaser interface {
-	// LeaseFiltered is Lease over only the pending tasks for which
-	// eligible returns true (nil = every task, i.e. plain Lease).
-	LeaseFiltered(owner string, max int, ttl time.Duration, eligible func(Task) bool) (lease string, tasks []Task)
-}
-
-// LeaseTTLSetter is the optional Queue extension for per-lease TTL
-// overrides. The coordinator uses it to stretch the heartbeat deadline
-// of leases carrying long-running schedulers (exact, portfolio), whose
-// II search can legitimately outlast the default TTL: without the
-// override their units would requeue mid-solve and be computed twice.
-// Queues that do not implement it simply keep the TTL the lease was
-// created with.
-type LeaseTTLSetter interface {
-	// SetLeaseTTL replaces the lease's TTL (and re-arms its deadline
-	// from now; ttl 0 makes the lease never expire), reporting false
-	// when the lease is unknown or already expired.
-	SetLeaseTTL(lease string, ttl time.Duration) bool
 }
 
 // maxAffinity bounds the hash→owner routing table of a MemQueue; past
@@ -315,21 +297,15 @@ func (q *memQueue) LeaseFiltered(owner string, max int, ttl time.Duration, eligi
 	if ttl > 0 {
 		l.deadline = now.Add(ttl)
 	}
-	taken := make(map[*qtask]bool, len(picked))
 	tasks := make([]Task, 0, len(picked))
 	for _, qt := range picked {
 		qt.lease = id
 		l.tasks[qt.task.ID] = qt
-		taken[qt] = true
 		tasks = append(tasks, qt.task)
 	}
-	kept := q.pending[:0]
-	for _, qt := range q.pending {
-		if !taken[qt] {
-			kept = append(kept, qt)
-		}
-	}
-	q.pending = kept
+	// DeleteFunc zeroes the vacated tail, so the backing array pins no
+	// payload of a task that has left the pending list.
+	q.pending = slices.DeleteFunc(q.pending, func(qt *qtask) bool { return qt.lease != "" })
 	q.leases[id] = l
 	return id, tasks
 }
@@ -502,11 +478,8 @@ func (q *memQueue) Withdraw(taskID string) bool {
 	if !ok || qt.lease != "" {
 		return false
 	}
-	for i, p := range q.pending {
-		if p == qt {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			break
-		}
+	if i := slices.Index(q.pending, qt); i >= 0 {
+		q.pending = slices.Delete(q.pending, i, i+1)
 	}
 	delete(q.byID, taskID)
 	q.dropHashRefLocked(qt.task.Hash, true)

@@ -291,3 +291,28 @@ func TestLeaseIDEntropyFallback(t *testing.T) {
 		t.Fatal("ack under entropy failure rejected")
 	}
 }
+
+// TestPendingReleasesVacatedSlots: leasing or withdrawing a task must
+// not leave it behind in the spare capacity of the pending list. A
+// server's unit payload pins its whole parsed batch, so a stale slot
+// kept the last large batch alive for as long as later traffic (cache
+// hits, say) enqueued nothing.
+func TestPendingReleasesVacatedSlots(t *testing.T) {
+	q := NewMemQueue(0).(*memQueue)
+	for i := range 4 {
+		q.Enqueue(Task{ID: fmt.Sprint(i), Payload: i})
+	}
+	if !q.Withdraw("3") {
+		t.Fatal("withdraw failed")
+	}
+	for range 3 {
+		if _, tasks := q.Lease("w", 1, 0); len(tasks) != 1 {
+			t.Fatal("no lease")
+		}
+	}
+	for i, qt := range q.pending[:cap(q.pending)] {
+		if qt != nil {
+			t.Errorf("vacated slot %d still holds task %s", i, qt.task.ID)
+		}
+	}
+}

@@ -315,15 +315,7 @@ func (w *WALQueue) Ack(lease, taskID string) bool {
 func (w *WALQueue) AckBatch(lease string, taskIDs []string) []bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var acked []bool
-	if ba, ok := w.inner.(BatchAcker); ok {
-		acked = ba.AckBatch(lease, taskIDs)
-	} else {
-		acked = make([]bool, len(taskIDs))
-		for i, id := range taskIDs {
-			acked[i] = w.inner.Ack(lease, id)
-		}
-	}
+	acked := w.inner.AckBatch(lease, taskIDs)
 	resolved := make([]string, 0, len(taskIDs))
 	for i, ok := range acked {
 		if !ok {
@@ -381,28 +373,16 @@ func (w *WALQueue) Lease(owner string, max int, ttl time.Duration) (string, []Ta
 	return w.inner.Lease(owner, max, ttl)
 }
 
-// LeaseFiltered forwards capability-aware hand-out to the inner queue
-// when it supports one; otherwise it degrades to a plain Lease (the
-// filter is a routing preference, never a correctness property).
 func (w *WALQueue) LeaseFiltered(owner string, max int, ttl time.Duration, eligible func(Task) bool) (string, []Task) {
-	if fl, ok := w.inner.(FilteredLeaser); ok {
-		return fl.LeaseFiltered(owner, max, ttl, eligible)
-	}
-	return w.inner.Lease(owner, max, ttl)
+	return w.inner.LeaseFiltered(owner, max, ttl, eligible)
 }
 
 func (w *WALQueue) Heartbeat(lease string) bool { return w.inner.Heartbeat(lease) }
 
 func (w *WALQueue) Nack(lease, taskID string) bool { return w.inner.Nack(lease, taskID) }
 
-// SetLeaseTTL forwards the per-lease TTL override to the inner queue
-// when it supports one (lease deadlines are liveness state, never
-// logged).
 func (w *WALQueue) SetLeaseTTL(lease string, ttl time.Duration) bool {
-	if s, ok := w.inner.(LeaseTTLSetter); ok {
-		return s.SetLeaseTTL(lease, ttl)
-	}
-	return false
+	return w.inner.SetLeaseTTL(lease, ttl)
 }
 
 func (w *WALQueue) Pos(taskID string) int { return w.inner.Pos(taskID) }

@@ -136,10 +136,12 @@ func TestServerAdaptiveRetryAfterScalesWithLoad(t *testing.T) {
 }
 
 // TestServerStandaloneMetricsCarryDispatch: every server exposes the
-// dispatcher gauges (zeros when nothing distributes), so operators can
-// scrape one shape in every topology.
+// dispatcher gauges, so operators can scrape one shape in every
+// topology — zeros before any batch, and on a standalone server every
+// compiled unit counts as dispatched, since the in-process pullers
+// lease units off the same queue remote workers do.
 func TestServerStandaloneMetricsCarryDispatch(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	svc, ts := newTestServer(t, Options{})
 	resp, err := http.Get(ts.URL + api.PathMetrics)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +156,24 @@ func TestServerStandaloneMetricsCarryDispatch(t *testing.T) {
 	}
 	if m.Dispatch.PendingUnits != 0 || m.Dispatch.Dispatched != 0 {
 		t.Errorf("standalone dispatcher saw work: %+v", m.Dispatch)
+	}
+
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t),
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+	}
+	njobs := uint64(req.Jobs())
+	for round := 0; round < 2; round++ {
+		if _, sum := postCompile(t, ts.URL, req); sum.Errors != 0 {
+			t.Fatalf("round %d summary = %+v", round, sum)
+		}
+		// The warm round is all cache hits, which never queue a unit. A
+		// unit is acked off the queue just after its result is stored.
+		eventually(t, "every unit dispatched, resolved and acked", func() bool {
+			dm := svc.Snapshot().Dispatch
+			return dm.Dispatched == njobs && dm.Resolved == njobs && dm.PendingUnits == 0 && dm.LeasedUnits == 0
+		})
 	}
 }
 

@@ -113,9 +113,11 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	}
 }
 
-// Lookup returns the value cached under key without computing,
-// counting a hit or miss.
-func (c *Cache) Lookup(key string) (any, bool) {
+// lookup returns the value cached under key without computing,
+// counting a hit, and a miss when countMiss is set: a caller that hands
+// a miss on to Do leaves the count to Do, so each key counts once — as
+// a hit, a miss or a shared join.
+func (c *Cache) lookup(key string, countMiss bool) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.byKey[key]; ok {
@@ -123,7 +125,9 @@ func (c *Cache) Lookup(key string) (any, bool) {
 		c.hits++
 		return e.Value.(*cacheEntry).val, true
 	}
-	c.misses++
+	if countMiss {
+		c.misses++
+	}
 	return nil, false
 }
 

@@ -117,17 +117,17 @@ func TestCacheLRUEvictsColdEntries(t *testing.T) {
 	c := NewCache(2)
 	c.Add("a", 1)
 	c.Add("b", 2)
-	if _, ok := c.Lookup("a"); !ok { // touch: a is now warmer than b
+	if _, ok := c.lookup("a", true); !ok { // touch: a is now warmer than b
 		t.Fatal("a missing")
 	}
 	c.Add("c", 3)
-	if _, ok := c.Lookup("b"); ok {
+	if _, ok := c.lookup("b", true); ok {
 		t.Error("b survived eviction although it was coldest")
 	}
-	if _, ok := c.Lookup("a"); !ok {
+	if _, ok := c.lookup("a", true); !ok {
 		t.Error("a evicted although it was recently used")
 	}
-	if _, ok := c.Lookup("c"); !ok {
+	if _, ok := c.lookup("c", true); !ok {
 		t.Error("c missing")
 	}
 	met := c.Metrics()
@@ -223,7 +223,7 @@ func TestCacheDoFollowerTakesOverCanceledLeader(t *testing.T) {
 	if err := <-followerDone; err != nil {
 		t.Fatalf("follower did not take over: %v", err)
 	}
-	if _, ok := c.Lookup("k"); !ok {
+	if _, ok := c.lookup("k", true); !ok {
 		t.Error("rescued value was not cached")
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,16 +48,20 @@ const (
 // longer honors; the handler maps it to the lease_expired wire error.
 var errLeaseExpired = errors.New("server: lease expired")
 
-// dispatcher is the coordinator half of the distributed execution
-// path: it decomposes admitted batches into compile units on a
-// jobs.Queue that worker processes lease chunks of (routed by the
-// units' content hashes, with work stealing — see jobs.Queue), and
-// routes posted results back into each batch's emit stream. A unit is
-// resolved exactly once: the queue Ack is the authoritative claim, so
-// a result raced by a lease expiry is discarded, never double-emitted.
+// dispatcher is the server's one execution path: it decomposes every
+// admitted batch into compile units on a jobs.Queue, which in-process
+// pullers (standalone) or worker processes (Distribute) lease from —
+// remote leases come in chunks routed by the units' content hashes,
+// with work stealing (see jobs.Queue) — and routes the results back
+// into each batch's emit stream. A unit is resolved exactly once (see
+// postResults): a result raced by a lease expiry is never
+// double-emitted.
 type dispatcher struct {
 	q        jobs.Queue
 	cache    *Cache
+	registry *driver.Registry // back-ends of the in-process pullers
+	pullers  int              // in-process pullers; 0 leaves every unit to workers
+	perBatch int32            // pullers one batch may hold at once
 	ttl      time.Duration
 	ttlExact time.Duration // TTL for leases carrying exact/portfolio units
 	chunk    int           // hand-out size for requests that name none
@@ -72,8 +78,12 @@ type dispatcher struct {
 	batchSeq atomic.Uint64
 	shutdown atomic.Bool // process exiting: keep canceled units durable
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// root parents the contexts of recovered batches, which pullers may
+	// compile before an executor attaches the batch's own context.
+	root       context.Context
+	cancelRoot context.CancelFunc
+	stop       chan struct{}
+	wg         sync.WaitGroup
 }
 
 // leaseState records what one live lease holds and which worker holds
@@ -115,24 +125,40 @@ func (w *workerState) wire(now time.Time) api.WorkerMetrics {
 	return m
 }
 
-// unit is one dispatched compile unit: the in-process job plus its
-// prebuilt wire form and the batch it reports back to.
+// unit is one dispatched compile unit: the in-process job, its
+// compile settings, and the batch it reports back to.
 type unit struct {
-	id    string
-	key   string // content hash (cache key + routing hash)
-	job   driver.Job
-	wire  api.WorkUnit
-	batch *dispatchBatch
-	index int
+	id      string
+	key     string // content hash (cache key + routing hash)
+	job     driver.Job
+	timeout time.Duration
+	noCache bool
+	batch   *dispatchBatch
+	index   int
+
+	wireOnce sync.Once
+	wire     api.WorkUnit // see wireForm
+}
+
+// wireForm returns the unit's self-contained wire form, rendering it
+// on first use: only a unit that crosses a process boundary — a WAL
+// enqueue frame or a remote lease — ever needs one, and it is
+// rendered at most once.
+func (u *unit) wireForm() api.WorkUnit {
+	u.wireOnce.Do(func() { u.wire = wireUnit(u) })
+	return u.wire
 }
 
 // dispatchBatch tracks one batch's outstanding units. closed flips
 // when the batch ends (all units resolved, or its context canceled);
-// results arriving afterwards are discarded. A batch recovered after a
+// results arriving afterwards are discarded. ctx is what in-process
+// pullers compile the batch's units under. A batch recovered after a
 // restart exists before its run closure does: results that land in
 // that window buffer in backlog and flush when the executor attaches
 // the emit stream.
 type dispatchBatch struct {
+	ctx     context.Context
+	pulling atomic.Int32 // units in-process pullers hold
 	mu      sync.Mutex
 	closed  bool
 	pending int
@@ -141,10 +167,11 @@ type dispatchBatch struct {
 	done    chan struct{}
 }
 
-func newDispatcher(cache *Cache, q jobs.Queue, ttl, ttlExact time.Duration, chunk, chunkMax int, poll time.Duration) *dispatcher {
+func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	if q == nil {
 		q = jobs.NewMemQueue(0) // admission is bounded per batch upstream
 	}
+	ttl, ttlExact, chunk, chunkMax, poll := opt.LeaseTTL, opt.LeaseTTLExact, opt.LeaseChunk, opt.LeaseChunkMax, opt.WorkerPoll
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
@@ -166,9 +193,23 @@ func newDispatcher(cache *Cache, q jobs.Queue, ttl, ttlExact time.Duration, chun
 	if poll <= 0 {
 		poll = DefaultWorkerPoll
 	}
+	workers, par := opt.QueueWorkers, opt.Parallelism
+	if workers <= 0 {
+		workers = jobs.DefaultWorkers
+	}
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
+	pullers := workers * par
+	if opt.Distribute {
+		pullers = 0 // every unit goes to remote workers
+	}
 	d := &dispatcher{
 		q:        q,
 		cache:    cache,
+		registry: opt.Registry,
+		pullers:  pullers,
+		perBatch: int32(par),
 		ttl:      ttl,
 		ttlExact: ttlExact,
 		chunk:    chunk,
@@ -179,9 +220,90 @@ func newDispatcher(cache *Cache, q jobs.Queue, ttl, ttlExact time.Duration, chun
 		workers:  make(map[string]*workerState),
 		stop:     make(chan struct{}),
 	}
+	//dms:ctxok dispatcher root: recovered batches compile before any request context exists
+	d.root, d.cancelRoot = context.WithCancel(context.Background())
 	d.wg.Add(1)
 	go d.janitor()
 	return d
+}
+
+// startPullers launches the in-process puller pool, after durable
+// recovery, so no puller leases a replayed unit its batch has not
+// adopted yet.
+func (d *dispatcher) startPullers() {
+	d.wg.Add(d.pullers)
+	for range d.pullers {
+		go d.pull()
+	}
+}
+
+// pullerOwner is the queue owner every in-process puller leases as.
+const pullerOwner = "local"
+
+// pull is one in-process puller. It leases one unit at a time with
+// ttl 0 — an in-process lease cannot outlive its holder — compiles the
+// unit's own job under its batch's context, and resolves the result
+// through postResults, the queue Ack a remote worker's post takes. A
+// batch holds at most about perBatch pullers, as many workers as it
+// had of its own before, so side-by-side batches share the pool rather
+// than the oldest taking all of it. Once shutdown begins a puller
+// resolves nothing, leaving its units on the durable queue.
+func (d *dispatcher) pull() {
+	defer d.wg.Done()
+	// The count is read here and raised after the lease, so concurrent
+	// leases may overshoot the cap briefly; it is a share, not a bound.
+	underCap := func(t jobs.Task) bool {
+		u, ok := t.Payload.(*unit) // a replayed task carries its wire form
+		return !ok || u.batch.pulling.Load() < d.perBatch
+	}
+	for !d.shutdown.Load() {
+		ch := d.q.Changed()
+		lease, tasks := d.q.LeaseFiltered(pullerOwner, 1, 0, underCap)
+		if len(tasks) == 0 {
+			select {
+			case <-ch:
+				continue
+			case <-d.stop:
+				return
+			}
+		}
+		units := d.claim(lease, tasks)
+		if len(units) == 0 {
+			continue // an orphan, acked off the queue
+		}
+		u := units[0]
+		u.batch.pulling.Add(1)
+		rec := CompileRecord(u.batch.ctx, d.cache, u.key, u.job, driver.BatchOptions{
+			Timeout:   u.timeout,
+			Latencies: &u.job.Machine.Lat,
+			Registry:  d.registry,
+		}, u.noCache)
+		if d.shutdown.Load() {
+			return
+		}
+		d.postResults(lease, []api.UnitResult{{Unit: u.id, Result: rec}})
+		u.batch.pulling.Add(-1)
+	}
+}
+
+// claim resolves a lease's tasks to the dispatcher's live units. A
+// task replayed from the durable queue carries its wire form, so the
+// authoritative *unit (with its batch binding) is the adopted one
+// under d.units; a task no batch owns (its job was lost in recovery)
+// is acked off the queue for good.
+func (d *dispatcher) claim(lease string, tasks []jobs.Task) []*unit {
+	units := make([]*unit, 0, len(tasks))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, t := range tasks {
+		u, live := d.units[t.ID]
+		if !live {
+			d.q.Ack(lease, t.ID)
+			continue
+		}
+		units = append(units, u)
+	}
+	return units
 }
 
 // janitor sweeps overdue leases while no worker traffic is driving the
@@ -253,21 +375,27 @@ func workerLiveness(ttl time.Duration) time.Duration {
 	return l
 }
 
-// Close stops the janitor; in-flight RunBatch calls are ended by their
-// own contexts (the engine cancels them on shutdown).
+// Close stops the janitor and the pullers, aborting what the pullers
+// still compile for recovered batches; in-flight RunBatch calls are
+// ended by their own contexts (the engine cancels them on shutdown).
 func (d *dispatcher) Close() {
 	close(d.stop)
+	d.cancelRoot()
 	d.wg.Wait()
 }
 
-// RunBatch is the coordinator's run closure body: it resolves cache
-// hits immediately, queues the misses as leasable units, and blocks
+// RunBatch is the run closure body of every batch: it resolves cache
+// hits immediately, queues the rest as leasable units, and blocks
 // until every unit has a result or ctx ends (canceling the batch and
-// withdrawing its pending units). emit observes exactly the same
-// record stream the in-process path produces: completion order, Index
-// set, Cached marking cache hits.
+// withdrawing its pending units). emit observes one record stream
+// whoever compiles the units: completion order, Index set, Cached
+// marking cache hits.
 func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout time.Duration, noCache bool, emit func(api.JobResult)) {
-	b := &dispatchBatch{emit: emit, done: make(chan struct{})}
+	// Each unit is queued as soon as it is keyed, so compiles start
+	// while the rest of the batch is still being keyed; the loop holds
+	// one extra pending count until it is done, so units resolving
+	// meanwhile cannot close the batch early.
+	b := &dispatchBatch{ctx: ctx, emit: emit, pending: len(jobList) + 1, done: make(chan struct{})}
 	// Units are keyed by the engine job ID so that durable queue state
 	// written under one process re-attaches to the same job resource in
 	// the next; callers outside an executor (tests) fall back to a
@@ -276,45 +404,49 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 	if batchID == "" {
 		batchID = fmt.Sprintf("b%d", d.batchSeq.Add(1))
 	}
+	// Content-hash routing steers identical units to a remote worker's
+	// warm cache; in-process pullers share one cache, so their units go
+	// unrouted, in plain FIFO order.
+	route := d.pullers == 0
 	var enq []*unit
 	for i, job := range jobList {
 		key := JobKey(job)
 		if !noCache {
-			if v, ok := d.cache.Lookup(key); ok {
+			// A puller resolves a miss through Cache.Do, which counts
+			// it; with no pullers the miss is counted here.
+			if v, ok := d.cache.lookup(key, d.pullers == 0); ok {
 				rec := v.(api.JobResult)
 				rec.Index = i
 				rec.Cached = true
-				emit(rec)
+				b.settle(&rec)
 				continue
 			}
 		}
 		u := &unit{
-			id:    fmt.Sprintf("%s/%d", batchID, i),
-			key:   key,
-			job:   job,
-			batch: b,
-			index: i,
+			id:      batchID + "/" + strconv.Itoa(i),
+			key:     key,
+			job:     job,
+			timeout: timeout,
+			noCache: noCache,
+			batch:   b,
+			index:   i,
 		}
-		u.wire = wireUnit(u, timeout, noCache)
 		enq = append(enq, u)
-	}
-	if len(enq) == 0 {
-		return
-	}
-	b.pending = len(enq)
-	d.mu.Lock()
-	for _, u := range enq {
+		d.mu.Lock()
 		d.units[u.id] = u
-	}
-	d.dispatched += uint64(len(enq))
-	d.mu.Unlock()
-	for _, u := range enq {
+		d.dispatched++
+		d.mu.Unlock()
+		t := jobs.Task{ID: u.id, Payload: u}
+		if route {
+			t.Hash = key
+		}
 		// The unit queue is unbounded — admission control already
 		// happened at the batch queue — so Enqueue cannot fail here.
-		if err := d.q.Enqueue(jobs.Task{ID: u.id, Hash: u.key, Payload: u}); err != nil {
+		if err := d.q.Enqueue(t); err != nil {
 			panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
 		}
 	}
+	b.settle(nil)
 	select {
 	case <-b.done:
 	case <-ctx.Done():
@@ -347,14 +479,6 @@ func (d *dispatcher) cancelBatch(b *dispatchBatch, units []*unit) {
 			d.resolved++
 		}
 	}
-}
-
-// beginShutdown marks the process as exiting, so batch cancellations
-// triggered by the engine's own Close keep their units on the durable
-// queue instead of withdrawing them. Must be called before the engine
-// closes.
-func (d *dispatcher) beginShutdown() {
-	d.shutdown.Store(true)
 }
 
 // noteWorker records the lease request into the worker's dispatch
@@ -449,57 +573,36 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 		wait = maxLeaseWait
 	}
 	eligible := d.noteWorker(req, max)
-	fl, filterable := d.q.(jobs.FilteredLeaser)
 	deadline := time.Now().Add(wait)
 	empty := api.Lease{PollMS: int(d.poll / time.Millisecond)}
 	for {
 		d.q.Expire(time.Now())
 		ch := d.q.Changed()
-		var id string
-		var tasks []jobs.Task
-		if eligible != nil && filterable {
-			id, tasks = fl.LeaseFiltered(req.Worker, max, d.ttl, eligible)
-		} else {
-			id, tasks = d.q.Lease(req.Worker, max, d.ttl)
-		}
+		id, tasks := d.q.LeaseFiltered(req.Worker, max, d.ttl, eligible)
 		if len(tasks) > 0 {
-			// Resolve units through the dispatcher's own index, not the
-			// task payload: a task replayed from the durable queue
-			// carries its wire form, and the authoritative *unit (with
-			// its batch binding) is the adopted one under d.units.
-			units := make([]api.WorkUnit, 0, len(tasks))
-			ids := make([]string, 0, len(tasks))
+			claimed := d.claim(id, tasks)
+			if len(claimed) == 0 {
+				continue
+			}
+			units := make([]api.WorkUnit, len(claimed))
+			ids := make([]string, len(claimed))
 			longRunning := false
-			d.mu.Lock()
-			for _, t := range tasks {
-				u, live := d.units[t.ID]
-				if !live {
-					// No batch owns this unit (its job was lost in
-					// recovery); ack it off the queue for good.
-					d.q.Ack(id, t.ID)
-					continue
-				}
-				units = append(units, u.wire)
-				ids = append(ids, u.id)
+			for i, u := range claimed {
+				units[i] = u.wireForm()
+				ids[i] = u.id
 				if u.job.Scheduler == "exact" || u.job.Scheduler == "portfolio" {
 					longRunning = true
 				}
 			}
-			if len(ids) > 0 {
-				d.leases[id] = &leaseState{worker: req.Worker, units: ids}
-			}
+			d.mu.Lock()
+			d.leases[id] = &leaseState{worker: req.Worker, units: ids}
 			d.mu.Unlock()
-			if len(ids) == 0 {
-				continue
-			}
 			ttl := d.ttl
 			// Exact and portfolio units may run a SAT proof for the whole
 			// lease duration without posting anything; stretch the
 			// heartbeat deadline so the proof is not recomputed elsewhere.
-			if longRunning && d.ttlExact > ttl {
-				if s, ok := d.q.(jobs.LeaseTTLSetter); ok && s.SetLeaseTTL(id, d.ttlExact) {
-					ttl = d.ttlExact
-				}
+			if longRunning && d.ttlExact > ttl && d.q.SetLeaseTTL(id, d.ttlExact) {
+				ttl = d.ttlExact
 			}
 			// Remaining reports the backlog left after this lease was
 			// carved out: the input to the worker's next chunk decision.
@@ -530,15 +633,17 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 }
 
 // postResults applies one worker post — a batch of zero or more unit
-// results under one lease. Every result whose queue Ack succeeds
-// resolves its unit (exactly once — an Ack that fails lost the unit to
-// expiry and the result is discarded); an empty post is a pure
-// heartbeat. The acks are claimed in one batch (one WAL frame on a
-// durable queue) but each remains individually atomic under the lease
-// check, so a post raced by expiry keeps exactly-once semantics
-// per unit. It returns errLeaseExpired when the lease itself is no
-// longer honored. The response lists the lease's still-outstanding
-// units whose batch has been canceled, so the worker skips them.
+// results under a live lease; an empty post is a pure heartbeat. The
+// first result posted for a live unit resolves it (exactly once: the
+// claim is removing the unit from d.units, so a result raced by expiry
+// and a re-lease is discarded, never double-emitted), and only then
+// are the units acked off the queue, in one batch (one WAL frame on a
+// durable queue): a crash between the two leaves a result whose unit
+// is still logged, which recovery settles, rather than a logged ack
+// whose result was never stored. It returns errLeaseExpired when the
+// lease itself is no longer honored. The response lists the lease's
+// still-outstanding units whose batch has been canceled, so the worker
+// skips them.
 func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.WorkResultsResponse, error) {
 	if !d.q.Heartbeat(lease) {
 		d.mu.Lock()
@@ -547,22 +652,7 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.W
 		return nil, errLeaseExpired
 	}
 	resp := &api.WorkResultsResponse{}
-	var acked []bool
-	if len(results) > 0 {
-		ids := make([]string, len(results))
-		for i, ur := range results {
-			ids[i] = ur.Unit
-		}
-		if ba, ok := d.q.(jobs.BatchAcker); ok {
-			acked = ba.AckBatch(lease, ids)
-		} else {
-			acked = make([]bool, len(ids))
-			for i, id := range ids {
-				acked[i] = d.q.Ack(lease, id)
-			}
-		}
-	}
-	// One pass under d.mu claims every acked unit and attributes it to
+	// One pass under d.mu claims every live unit and attributes it to
 	// the posting worker's gauges; the batch resolution (cache adds and
 	// emit calls) runs outside the lock in post order.
 	type resolvedUnit struct {
@@ -576,10 +666,9 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.W
 		ws = d.workers[ls.worker]
 	}
 	now := time.Now()
+	ids := make([]string, len(results))
 	for i, ur := range results {
-		if !acked[i] {
-			continue // lost to expiry: another worker owns this unit now
-		}
+		ids[i] = ur.Unit
 		u := d.units[ur.Unit]
 		delete(d.units, ur.Unit)
 		if u == nil {
@@ -599,6 +688,9 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.W
 	d.mu.Unlock()
 	for _, r := range done {
 		d.resolve(r.u, r.rec)
+	}
+	if len(ids) > 0 {
+		d.q.AckBatch(lease, ids)
 	}
 	d.mu.Lock()
 	if ls := d.leases[lease]; ls != nil {
@@ -637,16 +729,23 @@ func (d *dispatcher) resolve(u *unit, rec api.JobResult) {
 		d.cache.Add(u.key, stored)
 	}
 	rec.Index = u.index
-	b := u.batch
+	u.batch.settle(&rec)
+}
+
+// settle counts one pending unit of the batch as done, first emitting
+// rec when there is one — into the backlog while no emit is attached
+// — and closes the batch when nothing is left pending. A closed batch
+// discards late results.
+func (b *dispatchBatch) settle(rec *api.JobResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	if b.emit == nil {
-		b.backlog = append(b.backlog, rec)
-	} else {
-		b.emit(rec)
+	if rec != nil && b.emit == nil {
+		b.backlog = append(b.backlog, *rec)
+	} else if rec != nil {
+		b.emit(*rec)
 	}
 	b.pending--
 	if b.pending == 0 {
@@ -666,38 +765,39 @@ type adoptedUnit struct {
 
 // adopt rebinds recovered units to a fresh batch and returns the run
 // closure that resumes it. The units are registered immediately — their
-// tasks are already on the replayed queue, so a worker may lease one
-// before an executor picks the run up; results that land in that window
-// buffer in the batch backlog and flush when emit attaches. A unit
-// whose wire form no longer parses is withdrawn and resolved as an
-// error record, so the batch still reaches a terminal state.
+// tasks are already on the replayed queue, so a worker or puller may
+// lease one before an executor picks the run up; results that land in
+// that window buffer in the batch backlog and flush when emit attaches.
+// The batch compiles under a context of its own, canceled when the run
+// ends (or the dispatcher closes). A unit whose wire form no longer
+// parses is withdrawn and resolved as an error record, so the batch
+// still reaches a terminal state.
 func (d *dispatcher) adopt(unitList []adoptedUnit) jobs.RunFunc {
-	b := &dispatchBatch{pending: len(unitList), done: make(chan struct{})}
+	ctx, cancel := context.WithCancel(d.root)
+	b := &dispatchBatch{ctx: ctx, pending: len(unitList), done: make(chan struct{})}
 	var live []*unit
 	for _, au := range unitList {
 		job, err := UnitJob(au.Wire)
 		if err != nil {
 			d.q.Withdraw(au.ID)
-			b.backlog = append(b.backlog, api.JobResult{
+			b.settle(&api.JobResult{
 				Index:     au.Index,
 				Error:     fmt.Sprintf("recovered unit unusable: %v", err),
 				ErrorCode: api.CodeInternal,
 			})
-			b.pending--
 			continue
 		}
-		live = append(live, &unit{
-			id:    au.ID,
-			key:   au.Wire.Hash,
-			job:   job,
-			wire:  au.Wire,
-			batch: b,
-			index: au.Index,
-		})
-	}
-	if b.pending == 0 {
-		b.closed = true
-		close(b.done)
+		u := &unit{
+			id:      au.ID,
+			key:     au.Wire.Hash,
+			job:     job,
+			timeout: time.Duration(au.Wire.TimeoutMS) * time.Millisecond,
+			noCache: au.Wire.NoCache,
+			batch:   b,
+			index:   au.Index,
+		}
+		u.wireOnce.Do(func() { u.wire = au.Wire })
+		live = append(live, u)
 	}
 	d.mu.Lock()
 	for _, u := range live {
@@ -707,6 +807,7 @@ func (d *dispatcher) adopt(unitList []adoptedUnit) jobs.RunFunc {
 	d.resolved += uint64(len(unitList) - len(live))
 	d.mu.Unlock()
 	return func(ctx context.Context, emit func(api.JobResult)) {
+		defer cancel()
 		b.mu.Lock()
 		for _, rec := range b.backlog {
 			emit(rec)
@@ -753,7 +854,7 @@ func (d *dispatcher) Metrics() api.DispatchMetrics {
 
 // wireUnit renders a unit in its self-contained wire form: canonical
 // loop text, the full machine config, and the scheduler options.
-func wireUnit(u *unit, timeout time.Duration, noCache bool) api.WorkUnit {
+func wireUnit(u *unit) api.WorkUnit {
 	mj, err := json.Marshal(u.job.Machine)
 	if err != nil {
 		// Machine marshaling is infallible for valid machines (see Key).
@@ -766,8 +867,8 @@ func wireUnit(u *unit, timeout time.Duration, noCache bool) api.WorkUnit {
 		Machine:   api.MachineSpec{Config: mj},
 		Scheduler: u.job.Scheduler,
 		Options:   wireOptions(u.job.Options),
-		TimeoutMS: int(timeout / time.Millisecond),
-		NoCache:   noCache,
+		TimeoutMS: int(u.timeout / time.Millisecond),
+		NoCache:   u.noCache,
 	}
 }
 

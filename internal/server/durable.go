@@ -61,13 +61,14 @@ func (d *durableState) close() {
 //   - a job whose buffer covers all n indices re-registers as done;
 //   - a job whose queued units cover exactly the missing indices is
 //     adopted by the dispatcher and resumed through engine.Recover, so
-//     workers finish it and clients keep polling the same job ID;
+//     pullers or workers finish it and clients keep polling the same
+//     job ID;
 //   - anything else — missing units, a buffer without its size metadata,
 //     units whose job left no buffer — cannot be resumed faithfully and
 //     is registered as canceled (or dropped) with an explanatory failure.
 //
-// It runs before the HTTP surface is serving, so no worker can race the
-// classification.
+// It runs before the HTTP surface is serving and the pullers start, so
+// nothing can race the classification.
 func (s *Server) recoverDurable() {
 	d := s.durable
 	tasks := d.wal.Recovered()
@@ -196,7 +197,7 @@ func splitUnitID(id string) (jobID string, index int, ok bool) {
 func encodeUnitPayload(payload any) ([]byte, error) {
 	switch v := payload.(type) {
 	case *unit:
-		return json.Marshal(v.wire)
+		return json.Marshal(v.wireForm())
 	case api.WorkUnit:
 		return json.Marshal(v)
 	}

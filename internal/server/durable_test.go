@@ -9,6 +9,8 @@ import (
 	"time"
 
 	api "repro/api/v1"
+	"repro/internal/driver"
+	"repro/internal/drivertest"
 	"repro/internal/jobs"
 	"repro/internal/machine"
 )
@@ -88,6 +90,71 @@ func TestDurableStandaloneRestart(t *testing.T) {
 	if done := waitJob(t, ts2.URL, job2.ID); done.State != api.JobDone {
 		t.Fatalf("post-recovery job = %+v", done)
 	}
+}
+
+// TestDurableStandaloneResumesInterruptedBatch: a standalone server's
+// units reach the WAL like a coordinator's. Closed while its in-process
+// pullers hold some units — the rest already resolved — it leaves the
+// held units queued, and reopened standalone over the same directory it
+// resumes the job under its original ID to results byte-identical to
+// driver.CompileAll.
+func TestDurableStandaloneResumesInterruptedBatch(t *testing.T) {
+	gated, err := drivertest.NewGated("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twophase, err := driver.Get("twophase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := driver.NewRegistry()
+	reg.MustRegister(gated)
+	reg.MustRegister(twophase)
+	dir := t.TempDir()
+	// Four pullers: three hold the gated dms units, the fourth resolves
+	// every twophase unit.
+	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Registry: reg, QueueWorkers: 1, Parallelism: 4})
+
+	req := api.CompileRequest{
+		Protocol:   api.Version,
+		Loops:      goldenLoops(t)[:3],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms", "twophase"},
+	}
+	njobs := req.Jobs()
+	want := directRecords(t, req, []*machine.Machine{machine.Clustered(2)})
+	job := submitJob(t, ts1.URL, req)
+	eventually(t, "three dms units held and three twophase units resolved", func() bool {
+		return gated.Calls.Load() == 3 && getJob(t, ts1.URL, job.ID).Done == 3
+	})
+	ts1.Close()
+	svc1.Close()
+
+	svc2, ts2 := openDurableServer(t, Options{DataDir: dir})
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	if m := svc2.Snapshot().Durability; m == nil || m.RecoveredTasks != 3 || m.RecoveredBuffers != 1 {
+		t.Fatalf("durability after restart = %+v, want 3 tasks, 1 buffer", m)
+	}
+	done := waitJob(t, ts2.URL, job.ID)
+	if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
+		t.Fatalf("resumed job = %+v", done)
+	}
+	recs, sum := readResults(t, ts2.URL, job.ID, 0, 0)
+	if sum == nil || sum.Jobs != njobs || sum.Errors != 0 || len(recs) != njobs {
+		t.Fatalf("resumed stream = %d records, summary %+v", len(recs), sum)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
+	for i, rec := range recs {
+		rec.Cached = false
+		if g := marshal(t, rec); g != want[i] {
+			t.Errorf("resumed record %d diverges:\n got %s\nwant %s", i, g, want[i])
+		}
+	}
+	eventually(t, "the 3 recovered units resolved and acked", func() bool {
+		dm := svc2.Snapshot().Dispatch
+		return dm.Resolved == 3 && dm.PendingUnits == 0 && dm.LeasedUnits == 0
+	})
 }
 
 // TestDurableCoordinatorGracefulRestartKeepsUnits: a distributing

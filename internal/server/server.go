@@ -23,13 +23,18 @@
 //
 // Every batch — synchronous or not — flows through one execution
 // path: the internal/jobs engine, a bounded FIFO admission queue in
-// front of a fixed executor pool. /v1/compile is a thin wrapper that
-// submits a job and streams its buffer until the terminal state; when
-// the queue is saturated, both surfaces reject with a structured 429
-// queue_full error and a Retry-After hint instead of queueing without
-// bound. Finished jobs retain their results for a TTL, so a dropped
-// results connection re-attaches with ?from= and replays the buffer
-// instead of recomputing.
+// front of a fixed executor pool, whose executors split each batch into
+// compile units on the dispatcher's unit queue. In-process pullers
+// (standalone) or worker processes (Options.Distribute) lease the units
+// and resolve each through the same queue Ack; with Options.DataDir the
+// queue is write-ahead logged, so any interrupted batch resumes after a
+// restart. /v1/compile is a thin wrapper that submits a job and streams
+// its buffer until the terminal state; when the queue is saturated,
+// both surfaces reject with a structured 429 queue_full error and a
+// Retry-After hint instead of queueing without bound. Finished jobs
+// retain their results for a TTL, so a dropped results connection
+// re-attaches with ?from= and replays the buffer instead of
+// recomputing.
 //
 // Identical jobs are memoized in a content-addressed cache (see Key):
 // the schedule for a (canonical loop, machine config, scheduler,
@@ -39,9 +44,9 @@
 // metrics endpoint.
 //
 // Cancellation rides the job's context: DELETE /v1/jobs/{id} (or a
-// synchronous client disconnecting) reaches the scheduler's II search
-// through the driver and the batch aborts within one candidate II,
-// releasing its executor. A job canceled while still queued never
+// synchronous client disconnecting) withdraws the batch's queued units
+// and reaches the II search of the units its pullers hold, which abort
+// within one candidate II. A job canceled while still queued never
 // reaches the driver at all.
 package server
 
@@ -89,7 +94,9 @@ type Options struct {
 	// Timeout bounds each job's scheduling time (0 = none). Requests
 	// may tighten it per-job but never exceed it.
 	Timeout time.Duration
-	// Parallelism is the per-batch worker count (0 = GOMAXPROCS).
+	// Parallelism is the number of in-process pullers a running batch
+	// of a standalone server may hold; the pool has QueueWorkers ×
+	// Parallelism of them (0 = GOMAXPROCS).
 	Parallelism int
 	// QueueCapacity bounds the jobs awaiting an executor; a submission
 	// past it is rejected with 429 queue_full (0 = jobs.DefaultCapacity).
@@ -113,12 +120,10 @@ type Options struct {
 	// ResultShards spreads the engine's result-buffer index over N
 	// content-hash-keyed shards (0 or 1 = the single in-process store).
 	ResultShards int
-	// Distribute routes admitted batches to the worker-pull surface
-	// (/v1/workers/lease) instead of compiling them in-process: the
-	// server becomes a coordinator and does no scheduling work itself.
-	// Worker processes (internal/worker, dmsserve -role worker) lease
-	// compile units and post results back. The client-facing API is
-	// identical either way.
+	// Distribute starts no in-process pullers: the server becomes a
+	// coordinator, and worker processes (internal/worker, dmsserve -role
+	// worker) lease its compile units over /v1/workers. The
+	// client-facing API is identical either way.
 	Distribute bool
 	// LeaseTTL is the worker-lease heartbeat deadline: a lease that
 	// posts nothing for this long has its unresolved units requeued
@@ -186,10 +191,9 @@ type Server struct {
 
 // portfolioAgg aggregates the portfolio meta-scheduler's results as
 // they land in job buffers. Aggregating at the emit point — rather
-// than inside the scheduler — makes the counters correct in every
-// execution mode: in-process batches, distributed batches resolved by
-// remote workers, even recovered batches, all flow through the same
-// per-record hook.
+// than inside the scheduler — makes the counters correct wherever a
+// unit compiled: on an in-process puller or a remote worker, all
+// results flow through the same per-record hook.
 type portfolioAgg struct {
 	mu      sync.Mutex
 	races   int64
@@ -272,15 +276,6 @@ func copyCounts(src map[string]int64) map[string]int64 {
 	return dst
 }
 
-// recordPortfolio feeds one emitted record into the portfolio
-// aggregate when it is a successful portfolio result.
-func (s *Server) recordPortfolio(scheduler string, rec api.JobResult) {
-	if scheduler != "portfolio" || rec.Error != "" || rec.Stats == nil {
-		return
-	}
-	s.portfolio.record(rec.Stats)
-}
-
 // New returns a service with the given options; its executor pool runs
 // until Close. It panics when durable state under Options.DataDir
 // cannot be opened — callers setting DataDir should prefer Open.
@@ -322,40 +317,30 @@ func Open(opt Options) (*Server, error) {
 			Store:            store,
 		}),
 	}
-	// The dispatcher exists in every mode — the /v1/workers surface
-	// is always served (a worker attached to a non-distributing
-	// server just leases nothing) — but only Distribute routes
-	// batches through it.
-	s.dispatch = newDispatcher(cache, q, opt.LeaseTTL, opt.LeaseTTLExact, opt.LeaseChunk, opt.LeaseChunkMax, opt.WorkerPoll)
+	s.dispatch = newDispatcher(cache, q, opt)
 	if durable != nil {
 		s.recoverDurable()
 	}
+	s.dispatch.startPullers()
 	return s, nil
 }
 
 // Close stops the job engine: queued jobs finish as canceled without
 // reaching the driver, running batches have their contexts canceled so
 // the schedulers abort cooperatively, and the executor pool drains.
-// The dispatcher's janitor stops with it. A durable server marks the
-// shutdown first, so the engine canceling its running batches does not
-// withdraw their units from the WAL — they are the state the next
-// process recovers — and closes the durable files last.
+// The dispatcher's janitor and pullers stop with it. The dispatcher is
+// marked shutting down first, so neither the engine canceling its
+// running batches nor the pullers resolve or withdraw units — on a
+// durable queue they are the state the next process recovers — and the
+// durable files close last.
 func (s *Server) Close() {
-	if s.durable != nil {
-		s.dispatch.beginShutdown()
-	}
+	s.dispatch.shutdown.Store(true)
 	s.engine.Close()
 	s.dispatch.Close()
 	if s.durable != nil {
 		s.durable.close()
 	}
 }
-
-// Cache exposes the result cache (for tests and metrics).
-func (s *Server) Cache() *Cache { return s.cache }
-
-// Engine exposes the job engine (for tests and metrics).
-func (s *Server) Engine() *jobs.Engine { return s.engine }
 
 // protocol stamps the version header every v1 response carries.
 func protocol(h http.HandlerFunc) http.HandlerFunc {
@@ -557,39 +542,25 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (req api.C
 }
 
 // submit admits a batch to the job engine. The run closure is the one
-// execution path both the synchronous and asynchronous surfaces share.
-// In-process mode it is a driver worker pool over the
-// content-addressed cache; in Distribute mode the dispatcher queues
-// the batch's units for remote workers instead. Either way, wire
-// records land in the job's buffer in completion order with Index set,
-// so the client cannot tell where the batch was compiled.
+// execution path both the synchronous and asynchronous surfaces share:
+// the dispatcher queues the batch's units for the in-process pullers or
+// remote workers, and wire records land in the job's buffer in
+// completion order with Index set, so the client cannot tell where the
+// batch was compiled.
 func (s *Server) submit(jobList []driver.Job, timeout time.Duration, noCache bool) (*jobs.Job, error) {
-	// Jobs drained by a cancellation are not compile failures; counting
-	// them would make every canceled batch look like an error storm on
-	// the metrics endpoint.
-	var run jobs.RunFunc
-	if s.opt.Distribute {
-		run = func(ctx context.Context, emit func(api.JobResult)) {
-			s.dispatch.RunBatch(ctx, jobList, timeout, noCache, func(rec api.JobResult) {
-				if rec.Error != "" && ctx.Err() == nil {
-					s.jobErrors.Add(1)
-				}
-				s.recordPortfolio(jobList[rec.Index].Scheduler, rec)
-				emit(rec)
-			})
-		}
-	} else {
-		run = func(ctx context.Context, emit func(api.JobResult)) {
-			driver.ForEach(len(jobList), s.opt.Parallelism, func(i int) {
-				rec := s.compileJob(ctx, jobList[i], timeout, noCache)
-				rec.Index = i
-				if rec.Error != "" && ctx.Err() == nil {
-					s.jobErrors.Add(1)
-				}
-				s.recordPortfolio(jobList[i].Scheduler, rec)
-				emit(rec)
-			})
-		}
+	run := func(ctx context.Context, emit func(api.JobResult)) {
+		s.dispatch.RunBatch(ctx, jobList, timeout, noCache, func(rec api.JobResult) {
+			// Jobs drained by a cancellation are not compile failures;
+			// counting them would make every canceled batch look like an
+			// error storm on the metrics endpoint.
+			if rec.Error != "" && ctx.Err() == nil {
+				s.jobErrors.Add(1)
+			}
+			if jobList[rec.Index].Scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
+				s.portfolio.record(rec.Stats)
+			}
+			emit(rec)
+		})
 	}
 	j, err := s.engine.Submit(len(jobList), run)
 	if err != nil {
@@ -860,24 +831,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	streamJob(r.Context(), w, j, 0)
 }
 
-// compileJob resolves one job through the server's cache with its
-// configured registry and timeout.
-func (s *Server) compileJob(ctx context.Context, job driver.Job, timeout time.Duration, noCache bool) api.JobResult {
-	return CompileRecord(ctx, s.cache, job, driver.BatchOptions{
-		Timeout:   timeout,
-		Latencies: &job.Machine.Lat,
-		Registry:  s.opt.Registry,
-	}, noCache)
-}
-
-// CompileRecord resolves one job through a cache: a content-addressed
-// lookup, then a single-flight compile on miss. Only successful
-// results are cached; failures (including cancellations) are
-// recomputed on the next request. It is shared by the server's
-// in-process executors and the worker pull loop (internal/worker),
-// which runs it against its own local cache — one compile path,
-// wherever the unit lands.
-func CompileRecord(ctx context.Context, cache *Cache, job driver.Job, batch driver.BatchOptions, noCache bool) api.JobResult {
+// CompileRecord resolves one job, whose cache key is key (JobKey),
+// through a cache: a content-addressed lookup, then a single-flight
+// compile on miss. Only successful results are cached; failures
+// (including cancellations) are recomputed on the next request. It is
+// shared by the server's in-process pullers and the worker pull loop
+// (internal/worker), which runs it against its own local cache — one
+// compile path, wherever the unit lands.
+func CompileRecord(ctx context.Context, cache *Cache, key string, job driver.Job, batch driver.BatchOptions, noCache bool) api.JobResult {
 	compute := func() (any, error) {
 		res := driver.Compile(ctx, job, batch)
 		if res.Err != nil {
@@ -894,10 +855,10 @@ func CompileRecord(ctx context.Context, cache *Cache, job driver.Job, batch driv
 			return fail(err)
 		}
 		rec := val.(api.JobResult)
-		cache.Add(JobKey(job), rec)
+		cache.Add(key, rec)
 		return rec
 	}
-	val, hit, err := cache.Do(ctx, JobKey(job), compute)
+	val, hit, err := cache.Do(ctx, key, compute)
 	if err != nil {
 		return fail(err)
 	}

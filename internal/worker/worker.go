@@ -410,13 +410,13 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 }
 
 // compileUnit schedules one wire unit through the local cache — the
-// same CompileRecord path the in-process executors use.
+// same CompileRecord path the coordinator's in-process pullers use.
 func (w Options) compileUnit(ctx context.Context, cache *server.Cache, u api.WorkUnit) api.JobResult {
 	job, err := server.UnitJob(u)
 	if err != nil {
 		return api.JobResult{Error: err.Error(), ErrorCode: api.CodeInternal}
 	}
-	return server.CompileRecord(ctx, cache, job, driver.BatchOptions{
+	return server.CompileRecord(ctx, cache, server.JobKey(job), job, driver.BatchOptions{
 		Timeout:   time.Duration(u.TimeoutMS) * time.Millisecond,
 		Latencies: &job.Machine.Lat,
 		Registry:  w.Registry,

@@ -281,42 +281,3 @@ func (c *Compiled) Simulate() (*vliw.Result, error) {
 	}
 	return vliw.Simulate(c.Schedule, alloc, c.Metrics.Trip)
 }
-
-// Options tune the deprecated Compile/CompileCtx wrappers.
-//
-// Deprecated: construct a Request and use Compiler.Compile.
-type Options struct {
-	// Unroll replicates the body before scheduling (1 = off).
-	Unroll int
-	// Scheduler selects a back-end by registry name (see
-	// driver.Names). Empty means "dms", or "ims" with Unclustered.
-	Scheduler string
-	// Unclustered schedules on the equivalent unclustered machine
-	// (defaulting the scheduler to the IMS baseline) instead of the
-	// clustered machine with DMS.
-	Unclustered bool
-	// Driver passes tuning and ablation switches to the scheduler.
-	Driver driver.Options
-}
-
-// Compile runs the tool chain on the loop for a machine with the given
-// cluster count.
-//
-// Deprecated: use New().Compile with a Request.
-func Compile(l *loop.Loop, clusters int, opt Options) (*Compiled, error) {
-	return CompileCtx(context.Background(), l, clusters, opt) //dms:ctxok deprecated ctx-less compatibility wrapper around CompileCtx
-}
-
-// CompileCtx is Compile with cancellation.
-//
-// Deprecated: use New().Compile with a Request.
-func CompileCtx(ctx context.Context, l *loop.Loop, clusters int, opt Options) (*Compiled, error) {
-	return New().Compile(ctx, Request{
-		Loop:        l,
-		Clusters:    clusters,
-		Scheduler:   opt.Scheduler,
-		Unclustered: opt.Unclustered,
-		Unroll:      opt.Unroll,
-		Options:     opt.Driver,
-	})
-}

@@ -118,19 +118,3 @@ func TestCompilerTimeout(t *testing.T) {
 		t.Error("1 ns timeout produced a schedule")
 	}
 }
-
-// TestDeprecatedCompileWrapper pins the legacy facade entry points to
-// the new path: same inputs, same schedule.
-func TestDeprecatedCompileWrapper(t *testing.T) {
-	c, err := repro.Compile(perfect.KernelDot(), 4, repro.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := repro.New().Compile(context.Background(), repro.Request{Loop: perfect.KernelDot(), Clusters: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.II != n.II || c.MII != n.MII || c.Metrics != n.Metrics {
-		t.Errorf("wrapper diverged: II %d/%d MII %d/%d", c.II, n.II, c.MII, n.MII)
-	}
-}
