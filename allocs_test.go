@@ -2,13 +2,17 @@ package repro_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/driver"
+	"repro/internal/loop"
 	"repro/internal/machine"
 	"repro/internal/perfect"
 	"repro/internal/sat"
+	"repro/internal/server"
 )
 
 // scheduleAllocBudget is the checked-in allocation baseline for one
@@ -43,6 +47,75 @@ func TestScheduleAllocBudget(t *testing.T) {
 	if avg > scheduleAllocBudget {
 		t.Fatalf("core.Schedule pipeline allocates %.1f/op, above the checked-in budget of %d — "+
 			"the scheduling inner loop has regressed (see BENCH_PR6.json)", avg, scheduleAllocBudget)
+	}
+}
+
+// servePathAllocBudget and servePathBytesBudget are the checked-in
+// allocation baselines for the per-unit serving work around a compile:
+// parse the loop text, key the job, and render the result's wire
+// record. Measured at 128 allocs and ~13.5 KiB per op on the pinned
+// corpus; the budgets leave ~50% headroom. The code they replaced (a
+// 64 KiB scanner buffer per parse, fmt-rendered keys and schedules)
+// sat at 155 allocs and ~73 KiB: the byte budget is the one a
+// per-parse buffer trips.
+const (
+	servePathAllocBudget = 192
+	servePathBytesBudget = 21 << 10
+)
+
+// TestServePathAllocBudget fails when the serving path's allocation
+// rate regresses above the checked-in baselines. The compiles happen
+// before measuring: only the work every unit pays outside the
+// scheduler is counted.
+func TestServePathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	sample := perfect.CorpusN(perfect.DefaultSeed, 32)
+	m := machine.Clustered(4)
+	texts := make([]string, len(sample))
+	jobs := make([]driver.Job, len(sample))
+	for i, l := range sample {
+		texts[i] = loop.Format(l)
+		jobs[i] = driver.Job{Loop: l, Machine: m, Scheduler: "dms"}
+	}
+	results := driver.CompileAll(context.Background(), jobs, driver.BatchOptions{})
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Job, r.Err)
+		}
+	}
+	i := 0
+	serve := func() {
+		k := i % len(sample)
+		i++
+		l, err := loop.ParseString(texts[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := jobs[k]
+		job.Loop = l
+		_ = server.JobKey(job)
+		_ = server.Record(results[k])
+	}
+	const runs = 64
+	avg := testing.AllocsPerRun(runs, serve)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("serve path (parse + key + record): %.1f allocs/op, %d B/op (budgets %d, %d)",
+		avg, bytesPerOp, servePathAllocBudget, servePathBytesBudget)
+	if avg > servePathAllocBudget {
+		t.Fatalf("serve path allocates %.1f/op, above the checked-in budget of %d — "+
+			"loop.Parse, JobKey or server.Record has regressed", avg, servePathAllocBudget)
+	}
+	if bytesPerOp > servePathBytesBudget {
+		t.Fatalf("serve path allocates %d B/op, above the checked-in budget of %d — "+
+			"loop.Parse, JobKey or server.Record has regressed", bytesPerOp, servePathBytesBudget)
 	}
 }
 

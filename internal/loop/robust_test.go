@@ -1,6 +1,8 @@
 package loop
 
 import (
+	"bufio"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,6 +19,25 @@ func TestParseNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The parser holds no large buffer up front, but its line cap is still
+// 1 MiB: a long comment line parses, and a longer line fails with the
+// scanner's token-too-long error rather than being truncated.
+func TestParseLineLimits(t *testing.T) {
+	base := Format(mustDot(t))
+	long := "# " + strings.Repeat("x", 200<<10) + "\n"
+	l, err := ParseString(long + base)
+	if err != nil {
+		t.Fatalf("loop after a 200 KiB comment line: %v", err)
+	}
+	if got := Format(l); got != base {
+		t.Errorf("loop after a 200 KiB comment line = %q, want %q", got, base)
+	}
+	tooLong := "# " + strings.Repeat("x", 1<<20) + "\n"
+	if _, err := ParseString(base + tooLong); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("loop with a line over 1 MiB: err = %v, want %v", err, bufio.ErrTooLong)
 	}
 }
 

@@ -31,7 +31,11 @@ import (
 // Format renders the loop in the textual format.
 func Format(l *Loop) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "loop %s trip %d\n", l.Name, l.Trip)
+	sb.WriteString("loop ")
+	sb.WriteString(l.Name)
+	sb.WriteString(" trip ")
+	sb.WriteString(strconv.Itoa(l.Trip))
+	sb.WriteByte('\n')
 	operands := make([][]Dep, len(l.Ops))
 	var mems []Dep
 	for _, d := range l.Deps {
@@ -42,7 +46,9 @@ func Format(l *Loop) string {
 		}
 	}
 	for _, op := range l.Ops {
-		fmt.Fprintf(&sb, "%s = %s", op.Name, op.Class)
+		sb.WriteString(op.Name)
+		sb.WriteString(" = ")
+		sb.WriteString(op.Class.String())
 		for i, d := range operands[op.ID] {
 			if i == 0 {
 				sb.WriteByte(' ')
@@ -51,20 +57,29 @@ func Format(l *Loop) string {
 			}
 			sb.WriteString(l.Ops[d.From].Name)
 			if d.Distance != 0 {
-				fmt.Fprintf(&sb, "@%d", d.Distance)
+				sb.WriteByte('@')
+				sb.WriteString(strconv.Itoa(d.Distance))
 			}
 		}
 		sb.WriteByte('\n')
 	}
 	for _, d := range mems {
-		fmt.Fprintf(&sb, "mem %s -> %s", l.Ops[d.From].Name, l.Ops[d.To].Name)
+		sb.WriteString("mem ")
+		sb.WriteString(l.Ops[d.From].Name)
+		sb.WriteString(" -> ")
+		sb.WriteString(l.Ops[d.To].Name)
 		if d.Distance != 0 {
-			fmt.Fprintf(&sb, " @%d", d.Distance)
+			sb.WriteString(" @")
+			sb.WriteString(strconv.Itoa(d.Distance))
 		}
 		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
+
+// maxLineBytes caps one line of the textual format; a longer line
+// fails Parse with bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
 
 // Parse reads one loop in the textual format.
 func Parse(r io.Reader) (*Loop, error) {
@@ -84,7 +99,9 @@ func Parse(r io.Reader) (*Loop, error) {
 		scanner = bufio.NewScanner(r)
 		lineNo  int
 	)
-	scanner.Buffer(make([]byte, 1<<16), 1<<20)
+	// No initial buffer: the scanner grows one to fit the longest line,
+	// up to the 1 MiB cap, so a short loop never pays for a large one.
+	scanner.Buffer(nil, maxLineBytes)
 	for scanner.Scan() {
 		lineNo++
 		line := scanner.Text()

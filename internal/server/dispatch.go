@@ -281,7 +281,7 @@ func (d *dispatcher) pull() {
 		if d.shutdown.Load() {
 			return
 		}
-		d.postResults(lease, []api.UnitResult{{Unit: u.id, Result: rec}})
+		d.postResults(lease, []api.UnitResult{{Unit: u.id, Result: rec}}, true)
 		u.batch.pulling.Add(-1)
 	}
 }
@@ -408,9 +408,10 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 	// warm cache; in-process pullers share one cache, so their units go
 	// unrouted, in plain FIFO order.
 	route := d.pullers == 0
+	keys := newKeyer()
 	var enq []*unit
 	for i, job := range jobList {
-		key := JobKey(job)
+		key := keys.key(job)
 		if !noCache {
 			// A puller resolves a miss through Cache.Do, which counts
 			// it; with no pullers the miss is counted here.
@@ -643,8 +644,10 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 // whose result was never stored. It returns errLeaseExpired when the
 // lease itself is no longer honored. The response lists the lease's
 // still-outstanding units whose batch has been canceled, so the worker
-// skips them.
-func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.WorkResultsResponse, error) {
+// skips them. stored reports that CompileRecord already stored the
+// results in the dispatcher's cache, as it does for an in-process
+// puller; a remote worker's results are stored here.
+func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored bool) (*api.WorkResultsResponse, error) {
 	if !d.q.Heartbeat(lease) {
 		d.mu.Lock()
 		delete(d.leases, lease)
@@ -687,7 +690,7 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.W
 	}
 	d.mu.Unlock()
 	for _, r := range done {
-		d.resolve(r.u, r.rec)
+		d.resolve(r.u, r.rec, stored)
 	}
 	if len(ids) > 0 {
 		d.q.AckBatch(lease, ids)
@@ -720,13 +723,14 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult) (*api.W
 
 // resolve feeds one authoritative unit result back to its batch,
 // memoizing successes in the coordinator cache (stored shorn of Index
-// and Cached, like the in-process path stores them).
-func (d *dispatcher) resolve(u *unit, rec api.JobResult) {
-	if rec.Error == "" {
-		stored := rec
-		stored.Index = 0
-		stored.Cached = false
-		d.cache.Add(u.key, stored)
+// and Cached, like CompileRecord stores them) unless stored says they
+// are there already.
+func (d *dispatcher) resolve(u *unit, rec api.JobResult, stored bool) {
+	if rec.Error == "" && !stored {
+		entry := rec
+		entry.Index = 0
+		entry.Cached = false
+		d.cache.Add(u.key, entry)
 	}
 	rec.Index = u.index
 	u.batch.settle(&rec)
@@ -855,16 +859,11 @@ func (d *dispatcher) Metrics() api.DispatchMetrics {
 // wireUnit renders a unit in its self-contained wire form: canonical
 // loop text, the full machine config, and the scheduler options.
 func wireUnit(u *unit) api.WorkUnit {
-	mj, err := json.Marshal(u.job.Machine)
-	if err != nil {
-		// Machine marshaling is infallible for valid machines (see Key).
-		panic(fmt.Sprintf("server: machine %s failed to marshal: %v", u.job.Machine.Name, err))
-	}
 	return api.WorkUnit{
 		ID:        u.id,
 		Hash:      u.key,
 		Loop:      loop.Format(u.job.Loop),
-		Machine:   api.MachineSpec{Config: mj},
+		Machine:   api.MachineSpec{Config: json.RawMessage(machineSection(u.job.Machine))},
 		Scheduler: u.job.Scheduler,
 		Options:   wireOptions(u.job.Options),
 		TimeoutMS: int(u.timeout / time.Millisecond),

@@ -52,11 +52,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,6 +67,7 @@ import (
 	"time"
 
 	api "repro/api/v1"
+	"repro/internal/ddg"
 	"repro/internal/driver"
 	"repro/internal/jobs"
 	"repro/internal/loop"
@@ -492,25 +495,38 @@ func Record(r driver.Result) api.JobResult {
 // by time, then cluster, then node ID.
 func RenderSchedule(s *schedule.Schedule) string {
 	g := s.Graph()
-	ids := g.NodeIDs()
-	sort.Slice(ids, func(i, j int) bool {
-		pi, _ := s.At(ids[i])
-		pj, _ := s.At(ids[j])
-		if pi.Time != pj.Time {
-			return pi.Time < pj.Time
-		}
-		if pi.Cluster != pj.Cluster {
-			return pi.Cluster < pj.Cluster
-		}
-		return ids[i] < ids[j]
-	})
-	var sb []byte
-	for _, id := range ids {
-		p, _ := s.At(id)
-		n := g.Node(id)
-		sb = fmt.Appendf(sb, "t=%d c=%d %s %s\n", p.Time, p.Cluster, n.Class, n.Name)
+	type row struct {
+		id int
+		p  schedule.Placement
 	}
-	return string(sb)
+	rows := make([]row, 0, g.NumNodes())
+	g.Nodes(func(n ddg.Node) {
+		p, _ := s.At(n.ID)
+		rows = append(rows, row{n.ID, p})
+	})
+	slices.SortFunc(rows, func(a, b row) int {
+		if c := cmp.Compare(a.p.Time, b.p.Time); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.p.Cluster, b.p.Cluster); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	buf := make([]byte, 0, 32*len(rows))
+	for _, r := range rows {
+		n := g.Node(r.id)
+		buf = append(buf, "t="...)
+		buf = strconv.AppendInt(buf, int64(r.p.Time), 10)
+		buf = append(buf, " c="...)
+		buf = strconv.AppendInt(buf, int64(r.p.Cluster), 10)
+		buf = append(buf, ' ')
+		buf = append(buf, n.Class.String()...)
+		buf = append(buf, ' ')
+		buf = append(buf, n.Name...)
+		buf = append(buf, '\n')
+	}
+	return string(buf)
 }
 
 // parseRequest decodes and validates a compile/submit body, returning
@@ -787,7 +803,7 @@ func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", req.Protocol, api.Version)
 		return
 	}
-	resp, err := s.dispatch.postResults(leaseID, req.Results)
+	resp, err := s.dispatch.postResults(leaseID, req.Results, false)
 	if err != nil {
 		writeError(w, api.CodeLeaseExpired, "lease %s expired; its units were requeued", leaseID)
 		return

@@ -387,8 +387,14 @@ func TestWorkerHeterogeneousFleet(t *testing.T) {
 
 	const slowdown = 4
 	baseDelay := 3 * time.Millisecond
-	startWorker(t, ts.URL, worker.Options{ID: "fast", Parallelism: 1, UnitDelay: baseDelay})
-	startWorker(t, ts.URL, worker.Options{ID: "slow", Parallelism: 1, UnitDelay: slowdown * baseDelay})
+	// The chunk target keeps both workers' rate-sized requests (about
+	// 30 and 8 units) under the factoring cap of half the backlog for
+	// most of the drain. With the default 1 s target both would hit
+	// the cap, and the comparison would measure queue depth at request
+	// time rather than the calculator's chunks.
+	chunkTarget := 100 * time.Millisecond
+	startWorker(t, ts.URL, worker.Options{ID: "fast", Parallelism: 1, UnitDelay: baseDelay, ChunkTarget: chunkTarget})
+	startWorker(t, ts.URL, worker.Options{ID: "slow", Parallelism: 1, UnitDelay: slowdown * baseDelay, ChunkTarget: chunkTarget})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()

@@ -376,6 +376,9 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 		}
 	}()
 
+	// Assembled and keyed up front, on this goroutine: the lease's
+	// units share one keyer, which the fan-out below must not share.
+	leased := server.LeaseJobs(lease.Units)
 	driver.ForEach(len(lease.Units), w.Parallelism, func(i int) {
 		if leaseCtx.Err() != nil {
 			return // lease dead or shutting down: expiry requeues the rest
@@ -392,7 +395,7 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 			if w.UnitDelay > 0 {
 				sleepCtx(leaseCtx, w.UnitDelay)
 			}
-			rec = w.compileUnit(leaseCtx, cache, u)
+			rec = w.compileUnit(leaseCtx, cache, u, leased[i])
 			if leaseCtx.Err() == nil {
 				calc.Observe(u.Scheduler, time.Since(start))
 			}
@@ -409,16 +412,16 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 	hbWG.Wait()
 }
 
-// compileUnit schedules one wire unit through the local cache — the
-// same CompileRecord path the coordinator's in-process pullers use.
-func (w Options) compileUnit(ctx context.Context, cache *server.Cache, u api.WorkUnit) api.JobResult {
-	job, err := server.UnitJob(u)
-	if err != nil {
-		return api.JobResult{Error: err.Error(), ErrorCode: api.CodeInternal}
+// compileUnit schedules one assembled wire unit through the local
+// cache — the same CompileRecord path the coordinator's in-process
+// pullers use.
+func (w Options) compileUnit(ctx context.Context, cache *server.Cache, u api.WorkUnit, lj server.LeasedJob) api.JobResult {
+	if lj.Err != nil {
+		return api.JobResult{Error: lj.Err.Error(), ErrorCode: api.CodeInternal}
 	}
-	return server.CompileRecord(ctx, cache, server.JobKey(job), job, driver.BatchOptions{
+	return server.CompileRecord(ctx, cache, lj.Key, lj.Job, driver.BatchOptions{
 		Timeout:   time.Duration(u.TimeoutMS) * time.Millisecond,
-		Latencies: &job.Machine.Lat,
+		Latencies: &lj.Job.Machine.Lat,
 		Registry:  w.Registry,
 	}, u.NoCache)
 }
