@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ddg"
 	"repro/internal/driver"
+	"repro/internal/exact"
 	"repro/internal/loop"
 	"repro/internal/machine"
 	"repro/internal/perfect"
@@ -125,6 +126,10 @@ func TestServePathAllocBudget(t *testing.T) {
 // hot propagation loop (//dms:hotpath in internal/sat) must not
 // allocate at all, so after the warm-up solve the whole cycle settles
 // at zero; the budget leaves slack for incidental runtime noise only.
+// internal/exact runs in this steady state: it reuses one solver across
+// the candidate IIs and horizons of a Schedule call, and takes it from
+// a pool that keeps it across calls. TestExactScheduleAllocBudget
+// guards the whole call.
 const satSolveAllocBudget = 8
 
 // TestSATSolveAllocBudget fails when the SAT inner loop starts
@@ -170,5 +175,56 @@ func TestSATSolveAllocBudget(t *testing.T) {
 	if avg > satSolveAllocBudget {
 		t.Fatalf("sat Reset+encode+Solve allocates %.1f/op, above the checked-in budget of %d — "+
 			"the propagation hot path has regressed", avg, satSolveAllocBudget)
+	}
+}
+
+// exactScheduleAllocBudget is the checked-in allocation baseline for
+// one exact.ScheduleCtx call on the pinned corpus, after a warm-up:
+// measured at 28 allocs per call, the budget leaves ~50% headroom. A
+// solver built per call and grown one variable at a time by exact-size
+// reallocation sat at ~1460.
+const exactScheduleAllocBudget = 42
+
+// TestExactScheduleAllocBudget fails when the exact scheduler's
+// allocation rate regresses above the checked-in baseline: encoding an
+// instance must cost amortized O(1) allocations per SAT variable, and
+// a Schedule call must reuse a pooled solver rather than build one.
+func TestExactScheduleAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	type job struct {
+		g *ddg.Graph
+		m *machine.Machine
+	}
+	lat := machine.DefaultLatencies()
+	var jobs []job
+	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 20) {
+		g := ddg.FromLoop(l, lat)
+		for _, c := range []int{1, 2, 4} {
+			jobs = append(jobs, job{g: g, m: machine.Unclustered(c)})
+		}
+	}
+	ctx := context.Background()
+	i := 0
+	run := func() {
+		j := jobs[i%len(jobs)]
+		i++
+		if _, _, err := exact.ScheduleCtx(ctx, j.g, j.m, exact.Options{}); err != nil {
+			t.Fatalf("%s on %s: %v", j.g.Name(), j.m.Name, err)
+		}
+	}
+	// The pool keeps a solver per P and AllocsPerRun measures at
+	// GOMAXPROCS 1: warm up on that one P too, or the measured calls
+	// start from a fresh solver whose watch lists all still grow.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range jobs {
+		run()
+	}
+	avg := testing.AllocsPerRun(len(jobs), run)
+	t.Logf("exact.ScheduleCtx: %.1f allocs/op (budget %d)", avg, exactScheduleAllocBudget)
+	if avg > exactScheduleAllocBudget {
+		t.Fatalf("exact.ScheduleCtx allocates %.1f/op, above the checked-in budget of %d — "+
+			"the exact encoder or the SAT solver's growth has regressed", avg, exactScheduleAllocBudget)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/ddg"
+	"repro/internal/exact"
 	"repro/internal/experiment"
 	"repro/internal/ims"
 	"repro/internal/lifetime"
@@ -108,6 +109,36 @@ func BenchmarkDMSSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkExactSchedule measures the SAT-based exact scheduler: one
+// iteration proves the optimal II of every loop of the 50-loop pinned
+// corpus on the unclustered 1, 2 and 4 machines, and reports the mean
+// time and SAT conflicts per schedule.
+func BenchmarkExactSchedule(b *testing.B) {
+	lat := machine.DefaultLatencies()
+	var graphs []*ddg.Graph
+	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 50) {
+		graphs = append(graphs, ddg.FromLoop(l, lat))
+	}
+	machines := []*machine.Machine{machine.Unclustered(1), machine.Unclustered(2), machine.Unclustered(4)}
+	ctx := context.Background()
+	var conflicts int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range graphs {
+			for _, m := range machines {
+				_, st, err := exact.ScheduleCtx(ctx, g, m, exact.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				conflicts += st.Conflicts
+			}
+		}
+	}
+	per := float64(b.N * len(graphs) * len(machines))
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/per, "us/schedule")
+	b.ReportMetric(float64(conflicts)/per, "conflicts/schedule")
 }
 
 // BenchmarkSMSSchedule measures the lifetime-sensitive baseline.

@@ -41,6 +41,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/ddg"
 	"repro/internal/machine"
@@ -117,6 +118,7 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 		maxII = mii
 	}
 	enc := newEncoder(g, m)
+	defer solvers.Put(enc.s)
 	for ii := mii; ii <= maxII; ii++ {
 		if err := ctx.Err(); err != nil {
 			return nil, st, fmt.Errorf("exact: %s on %s: %w", g.Name(), m.Name, err)
@@ -138,9 +140,16 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 	return nil, st, fmt.Errorf("exact: %s did not schedule within MaxII %d", g.Name(), maxII)
 }
 
-// encoder holds the graph-invariant inputs plus per-solve scratch that
-// is resized rather than reallocated across candidate IIs and
-// horizons.
+// solvers recycles SAT solvers across Schedule calls. Reset
+// re-initialises all search state and solveAt sets both budgets before
+// every solve, so a pooled solver answers exactly as a fresh one would
+// while keeping the arenas an earlier instance grew.
+var solvers = sync.Pool{New: func() any { return sat.New() }}
+
+// encoder holds the graph-invariant inputs, a solver taken from the
+// pool for the length of one Schedule call and Reset for every
+// (II, horizon) instance, and per-solve scratch that is resized rather
+// than reallocated across candidate IIs and horizons.
 type encoder struct {
 	g *ddg.Graph
 	m *machine.Machine
@@ -160,8 +169,9 @@ type encoder struct {
 	kindOps   []int
 }
 
+// newEncoder takes a solver from the pool; the caller puts it back.
 func newEncoder(g *ddg.Graph, m *machine.Machine) *encoder {
-	e := &encoder{g: g, m: m, s: sat.New(), ids: g.NodeIDs()}
+	e := &encoder{g: g, m: m, s: solvers.Get().(*sat.Solver), ids: g.NodeIDs()}
 	g.Edges(func(ed ddg.Edge) {
 		if ed.Delay > 1 {
 			e.w += ed.Delay

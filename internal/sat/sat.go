@@ -148,31 +148,19 @@ func (s *Solver) Reset(n int) {
 	s.nvars = n
 	s.hdrs = s.hdrs[:0]
 	s.lits = s.lits[:0]
-	s.watches = growWatches(s.watches, 2*n)
-	for i := range s.watches {
-		s.watches[i] = s.watches[i][:0]
-	}
-	s.assign = growI8(s.assign, n)
-	s.level = growI32(s.level, n)
-	s.reason = growRefs(s.reason, n)
-	s.phase = growI8(s.phase, n)
-	s.activity = growF64(s.activity, n)
-	s.heapPos = growI32(s.heapPos, n)
-	s.seen = growI8(s.seen, n)
-	s.mark = growI8(s.mark, 2*n)
+	s.watches = growWatches(s.watches[:0], 2*n)
+	s.assign = grow(s.assign[:0], n, 0)
+	s.level = grow(s.level[:0], n, 0)
+	s.reason = grow(s.reason[:0], n, nullRef)
+	s.phase = grow(s.phase[:0], n, -1)
+	s.activity = grow(s.activity[:0], n, 0)
+	s.heapPos = grow(s.heapPos[:0], n, 0)
+	s.seen = grow(s.seen[:0], n, 0)
+	s.mark = grow(s.mark[:0], 2*n, 0)
 	s.heap = s.heap[:0]
 	for v := 0; v < n; v++ {
-		s.assign[v] = 0
-		s.level[v] = 0
-		s.reason[v] = nullRef
-		s.phase[v] = -1
-		s.activity[v] = 0
-		s.seen[v] = 0
 		s.heap = append(s.heap, int32(v))
 		s.heapPos[v] = int32(v)
-	}
-	for i := range s.mark {
-		s.mark[i] = 0
 	}
 	s.trail = s.trail[:0]
 	s.trailLim = s.trailLim[:0]
@@ -192,28 +180,19 @@ func (s *Solver) Stats() Stats { return s.stats }
 
 // NewVar adds a fresh unassigned variable and returns its index.
 // Encoders use it for auxiliary variables (e.g. cardinality counters)
-// allocated after Reset.
+// allocated after Reset. It costs amortized O(1).
 func (s *Solver) NewVar() int {
 	v := s.nvars
 	s.nvars++
 	s.watches = growWatches(s.watches, 2*s.nvars)
-	s.assign = growI8(s.assign, s.nvars)
-	s.level = growI32(s.level, s.nvars)
-	s.reason = growRefs(s.reason, s.nvars)
-	s.phase = growI8(s.phase, s.nvars)
-	s.activity = growF64(s.activity, s.nvars)
-	s.heapPos = growI32(s.heapPos, s.nvars)
-	s.seen = growI8(s.seen, s.nvars)
-	s.mark = growI8(s.mark, 2*s.nvars)
-	s.assign[v] = 0
-	s.level[v] = 0
-	s.reason[v] = nullRef
-	s.phase[v] = -1
-	s.activity[v] = 0
-	s.seen[v] = 0
-	s.mark[2*v] = 0
-	s.mark[2*v+1] = 0
-	s.heapPos[v] = -1
+	s.assign = grow(s.assign, s.nvars, 0)
+	s.level = grow(s.level, s.nvars, 0)
+	s.reason = grow(s.reason, s.nvars, nullRef)
+	s.phase = grow(s.phase, s.nvars, -1)
+	s.activity = grow(s.activity, s.nvars, 0)
+	s.heapPos = grow(s.heapPos, s.nvars, -1)
+	s.seen = grow(s.seen, s.nvars, 0)
+	s.mark = grow(s.mark, 2*s.nvars, 0)
 	s.heapPush(int32(v))
 	return v
 }
@@ -540,7 +519,7 @@ func (s *Solver) decide() bool {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) saveModel() {
-	s.model = growI8(s.model, s.nvars)
+	s.model = grow(s.model, s.nvars, 0)
 	copy(s.model, s.assign[:s.nvars])
 }
 
@@ -646,77 +625,40 @@ func luby(i int64) int64 {
 	return int64(1) << seq
 }
 
-// The grow helpers extend a slice to n entries while preserving its
-// prefix and reusing capacity; newly exposed entries are zeroed (for
-// watches: truncated to empty, keeping their backing arrays).
+// grow extends s to n entries, preserving its prefix and setting every
+// newly exposed entry to fill; grow(s[:0], n, fill) refills all n.
+// Capacity grows geometrically, to max(n, 2·cap), so extending a slice
+// one entry at a time (NewVar) costs amortized O(1).
+func grow[T any](s []T, n int, fill T) []T {
+	old := len(s)
+	if cap(s) < n {
+		ns := make([]T, n, max(n, 2*cap(s)))
+		copy(ns, s)
+		s = ns
+	} else {
+		s = s[:n]
+	}
+	for i := old; i < n; i++ {
+		s[i] = fill
+	}
+	return s
+}
 
+// growWatches is grow for the watch lists: newly exposed lists are
+// truncated to empty rather than dropped, so every list keeps the
+// backing array an earlier instance grew for it, also across a
+// reallocation of the outer slice.
 func growWatches(w [][]watcher, n int) [][]watcher {
 	old := len(w)
-	if cap(w) >= n {
-		w = w[:n]
-	} else {
-		nw := make([][]watcher, n)
-		copy(nw, w)
+	if cap(w) < n {
+		nw := make([][]watcher, n, max(n, 2*cap(w)))
+		copy(nw, w[:cap(w)])
 		w = nw
+	} else {
+		w = w[:n]
 	}
 	for i := old; i < n; i++ {
 		w[i] = w[i][:0]
 	}
 	return w
-}
-
-func growI8(s []int8, n int) []int8 {
-	if cap(s) < n {
-		ns := make([]int8, n)
-		copy(ns, s)
-		return ns
-	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = 0
-	}
-	return s
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		ns := make([]int32, n)
-		copy(ns, s)
-		return ns
-	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = 0
-	}
-	return s
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		ns := make([]float64, n)
-		copy(ns, s)
-		return ns
-	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = 0
-	}
-	return s
-}
-
-func growRefs(s []clauseRef, n int) []clauseRef {
-	if cap(s) < n {
-		ns := make([]clauseRef, n)
-		copy(ns, s)
-		return ns
-	}
-	old := len(s)
-	s = s[:n]
-	for i := old; i < n; i++ {
-		s[i] = nullRef
-	}
-	return s
 }

@@ -3,6 +3,7 @@ package sat
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -377,5 +378,157 @@ func TestResetReuse(t *testing.T) {
 	pigeonhole(s, 3, 3)
 	if ok, err := s.Solve(context.Background()); !ok || err != nil {
 		t.Fatalf("PHP(3,3): Solve = %v, %v; want sat", ok, err)
+	}
+}
+
+// TestGrowFill: grow sets every entry it exposes to the fill value and
+// keeps the prefix, whether the entries come from spare capacity
+// (which may hold stale values of an earlier, longer use) or from a
+// reallocation. nullRef is the case that matters: 0 is a valid clause
+// reference, so a reason slot left at 0 would point at a real clause.
+func TestGrowFill(t *testing.T) {
+	spare := make([]clauseRef, 16)
+	for i := range spare {
+		spare[i] = 7
+	}
+	for _, tc := range []struct {
+		name string
+		s    []clauseRef
+	}{
+		{"in-capacity", spare[:4]},
+		{"reallocating", make([]clauseRef, 4)},
+	} {
+		for i := range tc.s {
+			tc.s[i] = clauseRef(i)
+		}
+		got := grow(tc.s, 12, nullRef)
+		if len(got) != 12 {
+			t.Fatalf("%s: len %d, want 12", tc.name, len(got))
+		}
+		for i, r := range got {
+			want := nullRef
+			if i < 4 {
+				want = clauseRef(i)
+			}
+			if r != want {
+				t.Errorf("%s: entry %d = %d, want %d", tc.name, i, r, want)
+			}
+		}
+	}
+	if c := cap(grow(make([]int8, 4), 5, 0)); c != 8 {
+		t.Errorf("growing a full 4-entry slice by one: cap %d, want 8 (doubling)", c)
+	}
+
+	w := make([][]watcher, 2)
+	w[0] = make([]watcher, 3, 10)
+	w = growWatches(w[:0], 4)
+	if len(w) != 4 || len(w[0]) != 0 || cap(w[0]) != 10 {
+		t.Errorf("growWatches: len %d, w[0] len %d cap %d; want 4 lists, w[0] empty with its cap-10 array kept",
+			len(w), len(w[0]), cap(w[0]))
+	}
+}
+
+// TestNewVarAmortized: adding variables one at a time to a fresh
+// solver reallocates each per-variable slice O(log n) times. With
+// exact-size reallocation the same loop allocated ~37k times and
+// copied O(n²) entries.
+func TestNewVarAmortized(t *testing.T) {
+	const n, budget = 4096, 200
+	allocs := testing.AllocsPerRun(1, func() {
+		s := New()
+		for range n {
+			s.NewVar()
+		}
+	})
+	if allocs >= budget {
+		t.Fatalf("%d NewVar calls on a fresh solver allocate %.0f times, want < %d", n, allocs, budget)
+	}
+}
+
+// randomInstance loads a seeded random 3-SAT instance near the
+// satisfiability threshold over n variables, half of them added
+// through NewVar after Reset the way internal/exact adds its counters.
+func randomInstance(s *Solver, n int, seed int64) {
+	s.Reset(n / 2)
+	for s.NumVars() < n {
+		s.NewVar()
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for range 4 * n {
+		var c [3]Lit
+		for k := range c {
+			c[k] = Lit(2*rng.Intn(n) + rng.Intn(2))
+		}
+		s.AddClause(c[:]...)
+	}
+}
+
+// searchState renders everything the search reads: the scalars and
+// every per-variable and per-literal slice up to the variable count.
+func searchState(s *Solver) string {
+	n := s.nvars
+	return fmt.Sprint(s.ok, n, s.hdrs, s.lits, s.watches[:2*n], s.assign[:n], s.level[:n], s.reason[:n],
+		s.phase[:n], s.activity[:n], s.heap, s.heapPos[:n], s.seen[:n], s.mark[:2*n],
+		s.trail, s.trailLim, s.qhead, s.varInc, s.stats)
+}
+
+// TestReuseAfterAbandonedSolve: a solve abandoned mid-search, by
+// cancellation or by its conflict budget, leaves a deep trail, learnt
+// clauses, saved phases and bumped activities behind. Reset must clear
+// all of it: the next instance, smaller or larger than the abandoned
+// one, starts from the same state and gets the same answer, model and
+// Stats as on a fresh solver.
+func TestReuseAfterAbandonedSolve(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ab := range []struct {
+		name  string
+		solve func(*Solver) (bool, error)
+		want  error
+	}{
+		{"canceled", func(s *Solver) (bool, error) { return s.Solve(canceled) }, context.Canceled},
+		{"budget", func(s *Solver) (bool, error) {
+			s.MaxConflicts = 300
+			defer func() { s.MaxConflicts = 0 }()
+			return s.Solve(context.Background())
+		}, ErrBudget},
+	} {
+		for _, n := range []int{24, 120} { // PHP(7,6) has 42 variables
+			fresh := New()
+			randomInstance(fresh, n, int64(n))
+			wantState := searchState(fresh)
+			wantOK, err := fresh.Solve(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wantOK || fresh.Stats().Conflicts == 0 {
+				t.Fatalf("n=%d: instance must be satisfiable and need learning (sat %v, %+v)", n, wantOK, fresh.Stats())
+			}
+
+			s := New()
+			pigeonhole(s, 7, 6)
+			if ok, err := ab.solve(s); ok || !errors.Is(err, ab.want) {
+				t.Fatalf("%s: PHP(7,6) Solve = %v, %v; want false, %v", ab.name, ok, err, ab.want)
+			}
+			if len(s.trailLim) == 0 || s.Stats().Learnt == 0 {
+				t.Fatalf("%s: PHP(7,6) was not abandoned mid-search", ab.name)
+			}
+			randomInstance(s, n, int64(n))
+			if got := searchState(s); got != wantState {
+				t.Errorf("%s, n=%d: state after Reset differs from a fresh solver's:\n got %s\nwant %s", ab.name, n, got, wantState)
+			}
+			ok, err := s.Solve(context.Background())
+			if ok != wantOK || err != nil {
+				t.Fatalf("%s, n=%d: reused Solve = %v, %v; fresh gave %v", ab.name, n, ok, err, wantOK)
+			}
+			if s.Stats() != fresh.Stats() {
+				t.Errorf("%s, n=%d: reused Stats %+v, fresh %+v", ab.name, n, s.Stats(), fresh.Stats())
+			}
+			for v := 0; v < n; v++ {
+				if s.Value(v) != fresh.Value(v) {
+					t.Errorf("%s, n=%d: x%d = %v reused, %v fresh", ab.name, n, v, s.Value(v), fresh.Value(v))
+				}
+			}
+		}
 	}
 }
