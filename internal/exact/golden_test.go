@@ -25,13 +25,14 @@ type goldenJob struct {
 	m *machine.Machine
 }
 
-// goldenJobs returns the golden set, the first 50 pinned-corpus loops
-// on Unclustered(1/2/4), whose exact schedules testdata/golden.sha256
-// pins.
-func goldenJobs() []goldenJob {
+// goldenJobs returns the first n pinned-corpus loops on
+// Unclustered(1/2/4). The search golden (testdata/search.sha256) pins
+// the first 50; the II golden (testdata/ii.golden) covers all 200, the
+// exact-certify benchmark set.
+func goldenJobs(n int) []goldenJob {
 	lat := machine.DefaultLatencies()
 	var jobs []goldenJob
-	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 50) {
+	for _, l := range perfect.CorpusN(perfect.DefaultSeed, n) {
 		g := ddg.FromLoop(l, lat)
 		for _, c := range []int{1, 2, 4} {
 			jobs = append(jobs, goldenJob{g: g, m: machine.Unclustered(c)})
@@ -39,6 +40,9 @@ func goldenJobs() []goldenJob {
 	}
 	return jobs
 }
+
+// searchGoldenJobs is the size of the search golden's loop set.
+const searchGoldenJobs = 50
 
 // goldenLine renders one job's issue times, II and solver work. A
 // changed line means a changed schedule or a changed search.
@@ -57,10 +61,17 @@ func goldenLine(j goldenJob, s *schedule.Schedule, st Stats) string {
 	return b.String()
 }
 
+// iiLine renders one job's optimum: loop, machine, MII and II. It
+// changes only if the search returns a different II.
+func iiLine(j goldenJob, _ *schedule.Schedule, st Stats) string {
+	return fmt.Sprintf("%s %s mii=%d ii=%d\n", j.g.Name(), j.m.Name, st.MII, st.II)
+}
+
 // runGolden schedules jobs[k] for every k in order, spread over the
-// given number of goroutines, and returns the lines indexed by job, so
-// any visiting order hashes the same way.
-func runGolden(t *testing.T, jobs []goldenJob, order []int, workers int) []string {
+// given number of goroutines, and returns the lines line renders,
+// indexed by job, so any visiting order hashes the same way.
+func runGolden(t *testing.T, jobs []goldenJob, order []int, workers int,
+	line func(goldenJob, *schedule.Schedule, Stats) string) []string {
 	t.Helper()
 	lines := make([]string, len(jobs))
 	var next atomic.Int64
@@ -77,7 +88,7 @@ func runGolden(t *testing.T, jobs []goldenJob, order []int, workers int) []strin
 					t.Errorf("%s on %s: %v", j.g.Name(), j.m.Name, err)
 					return
 				}
-				lines[k] = goldenLine(j, s, st)
+				lines[k] = line(j, s, st)
 			}
 		}()
 	}
@@ -98,25 +109,54 @@ func digest(lines []string) string {
 
 func wantGolden(t *testing.T) string {
 	t.Helper()
-	b, err := os.ReadFile("testdata/golden.sha256")
+	b, err := os.ReadFile("testdata/search.sha256")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return strings.TrimSpace(string(b))
 }
 
-// TestExactScheduleGolden pins every exact schedule and its solver
-// statistics on the first 50 pinned-corpus loops × Unclustered(1/2/4)
-// to a digest generated before solvers were pooled: reusing a solver
-// across Schedule calls must not change a single issue time, II or
-// work counter.
-func TestExactScheduleGolden(t *testing.T) {
-	jobs := goldenJobs()
-	order := make([]int, len(jobs))
+func inOrder(n int) []int {
+	order := make([]int, n)
 	for k := range order {
 		order[k] = k
 	}
-	lines := runGolden(t, jobs, order, 1)
+	return order
+}
+
+// TestExactIIGolden pins the optimum II of every exact-certify job,
+// the 200 pinned-corpus loops × Unclustered(1/2/4), to a readable
+// file. A change to the search policy may rewrite the search golden
+// but must leave this file byte-identical: the II is the answer, the
+// search is only how it is found.
+func TestExactIIGolden(t *testing.T) {
+	jobs := goldenJobs(200)
+	got := strings.Join(runGolden(t, jobs, inOrder(len(jobs)), 2, iiLine), "")
+	b, err := os.ReadFile("testdata/ii.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(b)
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for k := range min(len(gl), len(wl)) {
+		if gl[k] != wl[k] {
+			t.Fatalf("ii golden line %d: got %q, want %q", k+1, gl[k], wl[k])
+		}
+	}
+	t.Fatalf("ii golden has %d lines, run produced %d", len(wl), len(gl))
+}
+
+// TestExactScheduleGolden pins every exact schedule and its solver
+// statistics on the first 50 pinned-corpus loops × Unclustered(1/2/4)
+// to the search golden. A change to the search policy rewrites it;
+// reusing a solver across Schedule calls must not change a single
+// issue time, II or work counter.
+func TestExactScheduleGolden(t *testing.T) {
+	jobs := goldenJobs(searchGoldenJobs)
+	lines := runGolden(t, jobs, inOrder(len(jobs)), 1, goldenLine)
 	if got, want := digest(lines), wantGolden(t); got != want {
 		t.Fatalf("exact golden digest %s, want %s; first lines:\n%s", got, want, strings.Join(lines[:6], ""))
 	}
@@ -129,7 +169,7 @@ func TestExactScheduleGolden(t *testing.T) {
 // on one goroutine and once on four, which pass pooled solvers
 // between them.
 func TestExactGoldenInterleaved(t *testing.T) {
-	jobs := goldenJobs()
+	jobs := goldenJobs(searchGoldenJobs)
 	byWork := make([]int, len(jobs))
 	work := make([]int64, len(jobs))
 	for k, j := range jobs {
@@ -146,11 +186,11 @@ func TestExactGoldenInterleaved(t *testing.T) {
 			order = append(order, byWork[hi])
 		}
 	}
-	if got, want := digest(runGolden(t, jobs, order, 1)), wantGolden(t); got != want {
+	if got, want := digest(runGolden(t, jobs, order, 1, goldenLine)), wantGolden(t); got != want {
 		t.Fatalf("interleaved exact golden digest %s, want %s", got, want)
 	}
 	// Concurrent callers hand pooled solvers between goroutines.
-	if got, want := digest(runGolden(t, jobs, order, 4)), wantGolden(t); got != want {
+	if got, want := digest(runGolden(t, jobs, order, 4, goldenLine)), wantGolden(t); got != want {
 		t.Fatalf("interleaved exact golden digest over 4 goroutines %s, want %s", got, want)
 	}
 }
