@@ -29,8 +29,11 @@
 // max(delay, 1); a residue-decomposition argument shows any feasible
 // II admits a schedule of makespan below that bound, so UNSAT at Tmax
 // certifies infeasibility of the II itself. SAT answers are valid at
-// any horizon. The first probe uses T = C + 1 + 2·II (C = critical
-// path through the window fixpoints), which almost always suffices.
+// any horizon. The first probe uses T = C + 1 + II (C = critical path
+// through the window fixpoints): one II of slack past the critical
+// path. That keeps instances small and almost always suffices: none
+// of the 600 pinned-corpus jobs on Unclustered(1/2/4) deepens, and 1
+// of 4500 on a fresh 1500-loop corpus does, once.
 //
 // The scheduler targets unclustered (single-cluster) machines, like
 // IMS. Against clustered configurations it still yields the canonical
@@ -188,7 +191,7 @@ func newEncoder(g *ddg.Graph, m *machine.Machine) *encoder {
 func (e *encoder) tryII(ctx context.Context, ii int, opt Options, st *Stats) (bool, error) {
 	c := e.computeWindows(ii)
 	tmax := ii * (e.w + 1)
-	t := c + 1 + 2*ii
+	t := c + 1 + ii
 	if t > tmax {
 		t = tmax
 	}
