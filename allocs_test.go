@@ -228,3 +228,44 @@ func TestExactScheduleAllocBudget(t *testing.T) {
 			"the exact encoder or the SAT solver's growth has regressed", avg, exactScheduleAllocBudget)
 	}
 }
+
+// Search-effort budgets for the exact scheduler: total SAT conflicts
+// and propagations over the first 50 pinned-corpus loops on
+// Unclustered(1/2/4). Both counts are deterministic, so the gate
+// cannot flake. Measured at 744 conflicts and 83580 propagations with
+// a Luby restart unit of 16 and a first horizon of C + 1 + II; the
+// budgets leave ~50% headroom. A restart unit of 100 with a first
+// horizon of C + 1 + 2·II sat at 2688 conflicts and 301101
+// propagations.
+const (
+	exactConflictBudget    = 1120
+	exactPropagationBudget = 126000
+)
+
+// TestExactSearchEffortBudget fails when the exact scheduler's search
+// policy regresses: more conflicts or propagations to reach the same
+// optimal schedules.
+func TestExactSearchEffortBudget(t *testing.T) {
+	lat := machine.DefaultLatencies()
+	ctx := context.Background()
+	var conflicts, props int64
+	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 50) {
+		g := ddg.FromLoop(l, lat)
+		for _, c := range []int{1, 2, 4} {
+			m := machine.Unclustered(c)
+			_, st, err := exact.ScheduleCtx(ctx, g, m, exact.Options{})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", l.Name, m.Name, err)
+			}
+			conflicts += st.Conflicts
+			props += st.Propagations
+		}
+	}
+	t.Logf("exact search effort: %d conflicts (budget %d), %d propagations (budget %d)",
+		conflicts, exactConflictBudget, props, exactPropagationBudget)
+	if conflicts > exactConflictBudget || props > exactPropagationBudget {
+		t.Fatalf("exact search needs %d conflicts and %d propagations, above the checked-in budgets of %d and %d — "+
+			"the restart policy, the first horizon or the encoding has regressed",
+			conflicts, props, exactConflictBudget, exactPropagationBudget)
+	}
+}

@@ -88,18 +88,13 @@ func MaxIIBound(g *ddg.Graph) int {
 	return sum
 }
 
-// Schedule finds a provably optimal modulo schedule of the graph on an
-// unclustered machine (m.Clusters must be 1). The graph is not
-// modified.
-func Schedule(g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
-	return ScheduleCtx(context.Background(), g, m, opt) //dms:ctxok documented ctx-less compatibility wrapper around ScheduleCtx
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the II search
-// checks ctx between candidate IIs and the SAT solver checks it every
-// few hundred conflicts, so a canceled context aborts mid-search. The
-// returned error wraps ctx.Err() on cancellation and
-// context.DeadlineExceeded on budget exhaustion.
+// ScheduleCtx finds a provably optimal modulo schedule of the graph on
+// an unclustered machine (m.Clusters must be 1). The graph is not
+// modified. Cancellation is cooperative: the II search checks ctx
+// between candidate IIs and the SAT solver checks it every few hundred
+// conflicts, so a canceled context aborts mid-search. The returned
+// error wraps ctx.Err() on cancellation and context.DeadlineExceeded
+// on budget exhaustion.
 func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	var st Stats
 	if m.Clusters != 1 {

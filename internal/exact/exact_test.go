@@ -190,3 +190,73 @@ func TestExactRejectsClustered(t *testing.T) {
 		t.Fatal("clustered machine accepted")
 	}
 }
+
+// TestExactIISweepAndDeepening covers the paths the pinned corpus
+// never reaches: an optimum above MII, so the search refutes MII and
+// moves on, and horizon deepening up to the UNSAT-at-Tmax proof that
+// refutes it. Both loops are recurrence- and adder-tight on
+// Unclustered(1), and each optimum is MII + 1.
+func TestExactIISweepAndDeepening(t *testing.T) {
+	for _, tc := range []struct {
+		src     string
+		mii, ii int
+	}{
+		{`loop f537 trip 10
+v0 = load
+v1 = add v0
+v2 = add v0, v2@1
+v3 = mul v1, v4@2
+v4 = mul v3
+vout = store v4
+`, 3, 4},
+		{`loop f145 trip 10
+v0 = load
+v1 = add v0
+v2 = add v0, v3@1
+v3 = mul v2, v4@1
+v4 = add v3, v4@1
+v5 = mul v1
+vout = store v5
+`, 4, 5},
+	} {
+		l := mustParse(t, tc.src)
+		g := ddg.FromLoop(l, machine.DefaultLatencies())
+		s, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(1), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		if err := schedule.Verify(s); err != nil {
+			t.Errorf("%s: invalid schedule: %v", l.Name, err)
+		}
+		if st.MII != tc.mii || st.II != tc.ii {
+			t.Errorf("%s: MII=%d II=%d, want MII=%d II=%d", l.Name, st.MII, st.II, tc.mii, tc.ii)
+		}
+		if st.IIsTried != 2 {
+			t.Errorf("%s: IIsTried=%d, want 2 (MII refuted, MII+1 scheduled)", l.Name, st.IIsTried)
+		}
+		if st.Solves <= st.IIsTried {
+			t.Errorf("%s: Solves=%d, want more than IIsTried=%d (refuting MII deepens the horizon)", l.Name, st.Solves, st.IIsTried)
+		}
+	}
+}
+
+// TestExactFirstHorizonDeepens: pc1393 of a fresh 1500-loop corpus is a
+// realistic loop whose first probe at horizon C + 1 + II is UNSAT, so
+// scheduling it at its MII takes a second, deeper solve.
+func TestExactFirstHorizonDeepens(t *testing.T) {
+	l := perfect.CorpusN(12345, 1394)[1393]
+	if l.Name != "pc1393" {
+		t.Fatalf("corpus loop 1393 is %s, want pc1393", l.Name)
+	}
+	g := ddg.FromLoop(l, machine.DefaultLatencies())
+	s, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := schedule.Verify(s); err != nil {
+		t.Errorf("invalid schedule: %v", err)
+	}
+	if st.MII != 4 || st.II != 4 || st.IIsTried != 1 || st.Solves != 2 {
+		t.Errorf("MII=%d II=%d IIsTried=%d Solves=%d, want MII=II=4, IIsTried=1, Solves=2", st.MII, st.II, st.IIsTried, st.Solves)
+	}
+}

@@ -41,8 +41,9 @@ func goldenJobs(n int) []goldenJob {
 	return jobs
 }
 
-// searchGoldenJobs is the size of the search golden's loop set.
-const searchGoldenJobs = 50
+// searchGoldenLoops is the number of pinned-corpus loops the search
+// golden covers.
+const searchGoldenLoops = 50
 
 // goldenLine renders one job's issue times, II and solver work. A
 // changed line means a changed schedule or a changed search.
@@ -155,10 +156,10 @@ func TestExactIIGolden(t *testing.T) {
 // reusing a solver across Schedule calls must not change a single
 // issue time, II or work counter.
 func TestExactScheduleGolden(t *testing.T) {
-	jobs := goldenJobs(searchGoldenJobs)
+	jobs := goldenJobs(searchGoldenLoops)
 	lines := runGolden(t, jobs, inOrder(len(jobs)), 1, goldenLine)
 	if got, want := digest(lines), wantGolden(t); got != want {
-		t.Fatalf("exact golden digest %s, want %s; first lines:\n%s", got, want, strings.Join(lines[:6], ""))
+		t.Fatalf("search golden digest %s, want %s; first lines:\n%s", got, want, strings.Join(lines[:6], ""))
 	}
 }
 
@@ -169,7 +170,7 @@ func TestExactScheduleGolden(t *testing.T) {
 // on one goroutine and once on four, which pass pooled solvers
 // between them.
 func TestExactGoldenInterleaved(t *testing.T) {
-	jobs := goldenJobs(searchGoldenJobs)
+	jobs := goldenJobs(searchGoldenLoops)
 	byWork := make([]int, len(jobs))
 	work := make([]int64, len(jobs))
 	for k, j := range jobs {

@@ -532,3 +532,100 @@ func TestReuseAfterAbandonedSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestHeapProperty drives the VSIDS heap through random bumpVar,
+// heapPush and heapPop sequences, with the activity increment decaying
+// and jumping so activities overflow into rescales, and checks after
+// every step that the heap is a max-heap, heapPos indexes it exactly
+// (-1 for every absent variable) and every pop returns a variable of
+// maximum activity. The reference picks the highest activity, lowest
+// index on ties; ties may pop any tied variable, so the pop is checked
+// by activity, and by identity when the maximum is unique.
+func TestHeapProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(19990109))
+	s := New()
+	rescales := 0
+	for round := 0; round < 20; round++ {
+		n := 1 + rng.Intn(64)
+		s.Reset(n)
+		present := make([]bool, n)
+		for v := range present {
+			present[v] = true
+		}
+		check := func(step int, op string) {
+			t.Helper()
+			for i, v := range s.heap {
+				if !present[v] {
+					t.Fatalf("round %d step %d (%s): absent x%d in the heap", round, step, op, v)
+				}
+				if int(s.heapPos[v]) != i {
+					t.Fatalf("round %d step %d (%s): heapPos[x%d] = %d, heap index %d", round, step, op, v, s.heapPos[v], i)
+				}
+				if p := (i - 1) / 2; i > 0 && s.activity[s.heap[p]] < s.activity[v] {
+					t.Fatalf("round %d step %d (%s): heap[%d] activity %g below child heap[%d] %g",
+						round, step, op, p, s.activity[s.heap[p]], i, s.activity[v])
+				}
+			}
+			count := 0
+			for v := 0; v < n; v++ {
+				if present[v] {
+					count++
+				} else if s.heapPos[v] != -1 {
+					t.Fatalf("round %d step %d (%s): absent x%d has heapPos %d", round, step, op, v, s.heapPos[v])
+				}
+			}
+			if count != len(s.heap) {
+				t.Fatalf("round %d step %d (%s): %d present variables, heap holds %d", round, step, op, count, len(s.heap))
+			}
+		}
+		check(0, "reset")
+		for step := 1; step <= 2000; step++ {
+			var op string
+			switch r := rng.Intn(10); {
+			case r < 5:
+				op = "bump"
+				inc := s.varInc
+				s.bumpVar(rng.Intn(n))
+				if s.varInc < inc {
+					rescales++
+				}
+				s.varInc *= varDecayInv
+				if rng.Intn(50) == 0 {
+					s.varInc *= 1e40
+				}
+			case r < 7:
+				op = "push"
+				v := rng.Intn(n)
+				s.heapPush(int32(v))
+				present[v] = true
+			default:
+				op = "pop"
+				if len(s.heap) == 0 {
+					continue
+				}
+				want := -1
+				for v := 0; v < n; v++ {
+					if present[v] && (want < 0 || s.activity[v] > s.activity[want]) {
+						want = v
+					}
+				}
+				unique := true
+				for v := 0; v < n; v++ {
+					if present[v] && v != want && s.activity[v] == s.activity[want] {
+						unique = false
+					}
+				}
+				got := int(s.heapPop())
+				if !present[got] || s.activity[got] != s.activity[want] || (unique && got != want) {
+					t.Fatalf("round %d step %d: popped x%d (activity %g), reference x%d (activity %g)",
+						round, step, got, s.activity[got], want, s.activity[want])
+				}
+				present[got] = false
+			}
+			check(step, op)
+		}
+	}
+	if rescales == 0 {
+		t.Fatal("no activity rescale happened; the test no longer covers renormalisation")
+	}
+}
