@@ -40,7 +40,7 @@
 //
 //	queued → running → done
 //	queued | running → canceled   (DELETE /v1/jobs/{id})
-//	running → failed              (internal executor failure)
+//	running → failed              (reserved: no current path)
 //
 // When the queue is full the submission is rejected with HTTP 429 and
 // error code queue_full; the response carries a Retry-After header
@@ -421,11 +421,12 @@ func DecodeStreamLine(line []byte) (*JobResult, *Summary, error) {
 type JobState string
 
 const (
-	// JobQueued: admitted, waiting for an executor slot. The only
-	// state with a meaningful queue position.
+	// JobQueued: admitted, and none of its compile units has been
+	// claimed or resolved yet. The only state with a meaningful queue
+	// position.
 	JobQueued JobState = "queued"
-	// JobRunning: an executor is compiling the batch; results
-	// accumulate and can already be streamed.
+	// JobRunning: the batch's units are compiling; results accumulate
+	// and can already be streamed.
 	JobRunning JobState = "running"
 	// JobDone: every job of the batch has a result (success or per-job
 	// error); the full result set is retained until the TTL.
@@ -434,8 +435,9 @@ const (
 	// connection of a synchronous wrapper hanging up). A job canceled
 	// while still queued never reached the driver.
 	JobCanceled JobState = "canceled"
-	// JobFailed: the executor itself failed (Job.Error has the cause);
-	// per-job scheduling errors do NOT fail the job — they are carried
+	// JobFailed: reserved for a failure of the service itself
+	// (Job.Error has the cause); no current server path produces it.
+	// Per-job scheduling errors do NOT fail the job — they are carried
 	// in the result lines.
 	JobFailed JobState = "failed"
 )
@@ -465,7 +467,8 @@ type Job struct {
 	Errors int `json:"errors,omitempty"`
 	//dms:wireok pre-analyzer name: Job.Cached (count) and JobResult.Cached (flag) never share an envelope
 	Cached int `json:"cached,omitempty"`
-	// Error is the executor failure that moved the job to "failed".
+	// Error is the cause of a "failed" job, or the note on a job a
+	// restart could not resume.
 	//dms:wireok pre-analyzer name: Job.Error (string) and ErrorResponse.Error (object) never share an envelope
 	Error string `json:"error,omitempty"`
 	// Lifecycle timestamps, milliseconds since the Unix epoch; zero
@@ -496,15 +499,16 @@ type CacheMetrics struct {
 // QueueMetrics is a snapshot of the admission queue's gauges and
 // counters.
 type QueueMetrics struct {
-	// Depth is the number of jobs queued right now; Running the number
-	// currently executing; Retained the finished jobs still held for
+	// Depth is the number of jobs queued right now (admitted, no unit
+	// claimed yet); Running the number with units compiling; Retained the finished jobs still held for
 	// their result TTL, whose results total approximately
 	// RetainedBytes.
 	Depth         int   `json:"depth"`
 	Running       int   `json:"running"`
 	Retained      int   `json:"retained"`
 	RetainedBytes int64 `json:"retained_bytes"`
-	// Capacity is the queue bound admissions are checked against.
+	// Capacity is the bound on queued jobs admissions are checked
+	// against.
 	Capacity int `json:"capacity"`
 	// Admitted/Rejected/Completed/Canceled are monotonic counters over
 	// the server's lifetime. Rejected counts queue_full responses.
@@ -512,7 +516,9 @@ type QueueMetrics struct {
 	Rejected  uint64 `json:"rejected"`
 	Completed uint64 `json:"completed"`
 	Canceled  uint64 `json:"canceled"`
-	// Workers is the executor pool size the queue drains into.
+	// Workers is the size of the in-process puller pool the unit queue
+	// drains into; absent on a coordinator, whose workers are listed
+	// under DispatchMetrics.Workers.
 	Workers int `json:"workers,omitempty"`
 	// EWMAServiceMS is the exponentially weighted moving average of
 	// completed batches' service times in milliseconds — the signal the

@@ -169,7 +169,7 @@ func compileAsync(ctx context.Context, cli *dmsclient.Client, req api.CompileReq
 	if err != nil {
 		if ctx.Err() != nil {
 			// Best-effort server-side cancel so an interrupted submission
-			// does not keep burning an executor.
+			// does not keep burning compile capacity.
 			cctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
 			cli.Cancel(cctx, job.ID)

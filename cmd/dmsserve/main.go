@@ -7,11 +7,11 @@
 // Standalone (the default) is the single-process service of earlier
 // releases, byte-compatible on the wire: an HTTP JSON API over the
 // batch driver with a content-addressed schedule cache and an
-// asynchronous job engine — a bounded FIFO admission queue in front of
-// a fixed executor pool (see internal/server and internal/jobs). The
-// wire contract is repro/api/v1, served under /v1. Admitted batches
-// decompose into compile units that a pool of -executors × -par
-// in-process pullers lease and compile.
+// asynchronous job registry (see internal/server and internal/jobs).
+// The wire contract is repro/api/v1, served under /v1. Admitted
+// batches decompose into compile units on one unit queue, which a pool
+// of -par in-process pullers leases and compiles; one batch holds at
+// most half the pool.
 //
 // A coordinator serves the same client API but does no scheduling
 // itself: it starts no pullers, and worker processes lease its compile
@@ -56,10 +56,12 @@
 //	curl -X DELETE localhost:8080/v1/jobs/<id>        # cancel
 //	curl localhost:8080/v1/metrics
 //
-// When the admission queue is full, submissions answer 429 queue_full
-// with the queue position in the error detail and a Retry-After hint
-// that scales with queue depth × the observed batch service time
-// (-retry-after seeds the hint until the first batch completes).
+// A job is queued until its first unit is claimed. When -queue jobs
+// are queued, submissions answer 429 queue_full with the queue
+// position in the error detail and a Retry-After hint that scales
+// with queue depth × the observed batch service time over the running
+// batches (-retry-after seeds the hint until the first batch
+// completes).
 //
 // SIGINT/SIGTERM drain the server gracefully: in-flight requests get a
 // shutdown grace period and their contexts cancel any scheduling work
@@ -93,9 +95,8 @@ func main() {
 		addr       = flag.String("addr", ":8080", "listen address (standalone/coordinator)")
 		cacheSize  = flag.Int("cache", server.DefaultCacheSize, "max cached schedules")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-job scheduling timeout (0 = none)")
-		par        = flag.Int("par", 0, "compile parallelism: in-process pullers per executor (standalone) or concurrent units (worker) (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", jobs.DefaultCapacity, "admission queue capacity (submissions past it answer 429)")
-		executors  = flag.Int("executors", jobs.DefaultWorkers, "batches executing concurrently")
+		par        = flag.Int("par", 0, "compile parallelism: size of the in-process puller pool, of which one batch holds at most half (standalone; 0 = 2 × GOMAXPROCS), or concurrent units (worker; 0 = GOMAXPROCS)")
+		queue      = flag.Int("queue", jobs.DefaultCapacity, "queued-job capacity: jobs admitted with no unit claimed yet (submissions past it answer 429)")
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "retention of finished jobs' results for polling/resume")
 		jobBytes   = flag.Int64("job-bytes", jobs.DefaultMaxRetainedBytes, "approximate cap on retained results' total size")
 		retryAfter = flag.Duration("retry-after", server.DefaultRetryAfter, "429 backoff hint until batch service times are observed (then adaptive)")
@@ -113,7 +114,6 @@ func main() {
 		postWindow  = flag.Duration("post-window", 0, "result-batching flush window (worker; 0 = default, negative = post every unit immediately)")
 		schedulers  = flag.String("schedulers", "", "comma-separated scheduler names this worker advertises; the coordinator routes others elsewhere (worker; empty = all registered)")
 		leaseTTL    = flag.Duration("lease-ttl", server.DefaultLeaseTTL, "worker lease heartbeat deadline before units requeue (coordinator)")
-		leaseExact  = flag.Duration("lease-ttl-exact", server.DefaultLeaseTTLExact, "stretched lease deadline for exact/portfolio units whose SAT solve may post nothing for a while (coordinator)")
 		workerPoll  = flag.Duration("worker-poll", server.DefaultWorkerPoll, "re-poll hint sent with empty leases (coordinator)")
 	)
 	flag.Parse()
@@ -176,14 +176,12 @@ func main() {
 		Timeout:          *timeout,
 		Parallelism:      *par,
 		QueueCapacity:    *queue,
-		QueueWorkers:     *executors,
 		JobTTL:           *jobTTL,
 		MaxRetainedBytes: *jobBytes,
 		RetryAfter:       *retryAfter,
 		ResultShards:     *shards,
 		Distribute:       *role == "coordinator",
 		LeaseTTL:         *leaseTTL,
-		LeaseTTLExact:    *leaseExact,
 		LeaseChunk:       *chunk,
 		LeaseChunkMax:    *chunkMax,
 		WorkerPoll:       *workerPoll,
@@ -204,10 +202,11 @@ func main() {
 		Handler: svc.Handler(),
 	}
 
+	pullers := svc.Snapshot().Queue.Workers
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("%s listening on %s (cache %d entries, job timeout %v, queue %d, %d executors)",
-			*role, *addr, *cacheSize, *timeout, *queue, *executors)
+		log.Printf("%s listening on %s (cache %d entries, job timeout %v, queue %d, %d pullers)",
+			*role, *addr, *cacheSize, *timeout, *queue, pullers)
 		errc <- httpSrv.ListenAndServe()
 	}()
 

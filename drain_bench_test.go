@@ -63,10 +63,9 @@ func (c *rpcCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func drainOnce(b *testing.B, req api.CompileRequest, fixed bool) (makespan time.Duration, posts, leases int64) {
 	b.Helper()
 	svc, err := server.Open(server.Options{
-		Distribute:   true,
-		QueueWorkers: 2,
-		DataDir:      b.TempDir(),
-		Fsync:        true,
+		Distribute: true,
+		DataDir:    b.TempDir(),
+		Fsync:      true,
 	})
 	if err != nil {
 		b.Fatal(err)

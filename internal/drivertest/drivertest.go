@@ -19,7 +19,7 @@ import (
 )
 
 // Gated wraps a real back-end behind a gate channel, so tests can
-// hold an executor busy deterministically: Schedule blocks until the
+// hold a puller busy deterministically: Schedule blocks until the
 // gate closes (or the context is canceled) before delegating. Calls
 // counts Schedule invocations — the canceled-queued-job-never-compiles
 // assertions read it.

@@ -19,24 +19,23 @@ import (
 // testQueueConformance runs the Queue contract against a constructor.
 func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	t.Run("FIFOAndPos", func(t *testing.T) {
+		// Each task leases at its admission position: one at a time,
+		// and all at once.
 		q := mk(0)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 6; i++ {
 			if err := q.Enqueue(Task{ID: fmt.Sprintf("t%d", i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := q.Pos("t0"); got != 1 {
-			t.Errorf("Pos(t0) = %d, want 1", got)
-		}
-		if got := q.Pos("t2"); got != 3 {
-			t.Errorf("Pos(t2) = %d, want 3", got)
-		}
-		if got := q.Pos("nope"); got != 0 {
-			t.Errorf("Pos(nope) = %d, want 0", got)
+		for i := 0; i < 3; i++ {
+			_, tasks := q.Lease("w", 1, 0)
+			if want := fmt.Sprintf("t%d", i); len(tasks) != 1 || tasks[0].ID != want {
+				t.Fatalf("lease %d = %v, want %s", i+1, tasks, want)
+			}
 		}
 		_, tasks := q.Lease("w", 3, 0)
-		if len(tasks) != 3 || tasks[0].ID != "t0" || tasks[2].ID != "t2" {
-			t.Errorf("lease order = %v, want FIFO t0..t2", tasks)
+		if len(tasks) != 3 || tasks[0].ID != "t3" || tasks[2].ID != "t5" {
+			t.Errorf("lease order = %v, want FIFO t3..t5", tasks)
 		}
 	})
 
@@ -79,20 +78,24 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("NackRequeuesForOthers", func(t *testing.T) {
+		// A lapsed lease is the queue's nack: its task requeues for
+		// other owners.
 		q := mk(0)
 		q.Enqueue(Task{ID: "a", Hash: "h"})
-		lease, _ := q.Lease("w1", 1, 0)
-		if !q.Nack(lease, "a") {
-			t.Fatal("Nack refused")
+		q.Enqueue(Task{ID: "b", Hash: "other"})
+		lease, _ := q.Lease("w1", 1, 10*time.Millisecond)
+		if n := q.Expire(time.Now().Add(time.Minute)); n != 1 {
+			t.Fatalf("expiry requeued %d tasks, want 1", n)
 		}
 		if q.Ack(lease, "a") {
-			t.Fatal("Ack accepted after Nack")
+			t.Fatal("Ack accepted after the lease lapsed")
 		}
-		// The nacked task must be leasable by a different owner even
-		// though its hash was affinitized to w1.
+		// The requeued task must be leasable by a different owner even
+		// though its hash was affinitized to w1, and ahead of b, which
+		// was admitted after it.
 		_, tasks := q.Lease("w2", 1, 0)
 		if len(tasks) != 1 || tasks[0].ID != "a" {
-			t.Fatalf("w2 lease after nack = %v, want task a", tasks)
+			t.Fatalf("w2 lease after expiry = %v, want task a", tasks)
 		}
 		if st := q.Stats(); st.Requeued != 1 {
 			t.Errorf("Requeued = %d, want 1", st.Requeued)
@@ -243,20 +246,6 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		}
 		if !q.Ack(lease, "a") {
 			t.Fatal("lease lost its task to a failed withdraw")
-		}
-	})
-
-	t.Run("DrainReturnsPending", func(t *testing.T) {
-		q := mk(0)
-		q.Enqueue(Task{ID: "a"})
-		q.Enqueue(Task{ID: "b"})
-		q.Lease("w", 1, 0)
-		drained := q.Drain()
-		if len(drained) != 1 || drained[0].ID != "b" {
-			t.Fatalf("Drain = %v, want the one pending task b", drained)
-		}
-		if st := q.Stats(); st.Pending != 0 || st.Leased != 1 {
-			t.Errorf("Stats after drain = %+v", st)
 		}
 	})
 
@@ -583,7 +572,7 @@ func TestDiskStoreConformanceFsync(t *testing.T) {
 // sharded store, proving the seam is genuinely interchangeable where
 // it matters — under the engine, not just the conformance suite.
 func TestEngineWithShardedStore(t *testing.T) {
-	e := New(Options{Workers: 2, Store: NewShardedStore(8)})
+	e := New(Options{Store: NewShardedStore(8)})
 	defer e.Close()
 
 	var jobs []*Job

@@ -1,40 +1,40 @@
-// Package jobs is the asynchronous job engine behind the compile
-// service: a bounded FIFO admission queue feeding a fixed pool of
-// executors, with per-job result buffers that outlive the submitting
-// connection.
+// Package jobs holds the compile service's job registry and the queue
+// its work flows through.
 //
-// The engine is built on two interface seams, so its storage and
-// distribution back-ends swap without touching the lifecycle logic:
+// It is built from three pieces:
 //
-//   - Queue — admission plus lease/ack/nack with requeue on lease
-//     expiry. The engine's executors lease one batch at a time; the
-//     coordinator of a distributed deployment runs a second Queue of
-//     compile units that remote workers lease in chunks (see
+//   - Engine — the registry of job resources. Submit admits a batch of
+//     n expected results as a queued Job; the producer that compiles
+//     the batch (the server's unit dispatcher) drives the job with
+//     Start, Append and Finish. The engine runs nothing itself.
+//   - Queue — the one work queue: lease/ack with requeue on lease
+//     expiry. Every compile unit of every batch waits on it, and
+//     in-process pullers or remote workers lease from it (see
 //     internal/server and internal/worker).
 //   - ResultStore — the per-job append-only result buffers. The
 //     default is a single in-process table; NewShardedStore spreads
 //     the index over N lock-independent shards keyed by content hash
 //     of the job ID.
 //
-// The engine is execution-agnostic: Submit takes a closure that
-// produces the results (the server wires it to driver.CompileAll
-// through the schedule cache, or to the worker dispatcher) and an
-// expected result count. Each admitted submission becomes a Job
-// resource that moves strictly forward through
+// Each admitted submission becomes a Job resource that moves strictly
+// forward through
 //
 //	queued → running → done
 //	queued | running → canceled
-//	running → failed
 //
-// Results append to the job's buffer in completion order and remain
-// readable — including concurrent and resumed reads from any offset —
-// until a TTL after the job finishes, so a dropped results connection
-// re-attaches with the offset it already has instead of recomputing.
-// When the queue is at capacity, Submit fails with ErrQueueFull and
-// the caller maps that to HTTP 429 + Retry-After.
+// A job is queued until its producer claims its first unit or settles
+// its first result. Results append to the job's buffer in completion
+// order and remain readable — including concurrent and resumed reads
+// from any offset — until a TTL after the job finishes, so a dropped
+// results connection re-attaches with the offset it already has
+// instead of recomputing. At most Capacity jobs may be queued at once;
+// past it Submit fails with ErrQueueFull, which the caller maps to
+// HTTP 429 + Retry-After.
 //
-// A job canceled while still queued never reaches its run function:
-// the executor observes the cancellation mark before starting it.
+// Each job owns a context that carries its ID (see JobID). Cancel and
+// Close cancel it, and that is how cancellation reaches the producer
+// and the schedulers compiling under it. A job canceled while queued
+// never had a unit claimed, so none of its work reached a scheduler.
 package jobs
 
 import (
@@ -44,33 +44,28 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	api "repro/api/v1"
 )
 
-// ErrQueueFull is returned by Submit when the admission queue is at
-// capacity; the service maps it to queue_full / HTTP 429.
+// ErrQueueFull is returned by Submit when the queued jobs are at
+// capacity (and by a bounded Queue's Enqueue); the service maps it to
+// queue_full / HTTP 429.
 var ErrQueueFull = errors.New("jobs: admission queue full")
 
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("jobs: engine closed")
 
-// RunFunc executes one admitted batch: it must emit exactly the number
-// of results promised to Submit (unless ctx is canceled first, in
-// which case the engine finishes the job as canceled regardless of how
-// many results were emitted). Emit is safe for concurrent use by the
-// run's own workers.
-type RunFunc func(ctx context.Context, emit func(api.JobResult))
-
-// jobIDKey carries the executing job's ID in the RunFunc context.
+// jobIDKey carries a job's ID in its context.
 type jobIDKey struct{}
 
-// JobID returns the ID of the job a RunFunc was invoked for, or ""
-// outside an executor context. Run functions that hand work to an
-// external system (the coordinator's unit dispatcher) key it by this
-// ID, so state restored after a crash re-attaches to the same job.
+// JobID returns the ID of the job whose context ctx is (or derives
+// from), or "" for any other context. Work handed to an external
+// system (the dispatcher's durable unit queue) is keyed by this ID, so
+// state restored after a crash re-attaches to the same job.
 func JobID(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
 	return id
@@ -94,14 +89,9 @@ type BufferMeta struct {
 
 // Options configure an Engine.
 type Options struct {
-	// Capacity bounds the number of jobs waiting for an executor
-	// (0 = DefaultCapacity). Running and finished jobs do not count
-	// against it. Ignored when Queue is set.
+	// Capacity bounds the number of queued jobs (0 = DefaultCapacity).
+	// Running and finished jobs do not count against it.
 	Capacity int
-	// Workers is the number of batches executing concurrently
-	// (0 = DefaultWorkers). Each batch parallelizes internally, so a
-	// small pool keeps the machine busy without oversubscribing it.
-	Workers int
 	// TTL is how long a finished job's results are retained for
 	// polling and (re-)streaming (0 = DefaultTTL).
 	TTL time.Duration
@@ -113,9 +103,6 @@ type Options struct {
 	// before their TTL, so large unfetched batches cannot pin the heap
 	// (0 = DefaultMaxRetainedBytes).
 	MaxRetainedBytes int64
-	// Queue substitutes the admission queue implementation
-	// (nil = NewMemQueue(Capacity)).
-	Queue Queue
 	// Store substitutes the result-buffer store
 	// (nil = NewMemStore()). Use NewShardedStore to spread index
 	// contention over independent shards.
@@ -125,7 +112,6 @@ type Options struct {
 // Defaults for Options.
 const (
 	DefaultCapacity         = 64
-	DefaultWorkers          = 2
 	DefaultTTL              = 5 * time.Minute
 	DefaultMaxFinished      = 256
 	DefaultMaxRetainedBytes = 256 << 20
@@ -136,13 +122,6 @@ func (o Options) capacity() int {
 		return o.Capacity
 	}
 	return DefaultCapacity
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return DefaultWorkers
 }
 
 func (o Options) ttl() time.Duration {
@@ -170,15 +149,15 @@ func (o Options) maxRetainedBytes() int64 {
 // average the adaptive Retry-After hint is computed from.
 const ewmaAlpha = 0.2
 
-// Engine owns the queue, the executor pool and the job table. Create
-// one with New; it is safe for concurrent use.
+// Engine is the job registry. Create one with New; it is safe for
+// concurrent use.
 type Engine struct {
 	opt   Options
-	q     Queue
 	store ResultStore
 
 	mu            sync.Mutex
 	byID          map[string]*Job
+	queued        []*Job // queued jobs in admission order
 	finished      []*Job // terminal jobs in finish order, awaiting GC
 	retainedBytes int64  // approximate result bytes across e.finished
 	running       int
@@ -190,23 +169,16 @@ type Engine struct {
 	completed uint64
 	canceled  uint64
 
-	stop chan struct{} // closed by Close; wakes executors and the janitor
+	stop chan struct{} // closed by Close; stops the janitor
 	wg   sync.WaitGroup
 }
 
-// New starts an engine with the given options (executors run until
-// Close).
+// New returns an engine with the given options. Its retention janitor
+// runs until Close.
 func New(opt Options) *Engine {
-	e := &Engine{opt: opt, q: opt.Queue, store: opt.Store, byID: make(map[string]*Job), stop: make(chan struct{})}
-	if e.q == nil {
-		e.q = NewMemQueue(opt.capacity())
-	}
+	e := &Engine{opt: opt, store: opt.Store, byID: make(map[string]*Job), stop: make(chan struct{})}
 	if e.store == nil {
 		e.store = NewMemStore()
-	}
-	for i := 0; i < opt.workers(); i++ {
-		e.wg.Add(1)
-		go e.worker(i)
 	}
 	e.wg.Add(1)
 	go e.janitor()
@@ -239,10 +211,9 @@ func (e *Engine) janitor() {
 	}
 }
 
-// Close shuts the engine down: queued jobs are finished as canceled
-// without running, running jobs have their contexts canceled so
-// cooperative back-ends abort promptly, and the executor pool is
-// stopped. It blocks until every executor has exited.
+// Close shuts the engine down: every live job finishes as canceled and
+// its context is canceled, so producers and cooperative back-ends stop
+// promptly. Later Submits fail with ErrClosed.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -251,42 +222,15 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	drained := e.q.Drain()
-	// Mark every live job cancel-requested and cancel running ones'
-	// contexts, or a stuck batch would wedge the wg.Wait below (and
-	// with it graceful shutdown) indefinitely. The mark also catches a
-	// job a worker has leased but not yet started — its executor
-	// observes the flag and finishes it as canceled without running.
-	var cancels []context.CancelFunc
-	//dms:orderok shutdown sweep: every live job gets the same mark, no cross-job state
+	var live []*Job
+	//dms:orderok shutdown sweep: every job gets the same cancellation, no cross-job state
 	for _, j := range e.byID {
-		j.mu.Lock() //dms:lockok established lock order: engine.mu before job.mu
-		if !j.state.Terminal() {
-			j.cancelRequested = true
-			if j.cancel != nil {
-				cancels = append(cancels, j.cancel)
-			}
-		}
-		j.mu.Unlock()
+		live = append(live, j)
 	}
 	close(e.stop)
 	e.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
-	now := time.Now()
-	for _, t := range drained {
-		j := t.Payload.(*Job)
-		j.mu.Lock()
-		finished := j.finishLocked(api.JobCanceled, "", now)
-		j.mu.Unlock()
-		if !finished {
-			continue // a racing Cancel already finished and retired it
-		}
-		e.mu.Lock()
-		e.canceled++
-		e.retireLocked(j, now)
-		e.mu.Unlock()
+	for _, j := range live {
+		j.finish(api.JobCanceled)
 	}
 	e.wg.Wait()
 }
@@ -300,19 +244,10 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Submit admits a batch of n expected results to the queue, returning
-// the new Job, or ErrQueueFull when the queue is at capacity.
-func (e *Engine) Submit(n int, run RunFunc) (*Job, error) {
+// Submit admits a batch of n expected results as a queued job, or
+// fails with ErrQueueFull when Capacity jobs are queued already.
+func (e *Engine) Submit(n int) (*Job, error) {
 	now := time.Now()
-	j := &Job{
-		id:      newID(),
-		engine:  e,
-		n:       n,
-		run:     run,
-		state:   api.JobQueued,
-		changed: make(chan struct{}),
-		created: now,
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -320,7 +255,11 @@ func (e *Engine) Submit(n int, run RunFunc) (*Job, error) {
 		return nil, ErrClosed
 	}
 	e.gcLocked(now)
-	j.buf = e.store.Create(j.id)
+	if len(e.queued) >= e.opt.capacity() {
+		e.rejected++
+		return nil, ErrQueueFull
+	}
+	j := e.newJobLocked(newID(), n, e.store.Create, now)
 	// Persist the expected result count before the job can produce any
 	// visible effect: recovery needs it to distinguish a complete
 	// buffer from a truncated one. Best-effort — a failed write only
@@ -330,13 +269,7 @@ func (e *Engine) Submit(n int, run RunFunc) (*Job, error) {
 			ms.SetMeta(j.id, meta)
 		}
 	}
-	if err := e.q.Enqueue(Task{ID: j.id, Payload: j}); err != nil {
-		e.store.Drop(j.id)
-		e.rejected++
-		return nil, err
-	}
-	e.admitted++
-	e.byID[j.id] = j
+	e.admitLocked(j)
 	return j, nil
 }
 
@@ -353,13 +286,11 @@ func (e *Engine) RecoverFinished(id string, n int, state api.JobState, failure s
 	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
 	j, err := e.recoveredJobLocked(id, n, now)
 	if err != nil {
 		return nil, err
 	}
+	j.cancel() // a finished job's context is spent
 	j.state = state
 	j.failure = failure
 	j.finished = now
@@ -370,28 +301,20 @@ func (e *Engine) RecoverFinished(id string, n int, state api.JobState, failure s
 }
 
 // Recover re-registers a restored job whose batch is still in flight
-// and queues run for an executor, exactly like Submit minus the buffer
-// creation — the buffer (with however many results the previous
-// process persisted) is adopted from the store. The run function must
-// emit only the missing results; recovery wiring (the coordinator's
-// dispatcher adoption) is responsible for that arithmetic.
-func (e *Engine) Recover(id string, n int, run RunFunc) (*Job, error) {
+// as a queued job, exactly like Submit except that the buffer (with
+// however many results the previous process persisted) is adopted from
+// the store and no capacity check applies: the job was admitted once
+// already. The caller drives it like a submitted job and must append
+// only the missing results.
+func (e *Engine) Recover(id string, n int) (*Job, error) {
 	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		return nil, ErrClosed
-	}
 	j, err := e.recoveredJobLocked(id, n, now)
 	if err != nil {
 		return nil, err
 	}
-	j.run = run
-	if err := e.q.Enqueue(Task{ID: id, Payload: j}); err != nil {
-		return nil, err
-	}
-	e.admitted++
-	e.byID[id] = j
+	e.admitLocked(j)
 	return j, nil
 }
 
@@ -399,22 +322,44 @@ func (e *Engine) Recover(id string, n int, run RunFunc) (*Job, error) {
 // paths: ID checked for collisions, buffer adopted from the store
 // (created empty when the store lost it). Requires e.mu.
 func (e *Engine) recoveredJobLocked(id string, n int, now time.Time) (*Job, error) {
+	if e.closed {
+		return nil, ErrClosed
+	}
 	if _, dup := e.byID[id]; dup {
 		return nil, fmt.Errorf("jobs: job %q already registered", id)
 	}
-	buf, ok := e.store.Get(id)
-	if !ok {
-		buf = e.store.Create(id)
+	buffer := func(id string) Buffer {
+		if buf, ok := e.store.Get(id); ok {
+			return buf
+		}
+		return e.store.Create(id)
 	}
+	return e.newJobLocked(id, n, buffer, now), nil
+}
+
+// newJobLocked builds a queued job around the buffer buffer returns
+// for id. Requires e.mu.
+func (e *Engine) newJobLocked(id string, n int, buffer func(string) Buffer, now time.Time) *Job {
+	//dms:ctxok server-side job root: a job outlives the request that submitted it by design
+	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), jobIDKey{}, id))
 	return &Job{
 		id:      id,
 		engine:  e,
 		n:       n,
-		buf:     buf,
+		buf:     buffer(id),
+		ctx:     ctx,
+		cancel:  cancel,
 		state:   api.JobQueued,
 		changed: make(chan struct{}),
 		created: now,
-	}, nil
+	}
+}
+
+// admitLocked registers a new queued job. Requires e.mu.
+func (e *Engine) admitLocked(j *Job) {
+	e.admitted++
+	e.byID[j.id] = j
+	e.queued = append(e.queued, j)
 }
 
 // Get returns the job with the given ID, if it is still known (queued,
@@ -427,11 +372,9 @@ func (e *Engine) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel requests cancellation of the job with the given ID and
-// reports whether the ID was known. A queued job is finished as
-// canceled immediately — it will never reach its run function; a
-// running job has its context canceled and finishes as canceled once
-// its run returns; a terminal job is left untouched (idempotent).
+// Cancel finishes the job with the given ID as canceled and cancels
+// its context, reporting whether the ID was known. Canceling a
+// terminal job is an idempotent no-op.
 func (e *Engine) Cancel(id string) (*Job, bool) {
 	e.mu.Lock()
 	j, ok := e.byID[id]
@@ -439,44 +382,19 @@ func (e *Engine) Cancel(id string) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	// Withdraw from the queue first so the executors cannot lease it in
-	// the window before the job is marked; a job an executor already
-	// holds is caught by the state check in execute.
-	e.q.Withdraw(id)
-
-	now := time.Now()
-	j.mu.Lock()
-	switch j.state {
-	case api.JobQueued:
-		finished := j.finishLocked(api.JobCanceled, "", now)
-		j.mu.Unlock()
-		if finished { // otherwise a racing Close already retired it
-			e.mu.Lock()
-			e.canceled++
-			e.retireLocked(j, now)
-			e.mu.Unlock()
-		}
-	case api.JobRunning:
-		j.cancelRequested = true
-		cancel := j.cancel
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel() // the executor finishes the job as canceled
-		}
-	default: // terminal: idempotent no-op
-		j.mu.Unlock()
-	}
+	j.finish(api.JobCanceled)
 	return j, true
 }
 
-// Metrics snapshots the queue gauges and counters in the wire form.
+// Metrics snapshots the job gauges and counters in the wire form. It
+// leaves Workers unset: the engine runs nothing, so the pool size is
+// the caller's to report.
 func (e *Engine) Metrics() api.QueueMetrics {
-	qs := e.q.Stats()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.gcLocked(time.Now())
 	return api.QueueMetrics{
-		Depth:         qs.Pending,
+		Depth:         len(e.queued),
 		Running:       e.running,
 		Retained:      len(e.finished),
 		RetainedBytes: e.retainedBytes,
@@ -485,122 +403,16 @@ func (e *Engine) Metrics() api.QueueMetrics {
 		Rejected:      e.rejected,
 		Completed:     e.completed,
 		Canceled:      e.canceled,
-		Workers:       e.opt.workers(),
 		EWMAServiceMS: float64(e.ewma) / float64(time.Millisecond),
 	}
 }
 
-// worker is one executor: it leases the queue head and runs it to a
-// terminal state, forever, until Close. In-process executors lease
-// without a TTL — they cannot crash independently of the queue, so
-// expiry-requeue is for remote consumers.
-func (e *Engine) worker(i int) {
-	defer e.wg.Done()
-	owner := fmt.Sprintf("executor-%d", i)
-	for {
-		ch := e.q.Changed()
-		lease, tasks := e.q.Lease(owner, 1, 0)
-		if len(tasks) == 0 {
-			select {
-			case <-ch:
-				continue
-			case <-e.stop:
-				return
-			}
-		}
-		j := tasks[0].Payload.(*Job)
-		e.mu.Lock()
-		e.running++
-		e.mu.Unlock()
-		e.execute(j)
-		e.q.Ack(lease, tasks[0].ID)
-		e.mu.Lock()
-		e.running--
-		e.mu.Unlock()
+// unqueueLocked removes a job that leaves the queued state from the
+// admission-order list. Requires e.mu.
+func (e *Engine) unqueueLocked(j *Job) {
+	if i := slices.Index(e.queued, j); i >= 0 {
+		e.queued = slices.Delete(e.queued, i, i+1)
 	}
-}
-
-// execute runs one leased job to a terminal state.
-func (e *Engine) execute(j *Job) {
-	now := time.Now()
-	j.mu.Lock()
-	if j.state != api.JobQueued {
-		// Canceled after lease but before this executor marked it
-		// running; nothing to do.
-		j.mu.Unlock()
-		return
-	}
-	if j.cancelRequested {
-		// Canceled (or the engine closed) in the lease window, before
-		// this executor marked it running: finish it without ever
-		// invoking its run function.
-		finished := j.finishLocked(api.JobCanceled, "", now)
-		j.mu.Unlock()
-		if finished {
-			e.mu.Lock()
-			e.canceled++
-			e.retireLocked(j, now)
-			e.mu.Unlock()
-		}
-		return
-	}
-	//dms:ctxok server-side job root: a job outlives the RPC that submitted it by design
-	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), jobIDKey{}, j.id))
-	j.cancel = cancel
-	j.state = api.JobRunning
-	j.started = now
-	j.broadcastLocked()
-	run := j.run // finishLocked clears the field; invoke the captured copy
-	j.mu.Unlock()
-
-	failure := runGuarded(ctx, run, j.append)
-	ctxErr := ctx.Err() // before the cleanup cancel below, which would mask it
-	cancel()
-
-	now = time.Now()
-	j.mu.Lock()
-	state := api.JobDone
-	switch {
-	case j.cancelRequested || ctxErr != nil:
-		state = api.JobCanceled
-	case failure != "":
-		state = api.JobFailed
-	}
-	started := j.started
-	finished := j.finishLocked(state, failure, now)
-	j.mu.Unlock()
-
-	e.mu.Lock()
-	if finished {
-		switch state {
-		case api.JobCanceled:
-			e.canceled++
-		default:
-			e.completed++
-			// Fold the batch's service time into the smoothed average
-			// the adaptive Retry-After hint scales with.
-			sample := now.Sub(started)
-			if e.ewma == 0 {
-				e.ewma = sample
-			} else {
-				e.ewma = time.Duration((1-ewmaAlpha)*float64(e.ewma) + ewmaAlpha*float64(sample))
-			}
-		}
-		e.retireLocked(j, now)
-	}
-	e.mu.Unlock()
-}
-
-// runGuarded invokes the job's run function, converting a panic into
-// a "failed" cause instead of taking down the executor.
-func runGuarded(ctx context.Context, run RunFunc, emit func(api.JobResult)) (failure string) {
-	defer func() {
-		if p := recover(); p != nil {
-			failure = fmt.Sprintf("executor panicked: %v", p)
-		}
-	}()
-	run(ctx, emit)
-	return ""
 }
 
 // retireLocked moves a terminal job into the finished list — or drops
@@ -639,7 +451,7 @@ func (e *Engine) Release(id string) {
 	terminal := j.state.Terminal()
 	j.mu.Unlock()
 	if !terminal {
-		return // the executor's retire will drop it
+		return // the terminal transition's retire will drop it
 	}
 	delete(e.byID, id)
 	e.store.Drop(id)
@@ -676,26 +488,25 @@ func (e *Engine) gcLocked(now time.Time) {
 	e.finished = keep
 }
 
-// Job is one admitted batch: its lifecycle state plus its append-only
-// result buffer, which lives in the engine's ResultStore. All methods
-// are safe for concurrent use.
+// Job is one admitted batch: its lifecycle state, its context, and its
+// append-only result buffer, which lives in the engine's ResultStore.
+// All methods are safe for concurrent use.
 type Job struct {
 	id     string
 	engine *Engine
 	n      int
-	run    RunFunc
 	buf    Buffer
+	ctx    context.Context
+	cancel context.CancelFunc
 
-	mu              sync.Mutex
-	state           api.JobState
-	failure         string
-	cancel          context.CancelFunc
-	cancelRequested bool
-	released        bool          // drop instead of retain once terminal
-	changed         chan struct{} // closed and replaced on every mutation
-	created         time.Time
-	started         time.Time
-	finished        time.Time
+	mu       sync.Mutex
+	state    api.JobState
+	failure  string
+	released bool          // drop instead of retain once terminal
+	changed  chan struct{} // closed and replaced on every mutation
+	created  time.Time
+	started  time.Time
+	finished time.Time
 }
 
 // ID returns the job's resource ID.
@@ -705,6 +516,11 @@ func (j *Job) ID() string { return j.id }
 // to completion.
 func (j *Job) N() int { return j.n }
 
+// Context returns the job's context: it carries the job ID (see
+// JobID) and is canceled when the job is canceled, the engine closes,
+// or the job finishes.
+func (j *Job) Context() context.Context { return j.ctx }
+
 // FinishedAt returns the terminal transition time (zero while the job
 // is live).
 func (j *Job) FinishedAt() time.Time {
@@ -713,28 +529,84 @@ func (j *Job) FinishedAt() time.Time {
 	return j.finished
 }
 
-// append adds one result to the buffer (the emit callback handed to
-// RunFunc) and wakes the streams following it.
-func (j *Job) append(rec api.JobResult) {
-	j.buf.Append(rec)
-	j.mu.Lock()
+// Start moves a queued job to running. It is idempotent: on a running
+// or terminal job it does nothing.
+func (j *Job) Start() {
+	e := j.engine
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	j.mu.Lock() //dms:lockok established lock order: engine.mu before job.mu
+	if j.state != api.JobQueued {
+		j.mu.Unlock()
+		return
+	}
+	j.state = api.JobRunning
+	j.started = time.Now()
 	j.broadcastLocked()
 	j.mu.Unlock()
+	e.unqueueLocked(j)
+	e.running++
 }
 
-// finishLocked moves the job to a terminal state, reporting whether
-// this call made the transition (false: already terminal, a no-op).
-// Requires j.mu. The run closure is dropped here — it pins the whole
-// parsed batch, which the retention window has no use for.
-func (j *Job) finishLocked(state api.JobState, failure string, now time.Time) bool {
+// Append adds one result to the buffer and wakes the streams
+// following it. A terminal job's buffer never grows: an Append after
+// the terminal transition is dropped, so a result racing a cancel
+// cannot change a summary a stream has already sent.
+func (j *Job) Append(rec api.JobResult) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.state.Terminal() {
+		return
+	}
+	j.buf.Append(rec)
+	j.broadcastLocked()
+}
+
+// Finish marks the job done: every result it will produce has been
+// appended. On a terminal job it does nothing.
+func (j *Job) Finish() { j.finish(api.JobDone) }
+
+// finish moves the job to a terminal state, cancels its context and
+// retires it, reporting whether this call made the transition (false:
+// already terminal, a no-op). A done job's service time, from Start,
+// feeds the Retry-After average.
+func (j *Job) finish(state api.JobState) bool {
+	e := j.engine
+	now := time.Now()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	j.mu.Lock() //dms:lockok established lock order: engine.mu before job.mu
+	prev := j.state
+	if prev.Terminal() {
+		j.mu.Unlock()
 		return false
 	}
 	j.state = state
-	j.failure = failure
 	j.finished = now
-	j.run = nil
 	j.broadcastLocked()
+	started := j.started
+	j.mu.Unlock()
+	j.cancel()
+	switch prev {
+	case api.JobQueued:
+		e.unqueueLocked(j)
+	case api.JobRunning:
+		e.running--
+	}
+	if state == api.JobCanceled {
+		e.canceled++
+	} else {
+		e.completed++
+		if !started.IsZero() {
+			sample := now.Sub(started)
+			if e.ewma == 0 {
+				e.ewma = sample
+			} else {
+				e.ewma = time.Duration((1-ewmaAlpha)*float64(e.ewma) + ewmaAlpha*float64(sample))
+			}
+		}
+	}
+	e.retireLocked(j, now)
 	return true
 }
 
@@ -743,6 +615,15 @@ func (j *Job) finishLocked(state api.JobState, failure string, now time.Time) bo
 func (j *Job) broadcastLocked() {
 	close(j.changed)
 	j.changed = make(chan struct{})
+}
+
+// queuePos returns the job's 1-based position among the queued jobs in
+// admission order, or 0 when it is not queued.
+func (j *Job) queuePos() int {
+	e := j.engine
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.Index(e.queued, j) + 1
 }
 
 // Snapshot renders the job in its wire form, including the live queue
@@ -767,11 +648,11 @@ func (j *Job) Snapshot() api.Job {
 		job.FinishedUnixMS = j.finished.UnixMilli()
 	}
 	j.mu.Unlock()
-	// The position scan takes the queue lock; only pay for it while the
-	// job can actually have one — polls of running/finished jobs are
-	// the dominant traffic and need no queue access at all.
+	// The position scan takes the engine lock; only pay for it while
+	// the job can actually have one — polls of running/finished jobs
+	// are the dominant traffic.
 	if job.State == api.JobQueued {
-		job.QueuePos = j.engine.q.Pos(j.id)
+		job.QueuePos = j.queuePos()
 	}
 	return job
 }

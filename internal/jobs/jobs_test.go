@@ -6,21 +6,34 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	api "repro/api/v1"
 )
 
-// submitN admits a job that emits n trivially numbered results.
+// runN drives a submitted job the way the server's dispatcher does:
+// Start, n trivially numbered results, Finish.
+func runN(j *Job, n int) {
+	j.Start()
+	for i := 0; i < n; i++ {
+		j.Append(api.JobResult{Index: i, Job: fmt.Sprintf("j%d", i)})
+	}
+	j.Finish()
+}
+
+// submitN admits a job of n results and runs it to done.
 func submitN(t *testing.T, e *Engine, n int) *Job {
 	t.Helper()
-	j, err := e.Submit(n, func(ctx context.Context, emit func(api.JobResult)) {
-		for i := 0; i < n; i++ {
-			emit(api.JobResult{Index: i, Job: fmt.Sprintf("j%d", i)})
-		}
-	})
+	j := submit(t, e, n)
+	runN(j, n)
+	return j
+}
+
+// submit admits a job of n results and leaves it queued.
+func submit(t *testing.T, e *Engine, n int) *Job {
+	t.Helper()
+	j, err := e.Submit(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +41,7 @@ func submitN(t *testing.T, e *Engine, n int) *Job {
 }
 
 func TestEngineLifecycle(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	defer e.Close()
 
 	j := submitN(t, e, 3)
@@ -67,91 +80,129 @@ func TestEngineLifecycle(t *testing.T) {
 		t.Error("Get lost the finished job before its TTL")
 	}
 	m := e.Metrics()
-	if m.Admitted != 1 || m.Completed != 1 || m.Retained != 1 || m.Depth != 0 {
+	if m.Admitted != 1 || m.Completed != 1 || m.Retained != 1 || m.Depth != 0 || m.Running != 0 {
 		t.Errorf("Metrics = %+v", m)
+	}
+	if m.EWMAServiceMS <= 0 {
+		t.Errorf("EWMAServiceMS = %v after a completed job, want > 0", m.EWMAServiceMS)
 	}
 }
 
-// TestEngineAdmissionControl saturates a capacity-1 queue behind a
-// blocked executor and checks the FIFO order, the rejection counter
-// and the queue-position gauge.
-func TestEngineAdmissionControl(t *testing.T) {
-	e := New(Options{Workers: 1, Capacity: 1})
+// TestEngineStartTransitions: Start moves a queued job to running
+// exactly once, the gauges follow, and a second Start is a no-op.
+func TestEngineStartTransitions(t *testing.T) {
+	e := New(Options{})
 	defer e.Close()
 
-	release := make(chan struct{})
-	blocker, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		<-release
-		emit(api.JobResult{})
-	})
-	if err != nil {
-		t.Fatal(err)
+	j := submit(t, e, 1)
+	if m := e.Metrics(); m.Depth != 1 || m.Running != 0 {
+		t.Fatalf("queued: Metrics = %+v, want depth 1, running 0", m)
 	}
-	// Wait until the blocker occupies the executor, so the next submit
-	// is queued rather than picked up.
-	for blocker.Snapshot().State == api.JobQueued {
-		time.Sleep(time.Millisecond)
+	j.Start()
+	started := j.Snapshot()
+	if started.State != api.JobRunning || started.StartedUnixMS == 0 || started.QueuePos != 0 {
+		t.Fatalf("after Start: %+v", started)
 	}
+	if m := e.Metrics(); m.Depth != 0 || m.Running != 1 {
+		t.Fatalf("running: Metrics = %+v, want depth 0, running 1", m)
+	}
+	j.Start()
+	if m := e.Metrics(); m.Running != 1 {
+		t.Fatalf("second Start counted again: Metrics = %+v", m)
+	}
+	j.Append(api.JobResult{})
+	j.Finish()
+	j.Start()
+	if state := j.Snapshot().State; state != api.JobDone {
+		t.Fatalf("Start after Finish moved the job to %s", state)
+	}
+	if m := e.Metrics(); m.Depth != 0 || m.Running != 0 || m.Completed != 1 {
+		t.Fatalf("done: Metrics = %+v", m)
+	}
+}
 
-	queued := submitN(t, e, 1)
+// TestEngineAdmissionControl saturates a capacity-1 engine and checks
+// the rejection counter, the queue-position gauge, and that a started
+// job frees its queue slot.
+func TestEngineAdmissionControl(t *testing.T) {
+	e := New(Options{Capacity: 1})
+	defer e.Close()
+
+	running := submit(t, e, 1)
+	running.Start() // leaves the queue, so the next submit fits
+
+	queued := submit(t, e, 1)
 	if pos := queued.Snapshot().QueuePos; pos != 1 {
 		t.Errorf("queued job position = %d, want 1", pos)
 	}
-	if _, err := e.Submit(1, func(context.Context, func(api.JobResult)) {}); err != ErrQueueFull {
+	if _, err := e.Submit(1); err != ErrQueueFull {
 		t.Fatalf("over-capacity submit: %v, want ErrQueueFull", err)
 	}
-	if m := e.Metrics(); m.Rejected != 1 || m.Depth != 1 || m.Capacity != 1 {
+	if m := e.Metrics(); m.Rejected != 1 || m.Depth != 1 || m.Running != 1 || m.Capacity != 1 {
 		t.Errorf("Metrics = %+v", m)
 	}
 
-	close(release)
+	runN(queued, 1)
 	if state, err := queued.Wait(context.Background()); err != nil || state != api.JobDone {
-		t.Fatalf("queued job after release: %v, %v", state, err)
+		t.Fatalf("queued job after its turn: %v, %v", state, err)
+	}
+	if _, err := e.Submit(1); err != nil {
+		t.Fatalf("submit after the queue emptied: %v", err)
+	}
+}
+
+// TestEngineQueuePos: the position is 1-based among queued jobs in
+// admission order, and closes up as jobs ahead start or are canceled.
+func TestEngineQueuePos(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+
+	a, b, c := submit(t, e, 1), submit(t, e, 1), submit(t, e, 1)
+	for i, j := range []*Job{a, b, c} {
+		if pos := j.Snapshot().QueuePos; pos != i+1 {
+			t.Errorf("job %d position = %d, want %d", i, pos, i+1)
+		}
+	}
+	b.Start()
+	if pos := c.Snapshot().QueuePos; pos != 2 {
+		t.Errorf("after the middle job started: last position = %d, want 2", pos)
+	}
+	e.Cancel(a.ID())
+	if pos := c.Snapshot().QueuePos; pos != 1 {
+		t.Errorf("after the head was canceled: last position = %d, want 1", pos)
+	}
+	if pos := b.Snapshot().QueuePos; pos != 0 {
+		t.Errorf("running job position = %d, want 0", pos)
 	}
 }
 
 // TestEngineCancelQueuedNeverRuns is the admission-control safety
-// property: a job canceled while still queued must never reach its run
-// function.
+// property: a job canceled while still queued is terminal at once,
+// its context is canceled, and its producer can no longer start it or
+// add results to it.
 func TestEngineCancelQueuedNeverRuns(t *testing.T) {
-	e := New(Options{Workers: 1, Capacity: 4})
+	e := New(Options{Capacity: 4})
 	defer e.Close()
 
-	release := make(chan struct{})
-	blocker, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		<-release
-		emit(api.JobResult{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for blocker.Snapshot().State == api.JobQueued {
-		time.Sleep(time.Millisecond)
-	}
-
-	var ran atomic.Bool
-	victim, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		ran.Store(true)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	victim := submit(t, e, 1)
 	if got, ok := e.Cancel(victim.ID()); !ok || got != victim {
 		t.Fatal("Cancel did not find the queued job")
 	}
 	if state := victim.Snapshot().State; state != api.JobCanceled {
 		t.Fatalf("canceled queued job state = %v", state)
 	}
-
-	close(release)
-	blocker.Wait(context.Background())
-	// The executor is now free; give it a moment to (wrongly) pick the
-	// canceled job up before asserting it never ran.
-	time.Sleep(10 * time.Millisecond)
-	if ran.Load() {
-		t.Fatal("canceled queued job reached its run function")
+	select {
+	case <-victim.Context().Done():
+	default:
+		t.Fatal("canceled queued job's context is still live")
 	}
-	if m := e.Metrics(); m.Canceled != 1 || m.Completed != 1 {
+
+	// The producer, racing the cancel, cannot revive the job.
+	runN(victim, 1)
+	if snap := victim.Snapshot(); snap.State != api.JobCanceled || snap.StartedUnixMS != 0 || snap.Done != 0 {
+		t.Fatalf("canceled queued job after its producer ran: %+v", snap)
+	}
+	if m := e.Metrics(); m.Canceled != 1 || m.Completed != 0 || m.Depth != 0 || m.Running != 0 {
 		t.Errorf("Metrics = %+v", m)
 	}
 	// Canceling a terminal job is an idempotent no-op.
@@ -168,18 +219,15 @@ func TestEngineCancelQueuedNeverRuns(t *testing.T) {
 // large result sets cannot pin the heap.
 func TestEngineMaxRetainedBytes(t *testing.T) {
 	big := strings.Repeat("t=0 c=0 mem x\n", 64) // ~900 B of schedule per result
-	e := New(Options{Workers: 1, TTL: time.Hour, MaxFinished: 1000, MaxRetainedBytes: 4096})
+	e := New(Options{TTL: time.Hour, MaxFinished: 1000, MaxRetainedBytes: 4096})
 	defer e.Close()
 
 	var ids []string
 	for i := 0; i < 6; i++ {
-		j, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-			emit(api.JobResult{Job: "big", Schedule: big})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.Wait(context.Background())
+		j := submit(t, e, 1)
+		j.Start()
+		j.Append(api.JobResult{Job: "big", Schedule: big})
+		j.Finish()
 		ids = append(ids, j.ID())
 	}
 	m := e.Metrics()
@@ -198,74 +246,56 @@ func TestEngineMaxRetainedBytes(t *testing.T) {
 }
 
 // TestEngineCancelRunning: cancellation reaches a running job through
-// its context and the job finishes as canceled.
+// its context, the job is canceled at once, and a result racing the
+// cancel is dropped rather than changing the settled result set.
 func TestEngineCancelRunning(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	defer e.Close()
 
-	started := make(chan struct{})
-	j, err := e.Submit(2, func(ctx context.Context, emit func(api.JobResult)) {
-		emit(api.JobResult{Index: 0})
-		close(started)
-		<-ctx.Done()
-		emit(api.JobResult{Index: 1, Error: ctx.Err().Error(), ErrorCode: api.CodeCanceled})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
+	j := submit(t, e, 2)
+	j.Start()
+	j.Append(api.JobResult{Index: 0})
 	e.Cancel(j.ID())
+	select {
+	case <-j.Context().Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cancel did not reach the running job's context")
+	}
 	state, err := j.Wait(context.Background())
 	if err != nil || state != api.JobCanceled {
 		t.Fatalf("Wait = %v, %v; want canceled", state, err)
 	}
-	if recs, _ := j.Results(0); len(recs) != 2 {
-		t.Errorf("canceled job kept %d results, want the 2 emitted", len(recs))
+	sum := j.Summary()
+	j.Append(api.JobResult{Index: 1, Error: "context canceled", ErrorCode: api.CodeCanceled})
+	j.Finish()
+	if recs, state := j.Results(0); len(recs) != 1 || state != api.JobCanceled {
+		t.Errorf("canceled job = %d results, %s; want the 1 appended before the cancel, still canceled", len(recs), state)
 	}
-}
-
-// TestEngineRunPanicFails: a panicking run moves the job to failed
-// with the cause, without taking down the executor.
-func TestEngineRunPanicFails(t *testing.T) {
-	e := New(Options{Workers: 1})
-	defer e.Close()
-
-	j, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		panic("boom")
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := j.Summary(); got != sum {
+		t.Errorf("summary changed after the terminal transition: %+v, then %+v", sum, got)
 	}
-	if state, err := j.Wait(context.Background()); err != nil || state != api.JobFailed {
-		t.Fatalf("Wait = %v, %v; want failed", state, err)
-	}
-	if snap := j.Snapshot(); snap.Error == "" {
-		t.Error("failed job carries no cause")
-	}
-	// The executor survived: the next job still runs.
-	next := submitN(t, e, 1)
-	if state, _ := next.Wait(context.Background()); state != api.JobDone {
-		t.Fatalf("executor did not survive the panic: %v", state)
+	if m := e.Metrics(); m.Running != 0 || m.Canceled != 1 || m.Completed != 0 {
+		t.Errorf("Metrics = %+v", m)
 	}
 }
 
 // TestEngineStreamingFollowsLiveBuffer: a reader following Changed
 // sees every result exactly once, across the running→done transition.
 func TestEngineStreamingFollowsLiveBuffer(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	defer e.Close()
 
 	const n = 100
+	j := submit(t, e, n)
 	step := make(chan struct{}, n)
-	j, err := e.Submit(n, func(ctx context.Context, emit func(api.JobResult)) {
+	go func() {
+		j.Start()
 		for i := 0; i < n; i++ {
 			<-step
-			emit(api.JobResult{Index: i})
+			j.Append(api.JobResult{Index: i})
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		j.Finish()
+	}()
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -301,11 +331,11 @@ func TestEngineStreamingFollowsLiveBuffer(t *testing.T) {
 // TestEngineTTLGC: finished jobs vanish after their TTL; live jobs are
 // never collected.
 func TestEngineTTLGC(t *testing.T) {
-	e := New(Options{Workers: 1, TTL: 20 * time.Millisecond})
+	e := New(Options{TTL: 20 * time.Millisecond})
 	defer e.Close()
 
+	live := submit(t, e, 1)
 	j := submitN(t, e, 1)
-	j.Wait(context.Background())
 	if _, ok := e.Get(j.ID()); !ok {
 		t.Fatal("job collected before its TTL")
 	}
@@ -322,19 +352,20 @@ func TestEngineTTLGC(t *testing.T) {
 	if m := e.Metrics(); m.Retained != 0 {
 		t.Errorf("Retained = %d after GC", m.Retained)
 	}
+	if _, ok := e.Get(live.ID()); !ok {
+		t.Error("a live job was garbage-collected")
+	}
 }
 
 // TestEngineMaxFinishedBound: the retained-jobs bound collects the
 // oldest finished jobs before their TTL.
 func TestEngineMaxFinishedBound(t *testing.T) {
-	e := New(Options{Workers: 1, MaxFinished: 2, TTL: time.Hour})
+	e := New(Options{MaxFinished: 2, TTL: time.Hour})
 	defer e.Close()
 
 	var ids []string
 	for i := 0; i < 5; i++ {
-		j := submitN(t, e, 1)
-		j.Wait(context.Background())
-		ids = append(ids, j.ID())
+		ids = append(ids, submitN(t, e, 1).ID())
 	}
 	// Trigger a sweep.
 	if m := e.Metrics(); m.Retained > 2 {
@@ -351,16 +382,15 @@ func TestEngineMaxFinishedBound(t *testing.T) {
 }
 
 // TestEngineRelease: a released job is dropped from the table as soon
-// as it is terminal — immediately if it already is, at retire time if
-// it is still running — so unaddressable jobs never occupy retention
-// slots; holders of the *Job keep reading it.
+// as it is terminal — immediately if it already is, at its terminal
+// transition if it is still running — so unaddressable jobs never
+// occupy retention slots; holders of the *Job keep reading it.
 func TestEngineRelease(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 	defer e.Close()
 
 	// Release after completion: dropped immediately.
 	j := submitN(t, e, 2)
-	j.Wait(context.Background())
 	if m := e.Metrics(); m.Retained != 1 {
 		t.Fatalf("Retained = %d before release", m.Retained)
 	}
@@ -375,30 +405,17 @@ func TestEngineRelease(t *testing.T) {
 		t.Errorf("held *Job unreadable after release: %d recs, %v", len(recs), state)
 	}
 
-	// Release while running: dropped when the executor retires it.
-	release := make(chan struct{})
-	running, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		<-release
-		emit(api.JobResult{})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for running.Snapshot().State == api.JobQueued {
-		time.Sleep(time.Millisecond)
-	}
+	// Release while running: dropped at the terminal transition.
+	running := submit(t, e, 1)
+	running.Start()
 	e.Release(running.ID())
-	close(release)
-	running.Wait(context.Background())
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, ok := e.Get(running.ID()); !ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("released running job was retained after finishing")
-		}
-		time.Sleep(time.Millisecond)
+	if _, ok := e.Get(running.ID()); !ok {
+		t.Fatal("released running job dropped before it finished")
+	}
+	running.Append(api.JobResult{})
+	running.Finish()
+	if _, ok := e.Get(running.ID()); ok {
+		t.Fatal("released running job was retained after finishing")
 	}
 	if m := e.Metrics(); m.Retained != 0 {
 		t.Errorf("Retained = %d, want 0", m.Retained)
@@ -406,124 +423,84 @@ func TestEngineRelease(t *testing.T) {
 }
 
 // TestEngineCloseCancelsRunning: Close cancels a running job's context
-// instead of waiting forever on a batch that only exits cooperatively.
+// and finishes it as canceled, so a producer that only stops on
+// cancellation cannot wedge shutdown.
 func TestEngineCloseCancelsRunning(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 
-	started := make(chan struct{})
-	j, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		close(started)
-		<-ctx.Done() // exits only on cancellation — a stuck batch
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
+	j := submit(t, e, 1)
+	j.Start()
+	stuck := make(chan struct{})
+	go func() {
+		<-j.Context().Done() // exits only on cancellation — a stuck batch
+		close(stuck)
+	}()
 
 	done := make(chan struct{})
 	go func() {
 		e.Close()
 		close(done)
 	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not cancel the running job")
+	for _, ch := range []chan struct{}{done, stuck} {
+		select {
+		case <-ch:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Close did not cancel the running job")
+		}
 	}
 	if state := j.Snapshot().State; state != api.JobCanceled {
 		t.Errorf("running job finished as %s after Close, want canceled", state)
 	}
 }
 
-// TestEngineCloseDrainsQueue: Close cancels queued jobs without
-// running them and stops the executors.
+// TestEngineCloseDrainsQueue: Close cancels queued jobs before they
+// start, and later submissions fail with ErrClosed.
 func TestEngineCloseDrainsQueue(t *testing.T) {
-	e := New(Options{Workers: 1})
+	e := New(Options{})
 
-	release := make(chan struct{})
-	blocker, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		<-release
-		emit(api.JobResult{})
-	})
-	if err != nil {
-		t.Fatal(err)
+	queued := submit(t, e, 1)
+	e.Close()
+	runN(queued, 1) // a producer racing Close cannot start it
+	if snap := queued.Snapshot(); snap.State != api.JobCanceled || snap.StartedUnixMS != 0 || snap.Done != 0 {
+		t.Errorf("queued job after Close = %+v, want canceled, never started", snap)
 	}
-	for blocker.Snapshot().State == api.JobQueued {
-		time.Sleep(time.Millisecond)
+	if m := e.Metrics(); m.Depth != 0 || m.Canceled != 1 {
+		t.Errorf("Metrics after Close = %+v", m)
 	}
-	var ran atomic.Bool
-	queued, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		ran.Store(true)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	closed := make(chan struct{})
-	go func() {
-		e.Close()
-		close(closed)
-	}()
-	// Close drains the queue (canceling the queued job) before waiting
-	// for the executors; only release the blocker after that drain, or
-	// the free executor could legitimately run the queued job first.
-	for queued.Snapshot().State != api.JobCanceled {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	<-closed
-
-	if ran.Load() {
-		t.Error("queued job ran during Close")
-	}
-	if state := queued.Snapshot().State; state != api.JobCanceled {
-		t.Errorf("queued job state after Close = %v", state)
-	}
-	if _, err := e.Submit(1, func(context.Context, func(api.JobResult)) {}); err != ErrClosed {
+	if _, err := e.Submit(1); err != ErrClosed {
 		t.Errorf("submit after Close: %v, want ErrClosed", err)
 	}
 }
 
-// TestRunFuncSeesJobID pins the JobID context plumbing: a run function
-// must observe the ID of its own job, so external dispatch state keyed
-// by it survives a restart.
-func TestRunFuncSeesJobID(t *testing.T) {
-	e := New(Options{Workers: 1})
+// TestJobContextCarriesID pins the JobID context plumbing: a job's
+// context, and any context derived from it, carries the job's ID, so
+// external dispatch state keyed by it survives a restart.
+func TestJobContextCarriesID(t *testing.T) {
+	e := New(Options{})
 	defer e.Close()
-	got := make(chan string, 1)
-	j, err := e.Submit(1, func(ctx context.Context, emit func(api.JobResult)) {
-		got <- JobID(ctx)
-		emit(api.JobResult{Index: 0})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state, err := j.Wait(context.Background()); err != nil || state != api.JobDone {
-		t.Fatalf("Wait = %v, %v", state, err)
-	}
-	if id := <-got; id != j.ID() {
+	j := submit(t, e, 1)
+	ctx, cancel := context.WithTimeout(j.Context(), time.Minute)
+	defer cancel()
+	if id := JobID(ctx); id != j.ID() {
 		t.Fatalf("JobID(ctx) = %q, want %q", id, j.ID())
 	}
 	if JobID(context.Background()) != "" {
-		t.Fatal("JobID outside an executor context should be empty")
+		t.Fatal("JobID outside a job context should be empty")
 	}
 }
 
 // TestSubmitPersistsMeta pins the MetaStore handshake: a durable store
-// under the engine learns each job's expected result count before the
-// job runs.
+// under the engine learns each job's expected result count at Submit,
+// before the job produces anything.
 func TestSubmitPersistsMeta(t *testing.T) {
 	ds, err := NewDiskStore(t.TempDir(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	e := New(Options{Workers: 1, Store: ds})
+	e := New(Options{Store: ds})
 	defer e.Close()
-	j := submitN(t, e, 3)
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	j := submit(t, e, 3)
 	meta, ok := ds.Meta(j.ID())
 	if !ok {
 		t.Fatal("no metadata persisted at Submit")
@@ -543,11 +520,8 @@ func TestEngineRecoverFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := New(Options{Workers: 1, Store: ds})
+	e1 := New(Options{Store: ds})
 	j1 := submitN(t, e1, 3)
-	if state, err := j1.Wait(context.Background()); err != nil || state != api.JobDone {
-		t.Fatalf("Wait = %v, %v", state, err)
-	}
 	e1.Close()
 	ds.Close()
 
@@ -557,7 +531,7 @@ func TestEngineRecoverFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds2.Close()
-	e2 := New(Options{Workers: 1, Store: ds2})
+	e2 := New(Options{Store: ds2})
 	defer e2.Close()
 	j2, err := e2.RecoverFinished(j1.ID(), 3, api.JobDone, "")
 	if err != nil {
@@ -587,9 +561,9 @@ func TestEngineRecoverFinished(t *testing.T) {
 	}
 }
 
-// TestEngineRecoverResumes: a recovered in-flight job runs its
-// (resumption) closure and finishes with the union of restored and
-// freshly emitted results.
+// TestEngineRecoverResumes: a recovered in-flight job comes back
+// queued under its own ID, with the restored results in its buffer;
+// its producer adds the missing ones and it finishes with the union.
 func TestEngineRecoverResumes(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := NewDiskStore(dir, false)
@@ -605,18 +579,25 @@ func TestEngineRecoverResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds2.Close()
-	e := New(Options{Workers: 1, Store: ds2})
+	e := New(Options{Store: ds2})
 	defer e.Close()
-	j, err := e.Recover("job-r", 3, func(ctx context.Context, emit func(api.JobResult)) {
-		if JobID(ctx) != "job-r" {
-			t.Error("resumed run lost its job ID")
-		}
-		emit(api.JobResult{Index: 1, Job: "fresh"})
-		emit(api.JobResult{Index: 2, Job: "fresh"})
-	})
+	j, err := e.Recover("job-r", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if snap := j.Snapshot(); snap.State != api.JobQueued || snap.QueuePos != 1 || snap.Done != 1 {
+		t.Fatalf("recovered job = %+v, want queued at 1 with the persisted result", snap)
+	}
+	if JobID(j.Context()) != "job-r" {
+		t.Error("recovered job's context lost its ID")
+	}
+	if _, err := e.Recover("job-r", 3); err == nil {
+		t.Fatal("duplicate recovery accepted")
+	}
+	j.Start()
+	j.Append(api.JobResult{Index: 1, Job: "fresh"})
+	j.Append(api.JobResult{Index: 2, Job: "fresh"})
+	j.Finish()
 	if state, err := j.Wait(context.Background()); err != nil || state != api.JobDone {
 		t.Fatalf("Wait = %v, %v", state, err)
 	}

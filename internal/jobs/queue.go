@@ -33,24 +33,21 @@ type QueueStats struct {
 	Pending int
 	Leased  int
 	Leases  int
-	// Requeued counts tasks returned to the queue by lease expiry or
-	// Nack over the queue's lifetime.
+	// Requeued counts tasks returned to the queue by lease expiry over
+	// the queue's lifetime.
 	Requeued uint64
 }
 
-// Queue is the admission and work-distribution seam of the job engine:
-// a bounded FIFO with lease/ack/nack semantics and requeue on lease
-// expiry, so a consumer that crashes mid-lease never loses work — its
-// tasks return to the queue once the lease's heartbeat deadline
-// passes.
+// Queue is the service's one work queue: a FIFO with lease/ack
+// semantics and requeue on lease expiry, so a consumer that crashes
+// mid-lease never loses work — its tasks return to the queue once the
+// lease's heartbeat deadline passes.
 //
-// The in-process implementation (NewMemQueue) backs both the engine's
-// batch queue (executors lease one batch at a time with no expiry —
-// in-process consumers do not crash independently) and the server's
-// compile-unit queue (in-process pullers lease one unit at a time,
-// also with no expiry; remote workers lease chunks under a TTL and
-// heartbeat by posting results). All implementations must be safe for
-// concurrent use.
+// Every compile unit of every batch waits on it. In-process pullers
+// lease one unit at a time with no expiry (they cannot crash
+// independently of the queue); remote workers lease chunks under a TTL
+// and heartbeat by posting results. WALQueue makes it durable. All
+// implementations must be safe for concurrent use.
 type Queue interface {
 	// Enqueue admits a task, or returns ErrQueueFull when the queue is
 	// at capacity.
@@ -71,13 +68,6 @@ type Queue interface {
 	// side-effect free, and MUST NOT call back into the queue or take
 	// locks ordered after it.
 	LeaseFiltered(owner string, max int, ttl time.Duration, eligible func(Task) bool) (lease string, tasks []Task)
-	// SetLeaseTTL replaces the lease's TTL (and re-arms its deadline
-	// from now; ttl 0 makes the lease never expire), reporting false
-	// when the lease is unknown or already expired. The coordinator
-	// stretches the deadline of leases carrying long-running schedulers
-	// (exact, portfolio), whose II search can legitimately outlast the
-	// default TTL.
-	SetLeaseTTL(lease string, ttl time.Duration) bool
 	// Heartbeat extends the lease's expiry by its TTL, reporting false
 	// when the lease is unknown or already expired.
 	Heartbeat(lease string) bool
@@ -94,28 +84,17 @@ type Queue interface {
 	// result path claims a whole posted results[] frame at once. Any
 	// true entry implies a heartbeat.
 	AckBatch(lease string, taskIDs []string) []bool
-	// Nack returns one leased task to the front of the queue (dropping
-	// its hash affinity, so another owner picks it up) and reports
-	// whether the lease owned it.
-	Nack(lease, taskID string) bool
 	// Withdraw removes a pending (not leased) task, reporting whether
 	// it was found. Leased tasks cannot be withdrawn — their consumer
 	// resolves them via Ack or loses them to expiry.
 	Withdraw(taskID string) bool
-	// Pos returns a pending task's 1-based FIFO position (1 = next to
-	// lease), or 0 when the task is not pending.
-	Pos(taskID string) int
-	// Drain removes and returns every pending task (leased tasks stay
-	// with their consumers). The engine uses it on Close to cancel
-	// queued batches without running them.
-	Drain() []Task
 	// Expire requeues the tasks of every lease whose heartbeat deadline
 	// has passed, returning the number of tasks requeued. Lease and the
 	// other mutating calls also expire lazily; Expire exists for
 	// periodic sweeps while the queue is idle.
 	Expire(now time.Time) int
 	// Changed returns a channel closed at the next queue mutation
-	// (enqueue, requeue, drain, ...). Grab it before checking for work,
+	// (enqueue, requeue, withdraw, ...). Grab it before checking for work,
 	// like Job.Changed.
 	Changed() <-chan struct{}
 	// Stats snapshots the queue gauges and counters.
@@ -331,24 +310,6 @@ func (q *memQueue) affinityLocked(hash, owner string) {
 	q.affinity[hash] = owner
 }
 
-func (q *memQueue) SetLeaseTTL(lease string, ttl time.Duration) bool {
-	now := time.Now()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.expireLocked(now)
-	l, ok := q.leases[lease]
-	if !ok {
-		return false
-	}
-	l.ttl = ttl
-	if ttl > 0 {
-		l.deadline = now.Add(ttl)
-	} else {
-		l.deadline = time.Time{}
-	}
-	return true
-}
-
 func (q *memQueue) Heartbeat(lease string) bool {
 	now := time.Now()
 	q.mu.Lock()
@@ -410,36 +371,6 @@ func (q *memQueue) ackLocked(lease, taskID string, now time.Time) bool {
 	return true
 }
 
-func (q *memQueue) Nack(lease, taskID string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.expireLocked(time.Now())
-	l, ok := q.leases[lease]
-	if !ok {
-		return false
-	}
-	qt, owned := l.tasks[taskID]
-	if !owned {
-		return false
-	}
-	delete(l.tasks, taskID)
-	if len(l.tasks) == 0 {
-		delete(q.leases, lease)
-	}
-	q.requeueLocked(qt, l.owner)
-	return true
-}
-
-// requeueLocked returns a leased task to the front of the queue and
-// releases its hash route (see releaseRouteLocked). Requires q.mu.
-func (q *memQueue) requeueLocked(qt *qtask, owner string) {
-	qt.lease = ""
-	q.releaseRouteLocked(qt, owner)
-	q.pending = append([]*qtask{qt}, q.pending...)
-	q.requeued++
-	q.broadcastLocked()
-}
-
 // releaseRouteLocked drops a requeued task's hash route — but only
 // while the route still points at the owner that held the task. The
 // hash may have been re-routed to another owner in the meantime
@@ -454,8 +385,8 @@ func (q *memQueue) releaseRouteLocked(qt *qtask, owner string) {
 
 // dropHashRefLocked releases one live-task reference on hash. With
 // dropRoute set and no live task left sharing the hash, the affinity
-// route goes too: a route whose every task was withdrawn or drained
-// is a squatter — later tasks of that hash would defer up to
+// route goes too: a route whose every task was withdrawn is a
+// squatter — later tasks of that hash would defer up to
 // affinityWait to an owner that may never lease again. (Ack passes
 // false: a completed task's route is a warm-cache hint worth keeping.)
 // Requires q.mu.
@@ -485,31 +416,6 @@ func (q *memQueue) Withdraw(taskID string) bool {
 	q.dropHashRefLocked(qt.task.Hash, true)
 	q.broadcastLocked()
 	return true
-}
-
-func (q *memQueue) Pos(taskID string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, qt := range q.pending {
-		if qt.task.ID == taskID {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-func (q *memQueue) Drain() []Task {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	tasks := make([]Task, 0, len(q.pending))
-	for _, qt := range q.pending {
-		tasks = append(tasks, qt.task)
-		delete(q.byID, qt.task.ID)
-		q.dropHashRefLocked(qt.task.Hash, true)
-	}
-	q.pending = nil
-	q.broadcastLocked()
-	return tasks
 }
 
 func (q *memQueue) Expire(now time.Time) int {

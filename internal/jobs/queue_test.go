@@ -51,9 +51,9 @@ func TestAffinityEvictionBounded(t *testing.T) {
 	}
 }
 
-// TestRequeueKeepsTakenOverRoute pins the requeue/affinity interaction:
-// a Nack (or lease expiry) drops the task's hash route only while it
-// still points at the nacking task's owner. If another owner took the
+// TestRequeueKeepsTakenOverRoute pins the requeue/affinity
+// interaction: lease expiry drops a task's hash route only while it
+// still points at the expired lease's owner. If another owner took the
 // hash over in the meantime — affinity-wait takeover, work stealing —
 // the route is that owner's live state and must survive. (Requeue used
 // to delete the route unconditionally, severing the new owner's route
@@ -65,7 +65,7 @@ func TestRequeueKeepsTakenOverRoute(t *testing.T) {
 	if err := q.Enqueue(Task{ID: "t1", Hash: "H"}); err != nil {
 		t.Fatal(err)
 	}
-	leaseA, tasks := q.Lease("owner-a", 1, 0)
+	_, tasks := q.Lease("owner-a", 1, time.Hour)
 	if len(tasks) != 1 || tasks[0].ID != "t1" {
 		t.Fatalf("owner-a leased %v, want [t1]", tasks)
 	}
@@ -78,38 +78,29 @@ func TestRequeueKeepsTakenOverRoute(t *testing.T) {
 	q.mu.Lock()
 	q.byID["t2"].enqueued = time.Now().Add(-q.affinityWait - time.Second)
 	q.mu.Unlock()
-	leaseB, tasks := q.Lease("owner-b", 1, 0)
+	_, tasks = q.Lease("owner-b", 1, 2*time.Hour)
 	if len(tasks) != 1 || tasks[0].ID != "t2" {
 		t.Fatalf("owner-b leased %v, want [t2]", tasks)
 	}
-	q.mu.Lock()
-	if got := q.affinity["H"]; got != "owner-b" {
-		q.mu.Unlock()
-		t.Fatalf("after takeover H routes to %q, want owner-b", got)
-	}
-	q.mu.Unlock()
-
-	// A nacks its stale t1: B's route must survive the requeue.
-	if !q.Nack(leaseA, "t1") {
-		t.Fatal("owner-a's Nack of t1 rejected")
-	}
-	q.mu.Lock()
-	got, ok := q.affinity["H"]
-	q.mu.Unlock()
-	if !ok || got != "owner-b" {
-		t.Fatalf("after owner-a's nack H routes to %q (present=%v), want owner-b", got, ok)
+	if owner, ok := route(q, "H"); !ok || owner != "owner-b" {
+		t.Fatalf("after takeover H routes to %q, want owner-b", owner)
 	}
 
-	// The current route holder's own nack still releases the hash so
+	// A's lease lapses and t1 requeues: B's route must survive.
+	if n := q.Expire(time.Now().Add(90 * time.Minute)); n != 1 {
+		t.Fatalf("expiry of owner-a's lease requeued %d tasks, want 1", n)
+	}
+	if owner, ok := route(q, "H"); !ok || owner != "owner-b" {
+		t.Fatalf("after owner-a's lease lapsed H routes to %q (present=%v), want owner-b", owner, ok)
+	}
+
+	// The current route holder's own lapse still releases the hash so
 	// other owners can pick the requeued work up immediately.
-	if !q.Nack(leaseB, "t2") {
-		t.Fatal("owner-b's Nack of t2 rejected")
+	if n := q.Expire(time.Now().Add(3 * time.Hour)); n != 1 {
+		t.Fatalf("expiry of owner-b's lease requeued %d tasks, want 1", n)
 	}
-	q.mu.Lock()
-	_, ok = q.affinity["H"]
-	q.mu.Unlock()
-	if ok {
-		t.Fatal("owner-b's own nack should drop its route to H")
+	if owner, ok := route(q, "H"); ok {
+		t.Fatalf("owner-b's own lapse should drop its route to H, still routes to %q", owner)
 	}
 }
 
@@ -207,37 +198,6 @@ func TestWithdrawClearsOrphanRoute(t *testing.T) {
 	}
 	if owner, ok := route(q, "K"); ok {
 		t.Fatalf("route K = %q survived withdrawing the hash's only task", owner)
-	}
-}
-
-// TestDrainClearsOrphanRoutes is the Drain counterpart of
-// TestWithdrawClearsOrphanRoute: draining the pending backlog drops
-// the routes of hashes with no leased task left, and keeps the routes
-// of hashes still held under a lease.
-func TestDrainClearsOrphanRoutes(t *testing.T) {
-	q := NewMemQueue(0).(*memQueue)
-	mustEnqueue(t, q,
-		Task{ID: "t1", Hash: "held"},
-		Task{ID: "t2", Hash: "held"},
-		Task{ID: "t3", Hash: "orphan"},
-	)
-	if _, tasks := q.Lease("owner-a", 1, 0); len(tasks) != 1 || tasks[0].ID != "t1" {
-		t.Fatalf("leased %v, want [t1]", ids(tasks))
-	}
-	// Route "orphan" to a dead owner so Drain is what must clean it up.
-	q.mu.Lock()
-	q.affinityLocked("orphan", "owner-dead")
-	q.mu.Unlock()
-
-	drained := q.Drain()
-	if len(drained) != 2 {
-		t.Fatalf("drained %v, want [t2 t3]", ids(drained))
-	}
-	if owner, ok := route(q, "held"); !ok || owner != "owner-a" {
-		t.Fatalf("route held = %q (present=%v), want owner-a (t1 still leased)", owner, ok)
-	}
-	if owner, ok := route(q, "orphan"); ok {
-		t.Fatalf("route orphan = %q survived draining the hash's only task", owner)
 	}
 }
 

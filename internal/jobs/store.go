@@ -135,7 +135,7 @@ func (s *memStore) Len() int {
 
 // shardedStore spreads the buffer index over n independent in-process
 // stores, keyed by a content hash of the job ID, so index operations
-// from many concurrent streams and executors contend on 1/n of a lock
+// from many concurrent streams and producers contend on 1/n of a lock
 // instead of one. The buffers themselves are unchanged — sharding is
 // purely an index-level concern, which is what makes the two
 // implementations interchangeable behind ResultStore.

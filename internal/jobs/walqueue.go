@@ -25,8 +25,8 @@ type WALOptions struct {
 }
 
 // WALQueue decorates a Queue with a write-ahead log so admitted work
-// survives a coordinator crash. Every Enqueue, Ack, Withdraw and
-// drained task is logged; leases deliberately are NOT — a lease is a
+// survives a coordinator crash. Every Enqueue, Ack and Withdraw is
+// logged; leases deliberately are NOT — a lease is a
 // liveness fact about a worker, and after a restart no such fact
 // deserves trust. On open the log (snapshot + tail) replays every
 // logged-but-unacked task into the inner queue as pending, in original
@@ -44,7 +44,7 @@ type WALQueue struct {
 	opt   WALOptions
 
 	// mu orders logged mutations with their log frames; pure
-	// passthroughs (Lease, Heartbeat, Nack, ...) skip it and hit the
+	// passthroughs (Lease, Heartbeat, Expire, ...) skip it and hit the
 	// inner queue's own lock directly.
 	mu        sync.Mutex
 	log       *os.File
@@ -59,7 +59,7 @@ type WALQueue struct {
 const (
 	opWALEnqueue  = 'E' // payload: walRecord JSON
 	opWALAck      = 'A' // payload: raw task ID
-	opWALRemove   = 'W' // payload: raw task ID (withdraw or drain)
+	opWALRemove   = 'W' // payload: raw task ID (withdraw)
 	opWALAckBatch = 'B' // payload: JSON array of task IDs (one batched ack)
 )
 
@@ -78,7 +78,7 @@ type walRecord struct {
 // walTask is one admitted task's log state.
 type walTask struct {
 	rec  walRecord
-	gone bool // acked/withdrawn/drained
+	gone bool // acked/withdrawn
 }
 
 // NewWALQueue opens (creating if needed) a write-ahead log in dir
@@ -345,16 +345,6 @@ func (w *WALQueue) Withdraw(taskID string) bool {
 	return true
 }
 
-func (w *WALQueue) Drain() []Task {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	tasks := w.inner.Drain()
-	for _, t := range tasks {
-		w.removeLocked(opWALRemove, t.ID) //dms:lockok w.mu is the WAL serialization point; frames must match queue-op order
-	}
-	return tasks
-}
-
 // removeLocked tombstones a resolved task and logs its removal.
 // Requires w.mu.
 func (w *WALQueue) removeLocked(op byte, taskID string) {
@@ -367,7 +357,8 @@ func (w *WALQueue) removeLocked(op byte, taskID string) {
 }
 
 // The remaining Queue methods are pure passthroughs: leases,
-// heartbeats and requeues are liveness state, deliberately unlogged.
+// heartbeats and expiry requeues are liveness state, deliberately
+// unlogged.
 
 func (w *WALQueue) Lease(owner string, max int, ttl time.Duration) (string, []Task) {
 	return w.inner.Lease(owner, max, ttl)
@@ -379,14 +370,6 @@ func (w *WALQueue) LeaseFiltered(owner string, max int, ttl time.Duration, eligi
 
 func (w *WALQueue) Heartbeat(lease string) bool { return w.inner.Heartbeat(lease) }
 
-func (w *WALQueue) Nack(lease, taskID string) bool { return w.inner.Nack(lease, taskID) }
-
-func (w *WALQueue) SetLeaseTTL(lease string, ttl time.Duration) bool {
-	return w.inner.SetLeaseTTL(lease, ttl)
-}
-
-func (w *WALQueue) Pos(taskID string) int { return w.inner.Pos(taskID) }
-
 func (w *WALQueue) Expire(now time.Time) int { return w.inner.Expire(now) }
 
 func (w *WALQueue) Changed() <-chan struct{} { return w.inner.Changed() }
@@ -394,7 +377,7 @@ func (w *WALQueue) Changed() <-chan struct{} { return w.inner.Changed() }
 func (w *WALQueue) Stats() QueueStats { return w.inner.Stats() }
 
 // Inner returns the decorated queue (tests reach through it; the
-// engine never needs to).
+// service never needs to).
 func (w *WALQueue) Inner() Queue { return w.inner }
 
 // Recovered returns the tasks replayed into the inner queue when the

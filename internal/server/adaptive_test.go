@@ -14,13 +14,13 @@ import (
 )
 
 // TestAdaptiveRetryAfter pins the hint formula: fallback until an EWMA
-// exists, then depth × EWMA over the executor pool, floored at the
-// header's one-second grammar and capped at MaxRetryAfter.
+// exists, then (depth+1) × EWMA over the running batches, floored at
+// the header's one-second grammar and capped at MaxRetryAfter.
 func TestAdaptiveRetryAfter(t *testing.T) {
 	cases := []struct {
 		name     string
 		depth    int
-		workers  int
+		running  int
 		ewma     time.Duration
 		fallback time.Duration
 		want     time.Duration
@@ -28,14 +28,14 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 		{"no observations yet", 10, 2, 0, 3 * time.Second, 3 * time.Second},
 		{"fast batches floor at 1s", 0, 2, 5 * time.Millisecond, time.Second, time.Second},
 		{"depth scales the hint", 3, 1, 2 * time.Second, time.Second, 8 * time.Second},
-		{"executors divide the wait", 3, 4, 2 * time.Second, time.Second, 2 * time.Second},
-		{"zero workers treated as one", 1, 0, 2 * time.Second, time.Second, 4 * time.Second},
+		{"running batches divide the wait", 3, 4, 2 * time.Second, time.Second, 2 * time.Second},
+		{"nothing running treated as one", 1, 0, 2 * time.Second, time.Second, 4 * time.Second},
 		{"deep slow queue hits the cap", 10000, 1, time.Minute, time.Second, MaxRetryAfter},
 	}
 	for _, tc := range cases {
-		if got := adaptiveRetryAfter(tc.depth, tc.workers, tc.ewma, tc.fallback); got != tc.want {
+		if got := adaptiveRetryAfter(tc.depth, tc.running, tc.ewma, tc.fallback); got != tc.want {
 			t.Errorf("%s: adaptiveRetryAfter(%d, %d, %v, %v) = %v, want %v",
-				tc.name, tc.depth, tc.workers, tc.ewma, tc.fallback, got, tc.want)
+				tc.name, tc.depth, tc.running, tc.ewma, tc.fallback, got, tc.want)
 		}
 	}
 }
@@ -57,7 +57,7 @@ func TestServerAdaptiveRetryAfterScalesWithLoad(t *testing.T) {
 	svc, ts := newTestServer(t, Options{
 		Registry:      reg,
 		QueueCapacity: 1,
-		QueueWorkers:  1,
+		Parallelism:   1,
 		RetryAfter:    time.Second, // the pre-EWMA fallback
 	})
 
@@ -96,7 +96,7 @@ func TestServerAdaptiveRetryAfterScalesWithLoad(t *testing.T) {
 		t.Errorf("metrics endpoint EWMAServiceMS = %v, want >= 1000", wire.Queue.EWMAServiceMS)
 	}
 
-	// Occupy the executor and the queue slot.
+	// Occupy the one puller and the queue slot.
 	running := submitJob(t, ts.URL, mkReq(1))
 	deadline := time.Now().Add(10 * time.Second)
 	for getJob(t, ts.URL, running.ID).State == api.JobQueued {
@@ -108,7 +108,7 @@ func TestServerAdaptiveRetryAfterScalesWithLoad(t *testing.T) {
 	submitJob(t, ts.URL, mkReq(2))
 
 	// The saturated sync surface must answer with the scaled hint —
-	// depth 1, EWMA ~1.2s, one executor: ceil((1+1)*1.2) ≥ 2s, beyond
+	// depth 1, EWMA ~1.2s, one running batch: ceil((1+1)*1.2) ≥ 2s, beyond
 	// the 1s fallback — and its queue position in the error detail.
 	body, _ := json.Marshal(mkReq(3))
 	resp, err = http.Post(ts.URL+api.PathCompile, "application/json", bytes.NewReader(body))

@@ -33,11 +33,6 @@ const (
 	// lease (and the coordinator's exposure to one slow worker hoarding
 	// the queue) stays bounded.
 	DefaultLeaseChunkMax = 256
-	// DefaultLeaseTTLExact is the stretched heartbeat deadline applied
-	// to leases carrying exact or portfolio units: an exhaustive SAT
-	// search can legitimately run past the default TTL without posting
-	// anything, and expiring it mid-solve just computes the proof twice.
-	DefaultLeaseTTLExact = 60 * time.Second
 	// DefaultWorkerPoll is the re-poll hint sent with empty leases.
 	DefaultWorkerPoll = 500 * time.Millisecond
 	// maxLeaseWait caps a lease request's long-poll budget.
@@ -52,10 +47,9 @@ var errLeaseExpired = errors.New("server: lease expired")
 // admitted batch into compile units on a jobs.Queue, which in-process
 // pullers (standalone) or worker processes (Distribute) lease from —
 // remote leases come in chunks routed by the units' content hashes,
-// with work stealing (see jobs.Queue) — and routes the results back
-// into each batch's emit stream. A unit is resolved exactly once (see
-// postResults): a result raced by a lease expiry is never
-// double-emitted.
+// with work stealing (see jobs.Queue) — and appends the results to
+// each batch's job. A unit is resolved exactly once (see postResults):
+// a result raced by a lease expiry is never double-appended.
 type dispatcher struct {
 	q        jobs.Queue
 	cache    *Cache
@@ -63,10 +57,12 @@ type dispatcher struct {
 	pullers  int              // in-process pullers; 0 leaves every unit to workers
 	perBatch int32            // pullers one batch may hold at once
 	ttl      time.Duration
-	ttlExact time.Duration // TTL for leases carrying exact/portfolio units
-	chunk    int           // hand-out size for requests that name none
-	chunkMax int           // hard cap on any hand-out
+	chunk    int // hand-out size for requests that name none
+	chunkMax int // hard cap on any hand-out
 	poll     time.Duration
+	// observe sees every result a batch's job receives, with the
+	// unit's scheduler name, unless the job was canceled.
+	observe func(rec api.JobResult, scheduler string)
 
 	mu         sync.Mutex
 	units      map[string]*unit        // live (pending or leased) units by ID
@@ -75,15 +71,11 @@ type dispatcher struct {
 	dispatched uint64
 	resolved   uint64
 
-	batchSeq atomic.Uint64
+	closed   bool        // Close has begun; guarded by mu
 	shutdown atomic.Bool // process exiting: keep canceled units durable
 
-	// root parents the contexts of recovered batches, which pullers may
-	// compile before an executor attaches the batch's own context.
-	root       context.Context
-	cancelRoot context.CancelFunc
-	stop       chan struct{}
-	wg         sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup // janitor, pullers, and batches being queued
 }
 
 // leaseState records what one live lease holds and which worker holds
@@ -149,37 +141,39 @@ func (u *unit) wireForm() api.WorkUnit {
 	return u.wire
 }
 
-// dispatchBatch tracks one batch's outstanding units. closed flips
-// when the batch ends (all units resolved, or its context canceled);
-// results arriving afterwards are discarded. ctx is what in-process
-// pullers compile the batch's units under. A batch recovered after a
-// restart exists before its run closure does: results that land in
-// that window buffer in backlog and flush when the executor attaches
-// the emit stream.
+// dispatchBatch tracks one batch's outstanding units on behalf of its
+// job. closed flips when the batch ends (all units resolved, or its job
+// canceled); results arriving afterwards are discarded. ctx, the job's
+// context, is what in-process pullers compile the batch's units under.
 type dispatchBatch struct {
+	job     *jobs.Job
 	ctx     context.Context
 	pulling atomic.Int32 // units in-process pullers hold
+	started atomic.Bool  // the job has been started
 	mu      sync.Mutex
 	closed  bool
 	pending int
-	emit    func(api.JobResult)
-	backlog []api.JobResult // results resolved before emit attached
-	done    chan struct{}
 }
 
-func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
+func newBatch(j *jobs.Job, pending int) *dispatchBatch {
+	return &dispatchBatch{job: j, ctx: j.Context(), pending: pending}
+}
+
+// start marks the batch's job running, once: at the first unit claimed
+// or result settled.
+func (b *dispatchBatch) start() {
+	if b.started.CompareAndSwap(false, true) {
+		b.job.Start()
+	}
+}
+
+func newDispatcher(cache *Cache, q jobs.Queue, opt Options, observe func(api.JobResult, string)) *dispatcher {
 	if q == nil {
 		q = jobs.NewMemQueue(0) // admission is bounded per batch upstream
 	}
-	ttl, ttlExact, chunk, chunkMax, poll := opt.LeaseTTL, opt.LeaseTTLExact, opt.LeaseChunk, opt.LeaseChunkMax, opt.WorkerPoll
+	ttl, chunk, chunkMax, poll := opt.LeaseTTL, opt.LeaseChunk, opt.LeaseChunkMax, opt.WorkerPoll
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
-	}
-	if ttlExact <= 0 {
-		ttlExact = DefaultLeaseTTLExact
-	}
-	if ttlExact < ttl {
-		ttlExact = ttl // the exact TTL only ever stretches the deadline
 	}
 	if chunk <= 0 {
 		chunk = DefaultLeaseChunk
@@ -193,14 +187,10 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	if poll <= 0 {
 		poll = DefaultWorkerPoll
 	}
-	workers, par := opt.QueueWorkers, opt.Parallelism
-	if workers <= 0 {
-		workers = jobs.DefaultWorkers
+	pullers := opt.Parallelism
+	if pullers <= 0 {
+		pullers = 2 * runtime.GOMAXPROCS(0)
 	}
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	pullers := workers * par
 	if opt.Distribute {
 		pullers = 0 // every unit goes to remote workers
 	}
@@ -209,19 +199,17 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 		cache:    cache,
 		registry: opt.Registry,
 		pullers:  pullers,
-		perBatch: int32(par),
+		perBatch: int32((pullers + 1) / 2),
 		ttl:      ttl,
-		ttlExact: ttlExact,
 		chunk:    chunk,
 		chunkMax: chunkMax,
 		poll:     poll,
+		observe:  observe,
 		units:    make(map[string]*unit),
 		leases:   make(map[string]*leaseState),
 		workers:  make(map[string]*workerState),
 		stop:     make(chan struct{}),
 	}
-	//dms:ctxok dispatcher root: recovered batches compile before any request context exists
-	d.root, d.cancelRoot = context.WithCancel(context.Background())
 	d.wg.Add(1)
 	go d.janitor()
 	return d
@@ -244,10 +232,10 @@ const pullerOwner = "local"
 // ttl 0 — an in-process lease cannot outlive its holder — compiles the
 // unit's own job under its batch's context, and resolves the result
 // through postResults, the queue Ack a remote worker's post takes. A
-// batch holds at most about perBatch pullers, as many workers as it
-// had of its own before, so side-by-side batches share the pool rather
-// than the oldest taking all of it. Once shutdown begins a puller
-// resolves nothing, leaving its units on the durable queue.
+// batch holds at most about perBatch pullers, half the pool, so
+// side-by-side batches share the pool rather than the oldest taking
+// all of it. Once shutdown begins a puller resolves nothing, leaving
+// its units on the durable queue.
 func (d *dispatcher) pull() {
 	defer d.wg.Done()
 	// The count is read here and raised after the lease, so concurrent
@@ -286,15 +274,14 @@ func (d *dispatcher) pull() {
 	}
 }
 
-// claim resolves a lease's tasks to the dispatcher's live units. A
-// task replayed from the durable queue carries its wire form, so the
-// authoritative *unit (with its batch binding) is the adopted one
-// under d.units; a task no batch owns (its job was lost in recovery)
-// is acked off the queue for good.
+// claim resolves a lease's tasks to the dispatcher's live units and
+// starts their batches' jobs. A task replayed from the durable queue
+// carries its wire form, so the authoritative *unit (with its batch
+// binding) is the adopted one under d.units; a task no batch owns (its
+// job was lost in recovery) is acked off the queue for good.
 func (d *dispatcher) claim(lease string, tasks []jobs.Task) []*unit {
 	units := make([]*unit, 0, len(tasks))
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, t := range tasks {
 		u, live := d.units[t.ID]
 		if !live {
@@ -302,6 +289,10 @@ func (d *dispatcher) claim(lease string, tasks []jobs.Task) []*unit {
 			continue
 		}
 		units = append(units, u)
+	}
+	d.mu.Unlock()
+	for _, u := range units {
+		u.batch.start()
 	}
 	return units
 }
@@ -375,35 +366,49 @@ func workerLiveness(ttl time.Duration) time.Duration {
 	return l
 }
 
-// Close stops the janitor and the pullers, aborting what the pullers
-// still compile for recovered batches; in-flight RunBatch calls are
-// ended by their own contexts (the engine cancels them on shutdown).
+// Close stops the janitor, the pullers and the batches still being
+// queued, and waits for them. The engine has canceled every job by
+// then, which aborts what the pullers compile.
 func (d *dispatcher) Close() {
+	d.mu.Lock()
+	d.closed = true
+	d.mu.Unlock()
 	close(d.stop)
-	d.cancelRoot()
 	d.wg.Wait()
 }
 
-// RunBatch is the run closure body of every batch: it resolves cache
-// hits immediately, queues the rest as leasable units, and blocks
-// until every unit has a result or ctx ends (canceling the batch and
-// withdrawing its pending units). emit observes one record stream
-// whoever compiles the units: completion order, Index set, Cached
-// marking cache hits.
-func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout time.Duration, noCache bool, emit func(api.JobResult)) {
+// submit hands an admitted batch to the unit queue. Keying and
+// queueing run on a goroutine of their own, so the submitting request
+// answers at once: cache hits resolve immediately, the rest become
+// leasable units. The batch's job receives one record stream whoever
+// compiles the units — completion order, Index set, Cached marking
+// cache hits — and finishes with its last unit. Canceling the job
+// withdraws its pending units.
+func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Duration, noCache bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return // the engine closed first, and canceled j
+	}
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		d.enqueue(j, jobList, timeout, noCache)
+	}()
+}
+
+// enqueue keys the batch and queues its units, stopping early when the
+// job is canceled.
+func (d *dispatcher) enqueue(j *jobs.Job, jobList []driver.Job, timeout time.Duration, noCache bool) {
 	// Each unit is queued as soon as it is keyed, so compiles start
 	// while the rest of the batch is still being keyed; the loop holds
 	// one extra pending count until it is done, so units resolving
-	// meanwhile cannot close the batch early.
-	b := &dispatchBatch{ctx: ctx, emit: emit, pending: len(jobList) + 1, done: make(chan struct{})}
-	// Units are keyed by the engine job ID so that durable queue state
-	// written under one process re-attaches to the same job resource in
-	// the next; callers outside an executor (tests) fall back to a
-	// process-local sequence.
-	batchID := jobs.JobID(ctx)
-	if batchID == "" {
-		batchID = fmt.Sprintf("b%d", d.batchSeq.Add(1))
-	}
+	// meanwhile cannot finish the job early.
+	b := newBatch(j, len(jobList)+1)
+	// Units are keyed by the job ID so that durable queue state written
+	// under one process re-attaches to the same job resource in the
+	// next.
+	batchID := j.ID()
 	// Content-hash routing steers identical units to a remote worker's
 	// warm cache; in-process pullers share one cache, so their units go
 	// unrouted, in plain FIFO order.
@@ -411,6 +416,9 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 	keys := newKeyer()
 	var enq []*unit
 	for i, job := range jobList {
+		if b.ctx.Err() != nil {
+			break // canceled: watch withdraws what was queued
+		}
 		key := keys.key(job)
 		if !noCache {
 			// A puller resolves a miss through Cache.Do, which counts
@@ -419,7 +427,7 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 				rec := v.(api.JobResult)
 				rec.Index = i
 				rec.Cached = true
-				b.settle(&rec)
+				d.settle(b, &rec, job.Scheduler)
 				continue
 			}
 		}
@@ -442,17 +450,20 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 			t.Hash = key
 		}
 		// The unit queue is unbounded — admission control already
-		// happened at the batch queue — so Enqueue cannot fail here.
+		// happened at the engine — so Enqueue cannot fail here.
 		if err := d.q.Enqueue(t); err != nil {
 			panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
 		}
 	}
-	b.settle(nil)
-	select {
-	case <-b.done:
-	case <-ctx.Done():
-		d.cancelBatch(b, enq)
-	}
+	d.settle(b, nil, "")
+	d.watch(b, enq)
+}
+
+// watch cancels the batch once its job's context ends. A job that
+// finished has closed its batch already, so only a canceled one
+// withdraws anything.
+func (d *dispatcher) watch(b *dispatchBatch, units []*unit) {
+	context.AfterFunc(b.ctx, func() { d.cancelBatch(b, units) })
 }
 
 // cancelBatch closes the batch (discarding any later results) and
@@ -462,14 +473,15 @@ func (d *dispatcher) RunBatch(ctx context.Context, jobList []driver.Job, timeout
 // moot from the Canceled list of its next results post.
 //
 // During process shutdown the withdraw is skipped: the engine cancels
-// every running batch on Close, but those units are not abandoned work
-// — on a durable queue they are exactly the state the next process
-// must recover, and withdrawing would erase them from the WAL.
+// every job on Close, but those units are not abandoned work — on a
+// durable queue they are exactly the state the next process must
+// recover, and withdrawing would erase them from the WAL.
 func (d *dispatcher) cancelBatch(b *dispatchBatch, units []*unit) {
 	b.mu.Lock()
+	closed := b.closed
 	b.closed = true
 	b.mu.Unlock()
-	if d.shutdown.Load() {
+	if closed || d.shutdown.Load() {
 		return
 	}
 	d.mu.Lock()
@@ -587,28 +599,17 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 			}
 			units := make([]api.WorkUnit, len(claimed))
 			ids := make([]string, len(claimed))
-			longRunning := false
 			for i, u := range claimed {
 				units[i] = u.wireForm()
 				ids[i] = u.id
-				if u.job.Scheduler == "exact" || u.job.Scheduler == "portfolio" {
-					longRunning = true
-				}
 			}
 			d.mu.Lock()
 			d.leases[id] = &leaseState{worker: req.Worker, units: ids}
 			d.mu.Unlock()
-			ttl := d.ttl
-			// Exact and portfolio units may run a SAT proof for the whole
-			// lease duration without posting anything; stretch the
-			// heartbeat deadline so the proof is not recomputed elsewhere.
-			if longRunning && d.ttlExact > ttl && d.q.SetLeaseTTL(id, d.ttlExact) {
-				ttl = d.ttlExact
-			}
 			// Remaining reports the backlog left after this lease was
 			// carved out: the input to the worker's next chunk decision.
 			remaining := d.q.Stats().Pending
-			return api.Lease{ID: id, Units: units, TTLMS: int(ttl / time.Millisecond), Remaining: remaining}
+			return api.Lease{ID: id, Units: units, TTLMS: int(d.ttl / time.Millisecond), Remaining: remaining}
 		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
@@ -657,7 +658,7 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored 
 	resp := &api.WorkResultsResponse{}
 	// One pass under d.mu claims every live unit and attributes it to
 	// the posting worker's gauges; the batch resolution (cache adds and
-	// emit calls) runs outside the lock in post order.
+	// job appends) runs outside the lock in post order.
 	type resolvedUnit struct {
 		u   *unit
 		rec api.JobResult
@@ -733,28 +734,30 @@ func (d *dispatcher) resolve(u *unit, rec api.JobResult, stored bool) {
 		d.cache.Add(u.key, entry)
 	}
 	rec.Index = u.index
-	u.batch.settle(&rec)
+	d.settle(u.batch, &rec, u.job.Scheduler)
 }
 
-// settle counts one pending unit of the batch as done, first emitting
-// rec when there is one — into the backlog while no emit is attached
-// — and closes the batch when nothing is left pending. A closed batch
-// discards late results.
-func (b *dispatchBatch) settle(rec *api.JobResult) {
+// settle counts one pending unit of the batch as done, first appending
+// rec to the batch's job when there is one, and finishes the job when
+// nothing is left pending. A closed batch discards late results.
+func (d *dispatcher) settle(b *dispatchBatch, rec *api.JobResult, scheduler string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
 	}
-	if rec != nil && b.emit == nil {
-		b.backlog = append(b.backlog, *rec)
-	} else if rec != nil {
-		b.emit(*rec)
+	if rec != nil {
+		b.start()
+		// A result drained by a cancellation is not a compile failure.
+		if b.ctx.Err() == nil {
+			d.observe(*rec, scheduler)
+		}
+		b.job.Append(*rec)
 	}
 	b.pending--
 	if b.pending == 0 {
 		b.closed = true
-		close(b.done)
+		b.job.Finish()
 	}
 }
 
@@ -767,28 +770,23 @@ type adoptedUnit struct {
 	Wire  api.WorkUnit
 }
 
-// adopt rebinds recovered units to a fresh batch and returns the run
-// closure that resumes it. The units are registered immediately — their
-// tasks are already on the replayed queue, so a worker or puller may
-// lease one before an executor picks the run up; results that land in
-// that window buffer in the batch backlog and flush when emit attaches.
-// The batch compiles under a context of its own, canceled when the run
-// ends (or the dispatcher closes). A unit whose wire form no longer
-// parses is withdrawn and resolved as an error record, so the batch
-// still reaches a terminal state.
-func (d *dispatcher) adopt(unitList []adoptedUnit) jobs.RunFunc {
-	ctx, cancel := context.WithCancel(d.root)
-	b := &dispatchBatch{ctx: ctx, pending: len(unitList), done: make(chan struct{})}
+// adopt binds recovered units to j, the live job engine recovery
+// returned for them. Their tasks are already on the replayed queue, so
+// a worker or puller may lease one as soon as it is registered. A unit
+// whose wire form no longer parses is withdrawn and resolved as an
+// error record, so the job still reaches a terminal state.
+func (d *dispatcher) adopt(j *jobs.Job, unitList []adoptedUnit) {
+	b := newBatch(j, len(unitList))
 	var live []*unit
 	for _, au := range unitList {
 		job, err := UnitJob(au.Wire)
 		if err != nil {
 			d.q.Withdraw(au.ID)
-			b.settle(&api.JobResult{
+			d.settle(b, &api.JobResult{
 				Index:     au.Index,
 				Error:     fmt.Sprintf("recovered unit unusable: %v", err),
 				ErrorCode: api.CodeInternal,
-			})
+			}, au.Wire.Scheduler)
 			continue
 		}
 		u := &unit{
@@ -810,25 +808,7 @@ func (d *dispatcher) adopt(unitList []adoptedUnit) jobs.RunFunc {
 	d.dispatched += uint64(len(unitList))
 	d.resolved += uint64(len(unitList) - len(live))
 	d.mu.Unlock()
-	return func(ctx context.Context, emit func(api.JobResult)) {
-		defer cancel()
-		b.mu.Lock()
-		for _, rec := range b.backlog {
-			emit(rec)
-		}
-		b.backlog = nil
-		b.emit = emit
-		finished := b.closed
-		b.mu.Unlock()
-		if finished {
-			return
-		}
-		select {
-		case <-b.done:
-		case <-ctx.Done():
-			d.cancelBatch(b, live)
-		}
-	}
+	d.watch(b, live)
 }
 
 // Metrics snapshots the dispatcher in its wire form, including the

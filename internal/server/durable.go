@@ -60,9 +60,9 @@ func (d *durableState) close() {
 //     queued unit for it (an ack whose log frame was lost) is withdrawn;
 //   - a job whose buffer covers all n indices re-registers as done;
 //   - a job whose queued units cover exactly the missing indices is
-//     adopted by the dispatcher and resumed through engine.Recover, so
-//     pullers or workers finish it and clients keep polling the same
-//     job ID;
+//     re-registered through engine.Recover and its units adopted by the
+//     dispatcher, so pullers or workers finish it and clients keep
+//     polling the same job ID;
 //   - anything else — missing units, a buffer without its size metadata,
 //     units whose job left no buffer — cannot be resumed faithfully and
 //     is registered as canceled (or dropped) with an explanatory failure.
@@ -147,13 +147,11 @@ func (s *Server) recoverJob(jobID string, n int, units []adoptedUnit) {
 	case len(covered) >= n:
 		s.engine.RecoverFinished(jobID, n, api.JobDone, "")
 	case len(missing) == 0:
-		run := s.dispatch.adopt(adopt)
-		if _, err := s.engine.Recover(jobID, n, run); err != nil {
-			// The admission queue cannot take the batch back; release
-			// the adopted units and settle the job as canceled.
-			s.dispatch.abandon(adopt)
-			s.engine.RecoverFinished(jobID, n, api.JobCanceled,
-				fmt.Sprintf("recovered batch not re-admitted: %v", err))
+		// Recover fails only for an ID registered twice, which the
+		// store's one buffer per job rules out; units left without a
+		// job would be acked off the queue when leased.
+		if j, err := s.engine.Recover(jobID, n); err == nil {
+			s.dispatch.adopt(j, adopt)
 		}
 	default:
 		for _, u := range adopt {
@@ -161,19 +159,6 @@ func (s *Server) recoverJob(jobID string, n int, units []adoptedUnit) {
 		}
 		s.engine.RecoverFinished(jobID, n, api.JobCanceled,
 			"batch incomplete after coordinator restart: queued units lost")
-	}
-}
-
-// abandon releases units registered by adopt whose job could not be
-// re-admitted: withdrawn from the queue, forgotten by the dispatcher.
-func (d *dispatcher) abandon(units []adoptedUnit) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, u := range units {
-		if d.q.Withdraw(u.ID) {
-			d.resolved++
-		}
-		delete(d.units, u.ID)
 	}
 }
 

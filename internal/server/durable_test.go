@@ -111,9 +111,9 @@ func TestDurableStandaloneResumesInterruptedBatch(t *testing.T) {
 	reg.MustRegister(gated)
 	reg.MustRegister(twophase)
 	dir := t.TempDir()
-	// Four pullers: three hold the gated dms units, the fourth resolves
-	// every twophase unit.
-	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Registry: reg, QueueWorkers: 1, Parallelism: 4})
+	// Eight pullers, four per batch: three hold the gated dms units, the
+	// fourth resolves every twophase unit.
+	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Registry: reg, Parallelism: 8})
 
 	req := api.CompileRequest{
 		Protocol:   api.Version,
@@ -215,8 +215,17 @@ func TestDurableCoordinatorGracefulRestartKeepsUnits(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if dm := svc2.Snapshot().Dispatch; dm.PendingUnits != 0 || dm.LeasedUnits != 0 {
-		t.Fatalf("units survived cancellation: %+v", dm)
+	// The job is canceled at once; its units are withdrawn by the
+	// batch's cancellation callback, which runs on its own goroutine.
+	for {
+		dm := svc2.Snapshot().Dispatch
+		if dm.PendingUnits == 0 && dm.LeasedUnits == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("units survived cancellation: %+v", dm)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestPullerCancelReachesScheduler(t *testing.T) {
 	probe := &ctxProbe{Gated: gated}
 	reg := driver.NewRegistry()
 	reg.MustRegister(probe)
-	svc, ts := newTestServer(t, Options{Registry: reg, QueueWorkers: 1, Parallelism: 1})
+	svc, ts := newTestServer(t, Options{Registry: reg, Parallelism: 1})
 
 	victim := submitJob(t, ts.URL, oneLoopReq(t, 0))
 	eventually(t, "the puller to reach the scheduler", func() bool { return gated.Calls.Load() == 1 })
@@ -100,7 +100,7 @@ func TestPullerCancelReachesScheduler(t *testing.T) {
 // puller's back.
 func TestPullerOutlivesLeaseTTL(t *testing.T) {
 	reg, gated := newGatedRegistry(t)
-	svc, ts := newTestServer(t, Options{Registry: reg, LeaseTTL: 20 * time.Millisecond, QueueWorkers: 1, Parallelism: 1})
+	svc, ts := newTestServer(t, Options{Registry: reg, LeaseTTL: 20 * time.Millisecond, Parallelism: 1})
 
 	req := oneLoopReq(t, 0)
 	req.Loops = goldenLoops(t)[:2]

@@ -22,19 +22,19 @@
 //	GET    /v1/healthz           — liveness probe
 //
 // Every batch — synchronous or not — flows through one execution
-// path: the internal/jobs engine, a bounded FIFO admission queue in
-// front of a fixed executor pool, whose executors split each batch into
-// compile units on the dispatcher's unit queue. In-process pullers
-// (standalone) or worker processes (Options.Distribute) lease the units
-// and resolve each through the same queue Ack; with Options.DataDir the
-// queue is write-ahead logged, so any interrupted batch resumes after a
-// restart. /v1/compile is a thin wrapper that submits a job and streams
-// its buffer until the terminal state; when the queue is saturated,
-// both surfaces reject with a structured 429 queue_full error and a
-// Retry-After hint instead of queueing without bound. Finished jobs
-// retain their results for a TTL, so a dropped results connection
-// re-attaches with ?from= and replays the buffer instead of
-// recomputing.
+// path and one queue: the internal/jobs engine registers it as a job,
+// and the dispatcher splits it into compile units on its unit queue.
+// In-process pullers (standalone) or worker processes
+// (Options.Distribute) lease the units and resolve each through the
+// same queue Ack; with Options.DataDir the queue is write-ahead logged,
+// so any interrupted batch resumes after a restart. /v1/compile is a
+// thin wrapper that submits a job and streams its buffer until the
+// terminal state. The engine bounds the jobs queued — admitted, with no
+// unit claimed yet; past that bound both surfaces reject with a
+// structured 429 queue_full error and a Retry-After hint instead of
+// queueing without bound. Finished jobs retain their results for a
+// TTL, so a dropped results connection re-attaches with ?from= and
+// replays the buffer instead of recomputing.
 //
 // Identical jobs are memoized in a content-addressed cache (see Key):
 // the schedule for a (canonical loop, machine config, scheduler,
@@ -97,16 +97,15 @@ type Options struct {
 	// Timeout bounds each job's scheduling time (0 = none). Requests
 	// may tighten it per-job but never exceed it.
 	Timeout time.Duration
-	// Parallelism is the number of in-process pullers a running batch
-	// of a standalone server may hold; the pool has QueueWorkers ×
-	// Parallelism of them (0 = GOMAXPROCS).
+	// Parallelism is the size of a standalone server's in-process
+	// puller pool (0 = 2 × GOMAXPROCS). One batch holds at most half
+	// of it, rounded up, so side-by-side batches share the pool. A
+	// coordinator (Distribute) starts no pullers.
 	Parallelism int
-	// QueueCapacity bounds the jobs awaiting an executor; a submission
-	// past it is rejected with 429 queue_full (0 = jobs.DefaultCapacity).
+	// QueueCapacity bounds the queued jobs — admitted, with no unit
+	// claimed yet; a submission past it is rejected with 429
+	// queue_full (0 = jobs.DefaultCapacity).
 	QueueCapacity int
-	// QueueWorkers is the number of batches executing concurrently
-	// (0 = jobs.DefaultWorkers).
-	QueueWorkers int
 	// JobTTL is how long a finished job's results are retained for
 	// polling and resumed streams (0 = jobs.DefaultTTL).
 	JobTTL time.Duration
@@ -118,7 +117,7 @@ type Options struct {
 	// before the server has observed any batch service times
 	// (0 = DefaultRetryAfter). Once batches have completed, the hint
 	// scales adaptively: queue depth × EWMA batch service time over the
-	// executor pool (see adaptiveRetryAfter).
+	// running batches (see adaptiveRetryAfter).
 	RetryAfter time.Duration
 	// ResultShards spreads the engine's result-buffer index over N
 	// content-hash-keyed shards (0 or 1 = the single in-process store).
@@ -132,11 +131,6 @@ type Options struct {
 	// posts nothing for this long has its unresolved units requeued
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// LeaseTTLExact is the stretched heartbeat deadline for leases
-	// carrying exact or portfolio units, whose SAT search may
-	// legitimately post nothing for the whole solve
-	// (0 = DefaultLeaseTTLExact; never below LeaseTTL).
-	LeaseTTLExact time.Duration
 	// LeaseChunk is the units handed out to a lease request that names
 	// no size of its own — the warm-up hand-out before a
 	// self-scheduling worker sizes its own requests
@@ -279,7 +273,7 @@ func copyCounts(src map[string]int64) map[string]int64 {
 	return dst
 }
 
-// New returns a service with the given options; its executor pool runs
+// New returns a service with the given options; its puller pool runs
 // until Close. It panics when durable state under Options.DataDir
 // cannot be opened — callers setting DataDir should prefer Open.
 func New(opt Options) *Server {
@@ -314,13 +308,12 @@ func Open(opt Options) (*Server, error) {
 		durable: durable,
 		engine: jobs.New(jobs.Options{
 			Capacity:         opt.QueueCapacity,
-			Workers:          opt.QueueWorkers,
 			TTL:              opt.JobTTL,
 			MaxRetainedBytes: opt.MaxRetainedBytes,
 			Store:            store,
 		}),
 	}
-	s.dispatch = newDispatcher(cache, q, opt)
+	s.dispatch = newDispatcher(cache, q, opt, s.observe)
 	if durable != nil {
 		s.recoverDurable()
 	}
@@ -328,14 +321,13 @@ func Open(opt Options) (*Server, error) {
 	return s, nil
 }
 
-// Close stops the job engine: queued jobs finish as canceled without
-// reaching the driver, running batches have their contexts canceled so
-// the schedulers abort cooperatively, and the executor pool drains.
-// The dispatcher's janitor and pullers stop with it. The dispatcher is
-// marked shutting down first, so neither the engine canceling its
-// running batches nor the pullers resolve or withdraw units — on a
-// durable queue they are the state the next process recovers — and the
-// durable files close last.
+// Close stops the job engine: every live job finishes as canceled and
+// its context is canceled, so the schedulers abort cooperatively. The
+// dispatcher's janitor, pullers and batches still being queued stop
+// with it. The dispatcher is marked shutting down first, so neither
+// the engine canceling its jobs nor the pullers resolve or withdraw
+// units — on a durable queue they are the state the next process
+// recovers — and the durable files close last.
 func (s *Server) Close() {
 	s.dispatch.shutdown.Store(true)
 	s.engine.Close()
@@ -557,33 +549,33 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (req api.C
 	return req, jobList, timeout, true
 }
 
-// submit admits a batch to the job engine. The run closure is the one
-// execution path both the synchronous and asynchronous surfaces share:
-// the dispatcher queues the batch's units for the in-process pullers or
-// remote workers, and wire records land in the job's buffer in
-// completion order with Index set, so the client cannot tell where the
-// batch was compiled.
+// submit admits a batch to the job engine and hands it to the
+// dispatcher, the one execution path both the synchronous and
+// asynchronous surfaces share: its units queue for the in-process
+// pullers or remote workers, and wire records land in the job's buffer
+// in completion order with Index set, so the client cannot tell where
+// the batch was compiled.
 func (s *Server) submit(jobList []driver.Job, timeout time.Duration, noCache bool) (*jobs.Job, error) {
-	run := func(ctx context.Context, emit func(api.JobResult)) {
-		s.dispatch.RunBatch(ctx, jobList, timeout, noCache, func(rec api.JobResult) {
-			// Jobs drained by a cancellation are not compile failures;
-			// counting them would make every canceled batch look like an
-			// error storm on the metrics endpoint.
-			if rec.Error != "" && ctx.Err() == nil {
-				s.jobErrors.Add(1)
-			}
-			if jobList[rec.Index].Scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
-				s.portfolio.record(rec.Stats)
-			}
-			emit(rec)
-		})
-	}
-	j, err := s.engine.Submit(len(jobList), run)
+	j, err := s.engine.Submit(len(jobList))
 	if err != nil {
 		return nil, err
 	}
 	s.jobs.Add(int64(len(jobList)))
+	s.dispatch.submit(j, jobList, timeout, noCache)
 	return j, nil
+}
+
+// observe folds one result a job receives into the service counters.
+// The dispatcher skips results of canceled jobs: counting those would
+// make every canceled batch look like an error storm on the metrics
+// endpoint.
+func (s *Server) observe(rec api.JobResult, scheduler string) {
+	if rec.Error != "" {
+		s.jobErrors.Add(1)
+	}
+	if scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
+		s.portfolio.record(rec.Stats)
+	}
 }
 
 // MaxRetryAfter caps the adaptive queue_full backoff hint, so a deep
@@ -592,18 +584,18 @@ const MaxRetryAfter = 5 * time.Minute
 
 // adaptiveRetryAfter sizes the queue_full backoff hint from the
 // observed state of the queue: the time until a freed slot is roughly
-// (depth+1)/workers batches' worth of the smoothed service time. Until
-// a first batch has completed (ewma 0) the configured fallback hint is
-// used; the result is floored at one second (the header's grammar) and
-// capped at MaxRetryAfter.
-func adaptiveRetryAfter(depth, workers int, ewma, fallback time.Duration) time.Duration {
+// (depth+1) batches' worth of the smoothed service time, shared over
+// the running batches. Until a first batch has completed (ewma 0) the
+// configured fallback hint is used; the result is floored at one
+// second (the header's grammar) and capped at MaxRetryAfter.
+func adaptiveRetryAfter(depth, running int, ewma, fallback time.Duration) time.Duration {
 	if ewma <= 0 {
 		return fallback
 	}
-	if workers < 1 {
-		workers = 1
+	if running < 1 {
+		running = 1
 	}
-	est := time.Duration(float64(depth+1) * float64(ewma) / float64(workers))
+	est := time.Duration(float64(depth+1) * float64(ewma) / float64(running))
 	if est > MaxRetryAfter {
 		est = MaxRetryAfter
 	}
@@ -620,7 +612,7 @@ func adaptiveRetryAfter(depth, workers int, ewma, fallback time.Duration) time.D
 // with queue depth × observed EWMA batch service time.
 func (s *Server) writeQueueFull(w http.ResponseWriter) {
 	m := s.engine.Metrics()
-	retry := adaptiveRetryAfter(m.Depth, m.Workers,
+	retry := adaptiveRetryAfter(m.Depth, m.Running,
 		time.Duration(m.EWMAServiceMS*float64(time.Millisecond)), s.opt.retryAfter())
 	secs := int((retry + time.Second - 1) / time.Second)
 	if secs < 1 {
@@ -813,9 +805,9 @@ func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 
 // handleCompile is POST /v1/compile: the synchronous wrapper over the
 // job engine. It submits the batch like /v1/jobs would — the same
-// admission control, executor pool and cache path — then streams the
+// admission control, unit queue and cache path — then streams the
 // job's buffer on the open connection. The client hanging up cancels
-// the job, so abandoned synchronous work stops burning executors.
+// the job, so abandoned synchronous work stops burning pullers.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	req, jobList, timeout, ok := s.parseRequest(w, r)
@@ -833,8 +825,8 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	// The stream ending for any reason — completion, disconnect
 	// surfacing as a write error, context cancellation — must stop the
-	// engine job, or abandoned synchronous work would keep burning an
-	// executor. Cancel on an already-terminal job is a no-op, so normal
+	// engine job, or abandoned synchronous work would keep burning
+	// pullers. Cancel on an already-terminal job is a no-op, so normal
 	// completion is safe.
 	defer s.engine.Cancel(j.ID())
 	// The job's ID is never revealed to a synchronous client, so
@@ -935,12 +927,14 @@ func errorCode4xx(err error) api.ErrorCode {
 func (s *Server) Snapshot() api.ServerMetrics {
 	dm := s.dispatch.Metrics()
 	pm := s.portfolio.snapshot()
+	qm := s.engine.Metrics()
+	qm.Workers = s.dispatch.pullers // 0, so absent, on a coordinator
 	m := api.ServerMetrics{
 		Requests:  s.requests.Load(),
 		Jobs:      s.jobs.Load(),
 		JobErrors: s.jobErrors.Load(),
 		Cache:     s.cache.Metrics(),
-		Queue:     s.engine.Metrics(),
+		Queue:     qm,
 		Dispatch:  &dm,
 		Portfolio: &pm,
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -454,7 +455,7 @@ func newGatedRegistry(t *testing.T) (*driver.Registry, *drivertest.Gated) {
 }
 
 // TestServerQueueSaturation pins the admission-control contract: with
-// a full queue behind a busy executor, POST /v1/jobs answers a
+// a full queue behind the one busy puller, POST /v1/jobs answers a
 // structured 429 queue_full with a Retry-After hint, the rejection is
 // counted, and draining the queue restores admission.
 func TestServerQueueSaturation(t *testing.T) {
@@ -462,7 +463,7 @@ func TestServerQueueSaturation(t *testing.T) {
 	svc, ts := newTestServer(t, Options{
 		Registry:      reg,
 		QueueCapacity: 1,
-		QueueWorkers:  1,
+		Parallelism:   1,
 		RetryAfter:    2 * time.Second,
 	})
 
@@ -476,8 +477,8 @@ func TestServerQueueSaturation(t *testing.T) {
 	}
 
 	running := submitJob(t, ts.URL, mkReq(0))
-	// Wait for the executor to pick it up, so the next submission
-	// occupies the queue slot rather than the executor.
+	// Wait for the puller to pick it up, so the next submission
+	// occupies the queue slot rather than the puller.
 	deadline := time.Now().Add(10 * time.Second)
 	for getJob(t, ts.URL, running.ID).State == api.JobQueued {
 		if time.Now().After(deadline) {
@@ -529,7 +530,7 @@ func TestServerQueueSaturation(t *testing.T) {
 		t.Errorf("queue metrics = %+v, want 2 rejected, depth 1, running 1", m)
 	}
 
-	// Draining the executor admits new work again.
+	// Freeing the puller admits new work again.
 	close(gated.Gate)
 	if done := waitJob(t, ts.URL, queued.ID); done.State != api.JobDone {
 		t.Fatalf("queued job finished as %s", done.State)
@@ -546,7 +547,7 @@ func TestServerQueueSaturation(t *testing.T) {
 // count the cancellation.
 func TestServerCancelQueuedJob(t *testing.T) {
 	reg, gated := newGatedRegistry(t)
-	svc, ts := newTestServer(t, Options{Registry: reg, QueueWorkers: 1})
+	svc, ts := newTestServer(t, Options{Registry: reg, Parallelism: 1})
 
 	texts := goldenLoops(t)
 	running := submitJob(t, ts.URL, api.CompileRequest{
@@ -649,7 +650,7 @@ func TestServerConcurrentIdenticalRequests(t *testing.T) {
 // counter proves it; the hit/shared counters account for every other
 // serving.
 func TestServerConcurrentJobsSingleFlight(t *testing.T) {
-	svc, ts := newTestServer(t, Options{QueueWorkers: 4})
+	svc, ts := newTestServer(t, Options{Parallelism: 4 * runtime.GOMAXPROCS(0)})
 
 	req := api.CompileRequest{
 		Loops:      goldenLoops(t),

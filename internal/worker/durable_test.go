@@ -25,9 +25,8 @@ import (
 // to results byte-identical to direct driver.CompileAll.
 func TestCoordinatorKillAndRestart(t *testing.T) {
 	opt := server.Options{
-		Distribute:   true,
-		DataDir:      t.TempDir(),
-		QueueWorkers: 2,
+		Distribute: true,
+		DataDir:    t.TempDir(),
 	}
 
 	// Process one: deliberately never svc1.Close()d — the kill leaves

@@ -244,7 +244,7 @@ func TestWorkerPerUnitPostsCompat(t *testing.T) {
 // byte-identical to the direct path. Before advertisement, the
 // restricted worker would lease twophase units and fail them.
 func TestWorkerSchedulerRouting(t *testing.T) {
-	svc, ts := newCoordinator(t, server.Options{QueueWorkers: 2})
+	svc, ts := newCoordinator(t, server.Options{})
 	// The full worker must be known to the coordinator before the
 	// restricted one leases: fleet coverage is built from observed
 	// advertisements, and an uncovered scheduler falls back to any
@@ -304,7 +304,7 @@ func TestWorkerSchedulerRouting(t *testing.T) {
 // twophase, so the record comes back as an error, but the batch still
 // reaches a terminal state with every unit resolved.
 func TestWorkerRoutingFallback(t *testing.T) {
-	_, ts := newCoordinator(t, server.Options{QueueWorkers: 1})
+	_, ts := newCoordinator(t, server.Options{})
 	startWorker(t, ts.URL, worker.Options{ID: "dms-only", Registry: restrictedRegistry(t, "dms"), Schedulers: []string{"dms"}})
 
 	req := api.CompileRequest{
@@ -365,7 +365,7 @@ func (p *recordingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // worker's, the whole drain takes far fewer result POSTs than units,
 // and the coordinator's per-worker gauges expose the asymmetry.
 func TestWorkerHeterogeneousFleet(t *testing.T) {
-	svc := server.New(server.Options{Distribute: true, QueueWorkers: 2})
+	svc := server.New(server.Options{Distribute: true})
 	proxy := &recordingProxy{inner: svc.Handler(), leaseUnits: map[string][]int{}}
 	ts := httptest.NewServer(proxy)
 	t.Cleanup(ts.Close)

@@ -150,7 +150,7 @@ func compareRecords(t *testing.T, got []api.JobResult, want []string) {
 // second identical batch is then served from the coordinator's cache
 // without dispatching a single unit.
 func TestWorkerEndToEnd(t *testing.T) {
-	svc, ts := newCoordinator(t, server.Options{QueueWorkers: 2})
+	svc, ts := newCoordinator(t, server.Options{})
 	startWorker(t, ts.URL, worker.Options{ID: "w1"})
 	startWorker(t, ts.URL, worker.Options{ID: "w2"})
 
@@ -220,8 +220,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 // batch with results byte-identical to direct driver.CompileAll.
 func TestWorkerCrashRequeues(t *testing.T) {
 	svc, ts := newCoordinator(t, server.Options{
-		QueueWorkers: 1,
-		LeaseTTL:     300 * time.Millisecond,
+		LeaseTTL: 300 * time.Millisecond,
 	})
 
 	// Worker A schedules through a gate that never opens: it leases
@@ -293,6 +292,51 @@ func TestWorkerCrashRequeues(t *testing.T) {
 	}
 	if dm.Resolved != uint64(njobs) {
 		t.Errorf("resolved = %d, want %d", dm.Resolved, njobs)
+	}
+}
+
+// TestWorkerHeartbeatOutlivesLeaseTTL: a worker's idle heartbeat
+// keeps its lease alive however long a unit compiles, so no scheduler
+// needs a lease TTL of its own. Every unit here schedules for six
+// lease TTLs without posting a result, and none is requeued.
+func TestWorkerHeartbeatOutlivesLeaseTTL(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	svc, ts := newCoordinator(t, server.Options{LeaseTTL: ttl})
+	reg := driver.NewRegistry()
+	for _, name := range []string{"exact", "dms"} {
+		slow, err := drivertest.NewSlow(name, 6*ttl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.MustRegister(slow)
+	}
+	startWorker(t, ts.URL, worker.Options{ID: "slow", Chunk: 2, Parallelism: 2, Registry: reg})
+
+	req := api.CompileRequest{
+		Protocol:   api.Version,
+		Loops:      goldenLoops(t)[:1],
+		Machines:   []api.MachineSpec{{Clusters: 2, Unclustered: true}},
+		Schedulers: []string{"exact", "dms"},
+	}
+	want := directRecords(t, req, []*machine.Machine{machine.Unclustered(2)})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cli := dmsclient.New(ts.URL)
+	job, err := cli.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := cli.Wait(ctx, job.ID)
+	if err != nil || done.State != api.JobDone {
+		t.Fatalf("job = %+v, %v; want done", done, err)
+	}
+	recs, sum, err := cli.ResultsAll(ctx, job.ID, done.Jobs)
+	if err != nil || sum.Errors != 0 {
+		t.Fatalf("results: summary %+v, %v", sum, err)
+	}
+	compareRecords(t, recs, want)
+	if dm := svc.Snapshot().Dispatch; dm.Requeued != 0 {
+		t.Errorf("dispatch.requeued = %d, want 0: a heartbeat lapsed while units compiled", dm.Requeued)
 	}
 }
 

@@ -292,9 +292,8 @@ func TestClientAsyncEndToEnd(t *testing.T) {
 	assertRecords(t, results, want)
 }
 
-// saturate fills a single-executor service: one batch holds the
-// executor (behind its scheduler's gate), one batch holds a queue
-// slot.
+// saturate fills a single-puller service: one batch holds the puller
+// (behind its scheduler's gate), one batch holds a queue slot.
 func saturate(t *testing.T, cli *Client, texts []string) {
 	t.Helper()
 	running, err := cli.Submit(context.Background(), api.CompileRequest{
@@ -338,7 +337,7 @@ func TestClientSubmitHonorsRetryAfter(t *testing.T) {
 	_, ts := newTestService(t, server.Options{
 		Registry:      reg,
 		QueueCapacity: 1,
-		QueueWorkers:  1,
+		Parallelism:   1,
 		RetryAfter:    time.Second,
 	})
 
@@ -410,7 +409,7 @@ func TestClientRetryBudgetExhaustion(t *testing.T) {
 	_, ts := newTestService(t, server.Options{
 		Registry:      reg,
 		QueueCapacity: 1,
-		QueueWorkers:  1,
+		Parallelism:   1,
 		RetryAfter:    time.Second,
 	})
 	defer close(gated.Gate)
@@ -450,14 +449,14 @@ func TestClientCancelJob(t *testing.T) {
 	}
 	reg := driver.NewRegistry()
 	reg.MustRegister(gated)
-	_, ts := newTestService(t, server.Options{Registry: reg, QueueWorkers: 1})
+	_, ts := newTestService(t, server.Options{Registry: reg, Parallelism: 1})
 	defer close(gated.Gate)
 
 	cli := New(ts.URL, WithPollInterval(5*time.Millisecond))
 	saturate(t, cli, texts) // second submission is queued
 
 	// Saturate returned after submitting two; grab the queued one by
-	// submitting a third and canceling it while the executor is held.
+	// submitting a third and canceling it while the puller is held.
 	victim, err := cli.Submit(context.Background(), api.CompileRequest{
 		Loops: texts[2:3], Machines: []api.MachineSpec{{Clusters: 2}}, Schedulers: []string{"dms"},
 	})
