@@ -222,15 +222,15 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	var live []*Job
+	var all []*Job
 	//dms:orderok shutdown sweep: every job gets the same cancellation, no cross-job state
 	for _, j := range e.byID {
-		live = append(live, j)
+		all = append(all, j)
 	}
 	close(e.stop)
 	e.mu.Unlock()
-	for _, j := range live {
-		j.finish(api.JobCanceled)
+	for _, j := range all {
+		j.finish(api.JobCanceled) // a no-op on finished jobs
 	}
 	e.wg.Wait()
 }
@@ -259,7 +259,8 @@ func (e *Engine) Submit(n int) (*Job, error) {
 		e.rejected++
 		return nil, ErrQueueFull
 	}
-	j := e.newJobLocked(newID(), n, e.store.Create, now)
+	id := newID()
+	j := e.newJobLocked(id, n, e.store.Create(id), now)
 	// Persist the expected result count before the job can produce any
 	// visible effect: recovery needs it to distinguish a complete
 	// buffer from a truncated one. Best-effort — a failed write only
@@ -328,25 +329,22 @@ func (e *Engine) recoveredJobLocked(id string, n int, now time.Time) (*Job, erro
 	if _, dup := e.byID[id]; dup {
 		return nil, fmt.Errorf("jobs: job %q already registered", id)
 	}
-	buffer := func(id string) Buffer {
-		if buf, ok := e.store.Get(id); ok {
-			return buf
-		}
-		return e.store.Create(id)
+	buf, ok := e.store.Get(id)
+	if !ok {
+		buf = e.store.Create(id)
 	}
-	return e.newJobLocked(id, n, buffer, now), nil
+	return e.newJobLocked(id, n, buf, now), nil
 }
 
-// newJobLocked builds a queued job around the buffer buffer returns
-// for id. Requires e.mu.
-func (e *Engine) newJobLocked(id string, n int, buffer func(string) Buffer, now time.Time) *Job {
+// newJobLocked builds a queued job around buf. Requires e.mu.
+func (e *Engine) newJobLocked(id string, n int, buf Buffer, now time.Time) *Job {
 	//dms:ctxok server-side job root: a job outlives the request that submitted it by design
 	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), jobIDKey{}, id))
 	return &Job{
 		id:      id,
 		engine:  e,
 		n:       n,
-		buf:     buffer(id),
+		buf:     buf,
 		ctx:     ctx,
 		cancel:  cancel,
 		state:   api.JobQueued,
@@ -499,6 +497,12 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// appendMu orders appends with the terminal transition, so no
+	// result lands after a reader has seen a terminal state. It, not mu,
+	// is held across the buffer write, which on a durable store is an
+	// fsync that readers must not wait on.
+	appendMu sync.Mutex
+
 	mu       sync.Mutex
 	state    api.JobState
 	failure  string
@@ -553,13 +557,18 @@ func (j *Job) Start() {
 // the terminal transition is dropped, so a result racing a cancel
 // cannot change a summary a stream has already sent.
 func (j *Job) Append(rec api.JobResult) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	j.appendMu.Lock()
+	defer j.appendMu.Unlock()
+	j.mu.Lock() //dms:lockok appendMu is taken before mu; see its comment
+	terminal := j.state.Terminal()
+	j.mu.Unlock()
+	if terminal {
 		return
 	}
 	j.buf.Append(rec)
+	j.mu.Lock() //dms:lockok appendMu is taken before mu; see its comment
 	j.broadcastLocked()
+	j.mu.Unlock()
 }
 
 // Finish marks the job done: every result it will produce has been
@@ -572,8 +581,10 @@ func (j *Job) Finish() { j.finish(api.JobDone) }
 // feeds the Retry-After average.
 func (j *Job) finish(state api.JobState) bool {
 	e := j.engine
+	j.appendMu.Lock()
+	defer j.appendMu.Unlock()
 	now := time.Now()
-	e.mu.Lock()
+	e.mu.Lock() //dms:lockok appendMu is taken before engine.mu; see its comment
 	defer e.mu.Unlock()
 	j.mu.Lock() //dms:lockok established lock order: engine.mu before job.mu
 	prev := j.state

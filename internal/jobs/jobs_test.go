@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -276,6 +277,48 @@ func TestEngineCancelRunning(t *testing.T) {
 	}
 	if m := e.Metrics(); m.Running != 0 || m.Canceled != 1 || m.Completed != 0 {
 		t.Errorf("Metrics = %+v", m)
+	}
+}
+
+// TestEngineAppendRacesCancel: results appended from several
+// goroutines while the job is canceled either land before the terminal
+// transition or not at all, so the result set a reader sees once the
+// job is terminal never changes afterwards.
+func TestEngineAppendRacesCancel(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+
+	const appenders, each = 4, 200
+	j := submit(t, e, appenders*each)
+	j.Start()
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j.Append(api.JobResult{Index: a*each + i})
+				runtime.Gosched() // spread the appends across the cancel
+			}
+		}(a)
+	}
+	for {
+		if recs, _ := j.Results(0); len(recs) >= appenders {
+			break
+		}
+		runtime.Gosched()
+	}
+	e.Cancel(j.ID())
+	recs, state := j.Results(0)
+	if state != api.JobCanceled {
+		t.Fatalf("state after Cancel = %s", state)
+	}
+	wg.Wait()
+	if after, _ := j.Results(0); len(after) != len(recs) {
+		t.Fatalf("results grew after the terminal transition: %d, then %d", len(recs), len(after))
+	}
+	if sum := j.Summary(); sum.Jobs != len(recs) {
+		t.Fatalf("summary counts %d results, the terminal read saw %d", sum.Jobs, len(recs))
 	}
 }
 

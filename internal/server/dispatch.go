@@ -75,7 +75,7 @@ type dispatcher struct {
 	shutdown atomic.Bool // process exiting: keep canceled units durable
 
 	stop chan struct{}
-	wg   sync.WaitGroup // janitor, pullers, and batches being queued
+	wg   sync.WaitGroup // janitor, pullers, batches being queued, cancel callbacks
 }
 
 // leaseState records what one live lease holds and which worker holds
@@ -153,6 +153,7 @@ type dispatchBatch struct {
 	mu      sync.Mutex
 	closed  bool
 	pending int
+	unwatch func() bool // stops the cancel callback watch registered
 }
 
 func newBatch(j *jobs.Job, pending int) *dispatchBatch {
@@ -367,8 +368,9 @@ func workerLiveness(ttl time.Duration) time.Duration {
 }
 
 // Close stops the janitor, the pullers and the batches still being
-// queued, and waits for them. The engine has canceled every job by
-// then, which aborts what the pullers compile.
+// queued, and waits for them and for every batch's cancel callback.
+// The engine must have closed first: that cancels every job, which
+// aborts what the pullers compile and fires the callbacks.
 func (d *dispatcher) Close() {
 	d.mu.Lock()
 	d.closed = true
@@ -459,11 +461,21 @@ func (d *dispatcher) enqueue(j *jobs.Job, jobList []driver.Job, timeout time.Dur
 	d.watch(b, enq)
 }
 
-// watch cancels the batch once its job's context ends. A job that
-// finished has closed its batch already, so only a canceled one
-// withdraws anything.
+// watch cancels the batch once its job's context ends: at its cancel
+// or the engine's Close. A batch that closes by resolving its last unit
+// stops the callback instead. Close waits for the callback, so no
+// withdraw reaches a closed WAL.
 func (d *dispatcher) watch(b *dispatchBatch, units []*unit) {
-	context.AfterFunc(b.ctx, func() { d.cancelBatch(b, units) })
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	d.wg.Add(1)
+	b.unwatch = context.AfterFunc(b.ctx, func() {
+		defer d.wg.Done()
+		d.cancelBatch(b, units)
+	})
 }
 
 // cancelBatch closes the batch (discarding any later results) and
@@ -757,6 +769,9 @@ func (d *dispatcher) settle(b *dispatchBatch, rec *api.JobResult, scheduler stri
 	b.pending--
 	if b.pending == 0 {
 		b.closed = true
+		if b.unwatch != nil && b.unwatch() {
+			d.wg.Done()
+		}
 		b.job.Finish()
 	}
 }
