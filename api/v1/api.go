@@ -93,7 +93,7 @@
 //	queued ───────▶ leased ──ack (result posted)──▶ resolved
 //	   ▲               │
 //	   └───────────────┘
-//	    expiry / nack (requeue)
+//	    expiry (requeue)
 //
 // # Versioning
 //
@@ -537,7 +537,7 @@ type DispatchMetrics struct {
 	ActiveLeases int `json:"active_leases"`
 	// Dispatched/Resolved/Requeued are monotonic counters: units handed
 	// to the queue, units resolved by a posted result, and units
-	// returned to the queue by lease expiry or nack.
+	// returned to the queue by lease expiry.
 	Dispatched uint64 `json:"dispatched"`
 	Resolved   uint64 `json:"resolved"`
 	Requeued   uint64 `json:"requeued"`
