@@ -422,8 +422,8 @@ type JobState string
 
 const (
 	// JobQueued: admitted, and none of its compile units has been
-	// claimed or resolved yet. The only state with a meaningful queue
-	// position.
+	// claimed by a compiler yet (cache hits may already have results).
+	// The only state with a meaningful queue position.
 	JobQueued JobState = "queued"
 	// JobRunning: the batch's units are compiling; results accumulate
 	// and can already be streamed.

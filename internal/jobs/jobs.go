@@ -22,19 +22,23 @@
 //	queued → running → done
 //	queued | running → canceled
 //
-// A job is queued until its producer claims its first unit or settles
-// its first result. Results append to the job's buffer in completion
-// order and remain readable — including concurrent and resumed reads
-// from any offset — until a TTL after the job finishes, so a dropped
-// results connection re-attaches with the offset it already has
-// instead of recomputing. At most Capacity jobs may be queued at once;
-// past it Submit fails with ErrQueueFull, which the caller maps to
-// HTTP 429 + Retry-After.
+// A job is queued until its producer hands a first unit to a compiler
+// (or settles its last result); results known without compiling, such
+// as cache hits, may append while it is still queued, so work waiting
+// for a compiler always counts against admission. Results append to
+// the job's buffer in completion order and remain readable — including
+// concurrent and resumed reads from any offset — until a TTL after the
+// job finishes, so a dropped results connection re-attaches with the
+// offset it already has instead of recomputing. At most Capacity jobs
+// may be queued at once; past it Submit fails with ErrQueueFull, which
+// the caller maps to HTTP 429 + Retry-After.
 //
 // Each job owns a context that carries its ID (see JobID). Cancel and
 // Close cancel it, and that is how cancellation reaches the producer
-// and the schedulers compiling under it. A job canceled while queued
-// never had a unit claimed, so none of its work reached a scheduler.
+// and the schedulers compiling under it; Cancel also runs the
+// producer's OnCancel hook before the job turns terminal. A job
+// canceled while queued never had a unit claimed, so none of its work
+// reached a scheduler.
 package jobs
 
 import (
@@ -370,15 +374,24 @@ func (e *Engine) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Cancel finishes the job with the given ID as canceled and cancels
-// its context, reporting whether the ID was known. Canceling a
-// terminal job is an idempotent no-op.
+// Cancel cancels the job with the given ID, reporting whether the ID
+// was known: it cancels the job's context, runs the producer's
+// OnCancel hook, and only then finishes the job as canceled, so by the
+// time anyone sees the terminal state the producer has withdrawn the
+// job's pending work. Canceling a terminal job is an idempotent no-op.
 func (e *Engine) Cancel(id string) (*Job, bool) {
 	e.mu.Lock()
 	j, ok := e.byID[id]
 	e.mu.Unlock()
 	if !ok {
 		return nil, false
+	}
+	j.cancel()
+	j.mu.Lock()
+	withdraw := j.onCancel
+	j.mu.Unlock()
+	if withdraw != nil {
+		withdraw()
 	}
 	j.finish(api.JobCanceled)
 	return j, true
@@ -507,6 +520,7 @@ type Job struct {
 	state    api.JobState
 	failure  string
 	released bool          // drop instead of retain once terminal
+	onCancel func()        // the producer's withdraw step; see OnCancel
 	changed  chan struct{} // closed and replaced on every mutation
 	created  time.Time
 	started  time.Time
@@ -524,6 +538,21 @@ func (j *Job) N() int { return j.n }
 // JobID) and is canceled when the job is canceled, the engine closes,
 // or the job finishes.
 func (j *Job) Context() context.Context { return j.ctx }
+
+// OnCancel registers f to run inside Cancel, after the job's context
+// is canceled and before the job turns terminal. The producer
+// withdraws the job's pending work there, so none of it is left
+// queued — on a durable queue, for a restart to resume — once anyone
+// can see the job canceled. Close
+// does not run f: work outstanding at shutdown is what a restart must
+// find. The hook is dropped once the job is terminal.
+func (j *Job) OnCancel(f func()) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.state.Terminal() {
+		j.onCancel = f
+	}
+}
 
 // FinishedAt returns the terminal transition time (zero while the job
 // is live).
@@ -594,6 +623,7 @@ func (j *Job) finish(state api.JobState) bool {
 	}
 	j.state = state
 	j.finished = now
+	j.onCancel = nil // a retained job must not pin its producer's state
 	j.broadcastLocked()
 	started := j.started
 	j.mu.Unlock()

@@ -532,6 +532,50 @@ func TestJobContextCarriesID(t *testing.T) {
 	}
 }
 
+// TestEngineCancelRunsHookFirst pins the OnCancel contract: Cancel
+// runs the producer's hook after the job's context is canceled and
+// before the job turns terminal, so whatever the hook withdraws is gone
+// by the time anyone sees the canceled state. Close and a Cancel of a
+// finished job never run it.
+func TestEngineCancelRunsHookFirst(t *testing.T) {
+	e := New(Options{})
+	j := submit(t, e, 1)
+	calls := 0
+	j.OnCancel(func() {
+		calls++
+		if j.Context().Err() == nil {
+			t.Error("hook ran before the job's context was canceled")
+		}
+		if st := j.Snapshot().State; st.Terminal() {
+			t.Errorf("hook ran after the terminal transition (state %s)", st)
+		}
+	})
+	if _, ok := e.Cancel(j.ID()); !ok {
+		t.Fatal("Cancel: job unknown")
+	}
+	if calls != 1 || j.Snapshot().State != api.JobCanceled {
+		t.Fatalf("after Cancel: hook calls %d, state %s; want 1, canceled", calls, j.Snapshot().State)
+	}
+	e.Cancel(j.ID())
+	if calls != 1 {
+		t.Errorf("Cancel of a terminal job ran the hook again (%d calls)", calls)
+	}
+
+	done := submit(t, e, 1)
+	done.OnCancel(func() { t.Error("hook of a finished job ran") })
+	done.Start()
+	done.Append(api.JobResult{})
+	done.Finish()
+	e.Cancel(done.ID())
+
+	live := submit(t, e, 1)
+	live.OnCancel(func() { t.Error("Close ran a job's cancel hook") })
+	e.Close()
+	if st := live.Snapshot().State; st != api.JobCanceled {
+		t.Errorf("job after Close = %s, want canceled", st)
+	}
+}
+
 // TestSubmitPersistsMeta pins the MetaStore handshake: a durable store
 // under the engine learns each job's expected result count at Submit,
 // before the job produces anything.

@@ -60,9 +60,10 @@ type dispatcher struct {
 	chunk    int // hand-out size for requests that name none
 	chunkMax int // hard cap on any hand-out
 	poll     time.Duration
-	// observe sees every result a batch's job receives, with the
-	// unit's scheduler name, unless the job was canceled.
-	observe func(rec api.JobResult, scheduler string)
+
+	// Counters over the results batches' jobs receive (see observe).
+	jobErrors atomic.Int64
+	portfolio portfolioAgg
 
 	mu         sync.Mutex
 	units      map[string]*unit        // live (pending or leased) units by ID
@@ -75,7 +76,7 @@ type dispatcher struct {
 	shutdown atomic.Bool // process exiting: keep canceled units durable
 
 	stop chan struct{}
-	wg   sync.WaitGroup // janitor, pullers, batches being queued, cancel callbacks
+	wg   sync.WaitGroup // janitor, pullers, batches being queued
 }
 
 // leaseState records what one live lease holds and which worker holds
@@ -143,32 +144,36 @@ func (u *unit) wireForm() api.WorkUnit {
 
 // dispatchBatch tracks one batch's outstanding units on behalf of its
 // job. closed flips when the batch ends (all units resolved, or its job
-// canceled); results arriving afterwards are discarded. ctx, the job's
-// context, is what in-process pullers compile the batch's units under.
+// canceled); results arriving afterwards, or once the job's context
+// has ended, are discarded. ctx, the job's context, is what in-process
+// pullers compile the batch's units under.
 type dispatchBatch struct {
-	job     *jobs.Job
-	ctx     context.Context
-	pulling atomic.Int32 // units in-process pullers hold
-	started atomic.Bool  // the job has been started
-	mu      sync.Mutex
-	closed  bool
-	pending int
-	unwatch func() bool // stops the cancel callback watch registered
+	job      *jobs.Job
+	ctx      context.Context
+	pulling  atomic.Int32  // units in-process pullers hold
+	started  atomic.Bool   // the job has been started
+	units    []*unit       // every unit queued; complete once enqueued is closed
+	enqueued chan struct{} // closed when enqueue stops; nil for a recovered batch
+	mu       sync.Mutex
+	closed   bool
+	pending  int
 }
 
 func newBatch(j *jobs.Job, pending int) *dispatchBatch {
 	return &dispatchBatch{job: j, ctx: j.Context(), pending: pending}
 }
 
-// start marks the batch's job running, once: at the first unit claimed
-// or result settled.
+// start marks the batch's job running, once: at the first unit a
+// puller or worker claims. Results settled without a compile (cache
+// hits) do not start it, so a batch whose remaining units still wait
+// for a compiler keeps counting against admission.
 func (b *dispatchBatch) start() {
 	if b.started.CompareAndSwap(false, true) {
 		b.job.Start()
 	}
 }
 
-func newDispatcher(cache *Cache, q jobs.Queue, opt Options, observe func(api.JobResult, string)) *dispatcher {
+func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	if q == nil {
 		q = jobs.NewMemQueue(0) // admission is bounded per batch upstream
 	}
@@ -205,7 +210,6 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options, observe func(api.Job
 		chunk:    chunk,
 		chunkMax: chunkMax,
 		poll:     poll,
-		observe:  observe,
 		units:    make(map[string]*unit),
 		leases:   make(map[string]*leaseState),
 		workers:  make(map[string]*workerState),
@@ -368,9 +372,9 @@ func workerLiveness(ttl time.Duration) time.Duration {
 }
 
 // Close stops the janitor, the pullers and the batches still being
-// queued, and waits for them and for every batch's cancel callback.
-// The engine must have closed first: that cancels every job, which
-// aborts what the pullers compile and fires the callbacks.
+// queued, and waits for them. The engine must have closed first: that
+// cancels every job, which aborts what the pullers compile and stops
+// the batches being queued.
 func (d *dispatcher) Close() {
 	d.mu.Lock()
 	d.closed = true
@@ -385,41 +389,43 @@ func (d *dispatcher) Close() {
 // leasable units. The batch's job receives one record stream whoever
 // compiles the units — completion order, Index set, Cached marking
 // cache hits — and finishes with its last unit. Canceling the job
-// withdraws its pending units.
+// withdraws its pending units before it turns terminal (see
+// cancelBatch).
 func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Duration, noCache bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return // the engine closed first, and canceled j
 	}
+	// The loop holds one extra pending count until it is done, so units
+	// resolving meanwhile cannot finish the job early.
+	b := newBatch(j, len(jobList)+1)
+	b.enqueued = make(chan struct{})
+	j.OnCancel(func() { d.cancelBatch(b) })
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		d.enqueue(j, jobList, timeout, noCache)
+		defer close(b.enqueued)
+		d.enqueue(b, jobList, timeout, noCache)
 	}()
 }
 
-// enqueue keys the batch and queues its units, stopping early when the
-// job is canceled.
-func (d *dispatcher) enqueue(j *jobs.Job, jobList []driver.Job, timeout time.Duration, noCache bool) {
-	// Each unit is queued as soon as it is keyed, so compiles start
-	// while the rest of the batch is still being keyed; the loop holds
-	// one extra pending count until it is done, so units resolving
-	// meanwhile cannot finish the job early.
-	b := newBatch(j, len(jobList)+1)
+// enqueue keys the batch and queues its units, each as soon as it is
+// keyed, so compiles start while the rest of the batch is still being
+// keyed. It stops early when the job's context ends.
+func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout time.Duration, noCache bool) {
 	// Units are keyed by the job ID so that durable queue state written
 	// under one process re-attaches to the same job resource in the
 	// next.
-	batchID := j.ID()
+	batchID := b.job.ID()
 	// Content-hash routing steers identical units to a remote worker's
 	// warm cache; in-process pullers share one cache, so their units go
 	// unrouted, in plain FIFO order.
 	route := d.pullers == 0
 	keys := newKeyer()
-	var enq []*unit
 	for i, job := range jobList {
 		if b.ctx.Err() != nil {
-			break // canceled: watch withdraws what was queued
+			break // canceled: cancelBatch withdraws what was queued
 		}
 		key := keys.key(job)
 		if !noCache {
@@ -442,7 +448,7 @@ func (d *dispatcher) enqueue(j *jobs.Job, jobList []driver.Job, timeout time.Dur
 			batch:   b,
 			index:   i,
 		}
-		enq = append(enq, u)
+		b.units = append(b.units, u)
 		d.mu.Lock()
 		d.units[u.id] = u
 		d.dispatched++
@@ -458,37 +464,27 @@ func (d *dispatcher) enqueue(j *jobs.Job, jobList []driver.Job, timeout time.Dur
 		}
 	}
 	d.settle(b, nil, "")
-	d.watch(b, enq)
 }
 
-// watch cancels the batch once its job's context ends: at its cancel
-// or the engine's Close. A batch that closes by resolving its last unit
-// stops the callback instead. Close waits for the callback, so no
-// withdraw reaches a closed WAL.
-func (d *dispatcher) watch(b *dispatchBatch, units []*unit) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return
-	}
-	d.wg.Add(1)
-	b.unwatch = context.AfterFunc(b.ctx, func() {
-		defer d.wg.Done()
-		d.cancelBatch(b, units)
-	})
-}
-
-// cancelBatch closes the batch (discarding any later results) and
-// withdraws its still-pending units from the queue. Units a worker
-// already holds are released when their results arrive — discarded,
-// acked off the queue — or by lease expiry; the worker learns they are
-// moot from the Canceled list of its next results post.
+// cancelBatch is the job's OnCancel hook: it runs inside the engine's
+// Cancel, after the job's context is canceled and before the job turns
+// terminal. It waits for the batch's enqueue to stop, closes the batch
+// (discarding any later results) and withdraws its still-pending units
+// from the queue — on a durable queue, before the client is told the
+// job is canceled, so a restart does not resume them. Units a worker
+// or puller already holds are released when their results arrive — discarded, acked off
+// the queue — or by lease expiry; the worker learns they are moot from
+// the Canceled list of its next results post.
 //
-// During process shutdown the withdraw is skipped: the engine cancels
-// every job on Close, but those units are not abandoned work — on a
-// durable queue they are exactly the state the next process must
-// recover, and withdrawing would erase them from the WAL.
-func (d *dispatcher) cancelBatch(b *dispatchBatch, units []*unit) {
+// During process shutdown the withdraw is skipped: a synchronous
+// request cut short by the exit cancels its job, but those units are
+// not abandoned work — on a durable queue they are exactly the state
+// the next process must recover, and withdrawing would erase them from
+// the WAL.
+func (d *dispatcher) cancelBatch(b *dispatchBatch) {
+	if b.enqueued != nil {
+		<-b.enqueued
+	}
 	b.mu.Lock()
 	closed := b.closed
 	b.closed = true
@@ -498,7 +494,7 @@ func (d *dispatcher) cancelBatch(b *dispatchBatch, units []*unit) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, u := range units {
+	for _, u := range b.units {
 		if d.q.Withdraw(u.id) {
 			delete(d.units, u.id)
 			d.resolved++
@@ -751,28 +747,34 @@ func (d *dispatcher) resolve(u *unit, rec api.JobResult, stored bool) {
 
 // settle counts one pending unit of the batch as done, first appending
 // rec to the batch's job when there is one, and finishes the job when
-// nothing is left pending. A closed batch discards late results.
+// nothing is left pending. A closed batch, or one whose job's context
+// has ended (canceled, or the engine closed), discards late results: a
+// result drained by a cancellation is not a compile result.
 func (d *dispatcher) settle(b *dispatchBatch, rec *api.JobResult, scheduler string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
+	if b.closed || b.ctx.Err() != nil {
 		return
 	}
 	if rec != nil {
-		b.start()
-		// A result drained by a cancellation is not a compile failure.
-		if b.ctx.Err() == nil {
-			d.observe(*rec, scheduler)
-		}
+		d.observe(*rec, scheduler)
 		b.job.Append(*rec)
 	}
 	b.pending--
 	if b.pending == 0 {
 		b.closed = true
-		if b.unwatch != nil && b.unwatch() {
-			d.wg.Done()
-		}
+		b.start() // a batch served without a compile still runs, briefly
 		b.job.Finish()
+	}
+}
+
+// observe folds one result a job receives into the service counters.
+func (d *dispatcher) observe(rec api.JobResult, scheduler string) {
+	if rec.Error != "" {
+		d.jobErrors.Add(1)
+	}
+	if scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
+		d.portfolio.record(rec.Stats)
 	}
 }
 
@@ -792,7 +794,6 @@ type adoptedUnit struct {
 // error record, so the job still reaches a terminal state.
 func (d *dispatcher) adopt(j *jobs.Job, unitList []adoptedUnit) {
 	b := newBatch(j, len(unitList))
-	var live []*unit
 	for _, au := range unitList {
 		job, err := UnitJob(au.Wire)
 		if err != nil {
@@ -814,16 +815,16 @@ func (d *dispatcher) adopt(j *jobs.Job, unitList []adoptedUnit) {
 			index:   au.Index,
 		}
 		u.wireOnce.Do(func() { u.wire = au.Wire })
-		live = append(live, u)
+		b.units = append(b.units, u)
 	}
 	d.mu.Lock()
-	for _, u := range live {
+	for _, u := range b.units {
 		d.units[u.id] = u
 	}
 	d.dispatched += uint64(len(unitList))
-	d.resolved += uint64(len(unitList) - len(live))
+	d.resolved += uint64(len(unitList) - len(b.units))
 	d.mu.Unlock()
-	d.watch(b, live)
+	j.OnCancel(func() { d.cancelBatch(b) })
 }
 
 // Metrics snapshots the dispatcher in its wire form, including the

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -215,17 +218,54 @@ func TestDurableCoordinatorGracefulRestartKeepsUnits(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	// The job is canceled at once; its units are withdrawn by the
-	// batch's cancellation callback, which runs on its own goroutine.
-	for {
-		dm := svc2.Snapshot().Dispatch
-		if dm.PendingUnits == 0 && dm.LeasedUnits == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("units survived cancellation: %+v", dm)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if dm := svc2.Snapshot().Dispatch; dm.PendingUnits != 0 || dm.LeasedUnits != 0 {
+		t.Fatalf("units survived cancellation: %+v", dm)
+	}
+}
+
+// TestDurableCancelWithdrawsBeforeAnswer: a DELETE withdraws the job's
+// queued units from the WAL before it answers "canceled". A crash
+// right after the answer — simulated by opening a copy of the data
+// directory taken at that instant — recovers the job as canceled, never
+// resuming it to done.
+func TestDurableCancelWithdrawsBeforeAnswer(t *testing.T) {
+	dir := t.TempDir()
+	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Distribute: true})
+	t.Cleanup(ts1.Close)
+	t.Cleanup(svc1.Close)
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:2],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+	}
+	njobs := req.Jobs()
+	job := submitJob(t, ts1.URL, req)
+	eventually(t, "the units to queue", func() bool { return svc1.Snapshot().Dispatch.PendingUnits == njobs })
+
+	delReq, _ := http.NewRequest(http.MethodDelete, ts1.URL+api.JobPath(job.ID), nil)
+	resp, err := http.DefaultClient.Do(delReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var canceled api.Job
+	err = json.NewDecoder(resp.Body).Decode(&canceled)
+	resp.Body.Close()
+	if err != nil || canceled.State != api.JobCanceled {
+		t.Fatalf("DELETE answered %+v (%v), want canceled", canceled, err)
+	}
+	crashed := t.TempDir()
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, ts2 := openDurableServer(t, Options{DataDir: crashed, Distribute: true})
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	if m := svc2.Snapshot(); m.Durability == nil || m.Durability.RecoveredTasks != 0 || m.Dispatch.PendingUnits != 0 {
+		t.Fatalf("after the crash: durability %+v, dispatch %+v; want no units", m.Durability, m.Dispatch)
+	}
+	if after := getJob(t, ts2.URL, job.ID); after.State != api.JobCanceled {
+		t.Fatalf("job after the crash = %+v, want canceled", after)
 	}
 }
 

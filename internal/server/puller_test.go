@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ddg"
 	"repro/internal/driver"
 	"repro/internal/drivertest"
+	"repro/internal/jobs"
 	"repro/internal/machine"
 	"repro/internal/schedule"
 )
@@ -119,5 +121,58 @@ func TestPullerOutlivesLeaseTTL(t *testing.T) {
 	}
 	if dm := svc.Snapshot().Dispatch; dm.Requeued != 0 || dm.Dispatched != 2 || dm.Resolved != 2 {
 		t.Errorf("dispatch after the batch = %+v, want 2 dispatched and resolved, 0 requeued", dm)
+	}
+}
+
+// idProbe is a gated back-end that records the job ID each schedule
+// call's context carries.
+type idProbe struct {
+	*drivertest.Gated
+	mu  sync.Mutex
+	ids []string
+}
+
+func (p *idProbe) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt driver.Options) (*schedule.Schedule, driver.Stats, error) {
+	p.mu.Lock()
+	p.ids = append(p.ids, jobs.JobID(ctx))
+	p.mu.Unlock()
+	return p.Gated.Schedule(ctx, g, m, opt)
+}
+
+// TestPullerCompilesUnderJobID: an in-process puller compiles a unit
+// under its job's context, so jobs.JobID names the submitted job inside
+// the scheduler — for a fresh batch, and for the same batch resumed
+// from the durable queue after a restart.
+func TestPullerCompilesUnderJobID(t *testing.T) {
+	gated, err := drivertest.NewGated("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &idProbe{Gated: gated}
+	reg := driver.NewRegistry()
+	reg.MustRegister(probe)
+	dir := t.TempDir()
+	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Registry: reg, Parallelism: 1})
+	job := submitJob(t, ts1.URL, oneLoopReq(t, 0))
+	eventually(t, "the puller to reach the scheduler", func() bool { return gated.Calls.Load() == 1 })
+	ts1.Close()
+	svc1.Close() // the held unit stays on the WAL
+
+	close(gated.Gate)
+	svc2, ts2 := openDurableServer(t, Options{DataDir: dir, Registry: reg, Parallelism: 1})
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	if done := waitJob(t, ts2.URL, job.ID); done.State != api.JobDone || done.Errors != 0 {
+		t.Fatalf("resumed job = %+v", done)
+	}
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	if len(probe.ids) != 2 {
+		t.Fatalf("schedule calls = %d, want 2 (one before the restart, one after)", len(probe.ids))
+	}
+	for i, id := range probe.ids {
+		if id != job.ID {
+			t.Errorf("call %d compiled under job ID %q, want %q", i, id, job.ID)
+		}
 	}
 }

@@ -180,10 +180,8 @@ type Server struct {
 	dispatch *dispatcher
 	durable  *durableState // nil without Options.DataDir
 
-	requests  atomic.Int64
-	jobs      atomic.Int64
-	jobErrors atomic.Int64
-	portfolio portfolioAgg
+	requests atomic.Int64
+	jobs     atomic.Int64
 }
 
 // portfolioAgg aggregates the portfolio meta-scheduler's results as
@@ -313,7 +311,7 @@ func Open(opt Options) (*Server, error) {
 			Store:            store,
 		}),
 	}
-	s.dispatch = newDispatcher(cache, q, opt, s.observe)
+	s.dispatch = newDispatcher(cache, q, opt)
 	if durable != nil {
 		s.recoverDurable()
 	}
@@ -563,19 +561,6 @@ func (s *Server) submit(jobList []driver.Job, timeout time.Duration, noCache boo
 	s.jobs.Add(int64(len(jobList)))
 	s.dispatch.submit(j, jobList, timeout, noCache)
 	return j, nil
-}
-
-// observe folds one result a job receives into the service counters.
-// The dispatcher skips results of canceled jobs: counting those would
-// make every canceled batch look like an error storm on the metrics
-// endpoint.
-func (s *Server) observe(rec api.JobResult, scheduler string) {
-	if rec.Error != "" {
-		s.jobErrors.Add(1)
-	}
-	if scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
-		s.portfolio.record(rec.Stats)
-	}
 }
 
 // MaxRetryAfter caps the adaptive queue_full backoff hint, so a deep
@@ -926,13 +911,13 @@ func errorCode4xx(err error) api.ErrorCode {
 // Snapshot collects the service counters.
 func (s *Server) Snapshot() api.ServerMetrics {
 	dm := s.dispatch.Metrics()
-	pm := s.portfolio.snapshot()
+	pm := s.dispatch.portfolio.snapshot()
 	qm := s.engine.Metrics()
 	qm.Workers = s.dispatch.pullers // 0, so absent, on a coordinator
 	m := api.ServerMetrics{
 		Requests:  s.requests.Load(),
 		Jobs:      s.jobs.Load(),
-		JobErrors: s.jobErrors.Load(),
+		JobErrors: s.dispatch.jobErrors.Load(),
 		Cache:     s.cache.Metrics(),
 		Queue:     qm,
 		Dispatch:  &dm,

@@ -541,6 +541,62 @@ func TestServerQueueSaturation(t *testing.T) {
 	}
 }
 
+// TestServerCachedUnitsKeepJobQueued: a cache hit settled at admission
+// does not start its job. A batch whose other unit still waits for the
+// one busy puller stays queued and counts against QueueCapacity, so the
+// next submission gets 429: warm units cannot carry batches past
+// admission onto the unbounded unit queue.
+func TestServerCachedUnitsKeepJobQueued(t *testing.T) {
+	gated, err := drivertest.NewGated("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	twophase, err := driver.Get("twophase")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := driver.NewRegistry()
+	reg.MustRegister(gated)
+	reg.MustRegister(twophase)
+	svc, ts := newTestServer(t, Options{Registry: reg, QueueCapacity: 1, Parallelism: 1})
+
+	texts := goldenLoops(t)
+	warm := api.CompileRequest{
+		Loops:      texts[:1],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"twophase"},
+	}
+	if done := waitJob(t, ts.URL, submitJob(t, ts.URL, warm).ID); done.State != api.JobDone || done.Errors != 0 {
+		t.Fatalf("warm-up job = %+v", done)
+	}
+	// One warm twophase unit plus one gated dms unit.
+	mixed := warm
+	mixed.Schedulers = []string{"twophase", "dms"}
+
+	first := submitJob(t, ts.URL, mixed)
+	eventually(t, "the puller to take the first batch's dms unit", func() bool { return gated.Calls.Load() == 1 })
+	second := submitJob(t, ts.URL, mixed)
+	eventually(t, "the second batch's cache hit to settle", func() bool { return getJob(t, ts.URL, second.ID).Done == 1 })
+	if j := getJob(t, ts.URL, second.ID); j.State != api.JobQueued || j.QueuePos != 1 {
+		t.Fatalf("batch with a settled cache hit and a waiting unit = %+v, want queued at position 1", j)
+	}
+	if _, err := submitJobErr(ts.URL, mixed); err == nil || !strings.Contains(err.Error(), "status 429") {
+		t.Fatalf("submit past capacity: %v, want status 429", err)
+	}
+	if m := svc.Snapshot().Queue; m.Rejected != 1 || m.Depth != 1 || m.Running != 1 {
+		t.Errorf("queue metrics = %+v, want 1 rejected, depth 1, running 1", m)
+	}
+
+	close(gated.Gate)
+	// The second batch's dms unit is warm by the time the puller takes
+	// it, so both of its records are cache hits.
+	for i, id := range []string{first.ID, second.ID} {
+		if done := waitJob(t, ts.URL, id); done.State != api.JobDone || done.Done != 2 || done.Cached != i+1 || done.Errors != 0 {
+			t.Fatalf("job %s = %+v, want done with %d of 2 cached", id, done, i+1)
+		}
+	}
+}
+
 // TestServerCancelQueuedJob pins the cancellation half of admission
 // control: a canceled queued job never reaches the driver, its results
 // stream is an empty one closed by a zero summary, and the metrics
