@@ -241,3 +241,63 @@ func TestServerWorkerRouteValidation(t *testing.T) {
 		t.Errorf("empty lease has no poll hint: %+v", lease)
 	}
 }
+
+// TestLeaseSizeClamp pins the coordinator's hand-out sizes: a lease
+// request naming no size (or a negative one) gets DefaultLeaseChunk
+// units, any request is capped at DefaultLeaseChunkMax, the worker's
+// dispatch gauge reports the clamped size, and an empty lease carries
+// the DefaultWorkerPoll re-poll hint.
+func TestLeaseSizeClamp(t *testing.T) {
+	svc, ts := newTestServer(t, Options{Distribute: true})
+	lease := func(body string) api.Lease {
+		t.Helper()
+		resp, err := http.Post(ts.URL+api.PathWorkersLease, "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lease %s: status %d", body, resp.StatusCode)
+		}
+		var l api.Lease
+		if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+
+	if empty := lease(`{"worker":"w"}`); empty.ID != "" || empty.PollMS != 500 {
+		t.Errorf("empty lease = %+v, want no units and poll_ms 500", empty)
+	}
+
+	// One worker identity takes every lease, so content-hash affinity
+	// never holds a unit back from it.
+	const n = 300
+	loops := make([]string, n)
+	for i := range loops {
+		loops[i] = "loop dot trip 100\nx = load\ny = load\nm = mul x, y\nacc = add m, acc@1\nout = store acc\n"
+	}
+	submitJob(t, ts.URL, api.CompileRequest{
+		Loops:      loops,
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+		NoCache:    true,
+	})
+	eventually(t, "every unit queued", func() bool { return svc.Snapshot().Dispatch.PendingUnits == n })
+
+	for _, tc := range []struct {
+		maxUnits, want int
+	}{
+		{0, 8},
+		{-5, 8},
+		{100000, 256},
+	} {
+		l := lease(`{"worker":"w","max_units":` + strconv.Itoa(tc.maxUnits) + `}`)
+		if len(l.Units) != tc.want {
+			t.Errorf("max_units %d: leased %d units, want %d", tc.maxUnits, len(l.Units), tc.want)
+		}
+		if got := svc.Snapshot().Dispatch.Workers["w"].CurrentChunk; got != tc.want {
+			t.Errorf("max_units %d: current_chunk %d, want %d", tc.maxUnits, got, tc.want)
+		}
+	}
+}
