@@ -27,10 +27,10 @@
 // local driver through a local schedule cache. Workers self-schedule:
 // after a warm-up at -chunk units per lease, each sizes its next
 // request from its own service-time EWMA and the backlog the
-// coordinator reports, capped by the coordinator's -chunk-max; -fixed-
-// chunk pins the old fixed-size behavior. Completed results batch
-// into -post-window flushes instead of one POST per unit, and
-// -schedulers restricts which units the coordinator routes here.
+// coordinator reports, capped at server.DefaultLeaseChunkMax (256)
+// units. Completed results batch into worker.DefaultPostWindow (25 ms)
+// flushes instead of one POST per unit, and -schedulers restricts
+// which units the coordinator routes here.
 //
 // Both serving roles accept -data-dir, which makes the control plane
 // durable: the unit queue is write-ahead logged and result buffers
@@ -100,7 +100,6 @@ func main() {
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "retention of finished jobs' results for polling/resume")
 		jobBytes   = flag.Int64("job-bytes", jobs.DefaultMaxRetainedBytes, "approximate cap on retained results' total size")
 		retryAfter = flag.Duration("retry-after", server.DefaultRetryAfter, "429 backoff hint until batch service times are observed (then adaptive)")
-		shards     = flag.Int("result-shards", 0, "shard the result-buffer index N ways by content hash (0/1 = single table; ignored with -data-dir)")
 		dataDir    = flag.String("data-dir", "", "durable state directory: queue WAL + result segments, recovered on restart (empty = in-memory)")
 		fsync      = flag.Bool("fsync", true, "fsync every durable append (with -data-dir; off rides the OS page cache)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace period")
@@ -108,13 +107,9 @@ func main() {
 		// Distribution (coordinator/worker roles).
 		coordinator = flag.String("coordinator", "http://localhost:8080", "coordinator base URL (worker role)")
 		workerID    = flag.String("worker-id", "", "stable worker identity for hash routing (worker role; default hostname+random)")
-		chunk       = flag.Int("chunk", 0, "initial compile units per lease before the worker's EWMA warms up (coordinator: default hand-out; worker: warm-up request size; 0 = default). Deprecated as a cap: use -chunk-max")
-		chunkMax    = flag.Int("chunk-max", 0, "hard cap on compile units per lease regardless of worker requests (coordinator; 0 = default)")
-		fixedChunk  = flag.Bool("fixed-chunk", false, "disable adaptive chunk sizing: request exactly -chunk units per lease (worker)")
-		postWindow  = flag.Duration("post-window", 0, "result-batching flush window (worker; 0 = default, negative = post every unit immediately)")
+		chunk       = flag.Int("chunk", 0, "compile units per lease request until the worker's service-time EWMA warms up (worker; 0 = the coordinator's default of 8)")
 		schedulers  = flag.String("schedulers", "", "comma-separated scheduler names this worker advertises; the coordinator routes others elsewhere (worker; empty = all registered)")
 		leaseTTL    = flag.Duration("lease-ttl", server.DefaultLeaseTTL, "worker lease heartbeat deadline before units requeue (coordinator)")
-		workerPoll  = flag.Duration("worker-poll", server.DefaultWorkerPoll, "re-poll hint sent with empty leases (coordinator)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -151,8 +146,6 @@ func main() {
 			Coordinator: *coordinator,
 			ID:          *workerID,
 			Chunk:       *chunk,
-			FixedChunk:  *fixedChunk,
-			PostWindow:  *postWindow,
 			Schedulers:  advertise,
 			UnitDelay:   unitDelay,
 			Parallelism: *par,
@@ -179,12 +172,8 @@ func main() {
 		JobTTL:           *jobTTL,
 		MaxRetainedBytes: *jobBytes,
 		RetryAfter:       *retryAfter,
-		ResultShards:     *shards,
 		Distribute:       *role == "coordinator",
 		LeaseTTL:         *leaseTTL,
-		LeaseChunk:       *chunk,
-		LeaseChunkMax:    *chunkMax,
-		WorkerPoll:       *workerPoll,
 		DataDir:          *dataDir,
 		Fsync:            *fsync,
 	})

@@ -2,19 +2,15 @@ package repro_test
 
 // BenchmarkDistributedDrain measures the end-to-end drain of a
 // generated 1k-loop corpus through the worker-pull surface with a
-// heterogeneous in-process fleet (one worker deliberately 4× slower),
-// in two modes:
-//
-//	fixed-chunk-8  — the pre-self-scheduling baseline: every lease
-//	                 hands out exactly 8 units and every unit posts
-//	                 its result in its own round trip.
-//	adaptive       — self-sized chunks (service-time EWMA × factoring
-//	                 bound) and flush-window result batches.
+// heterogeneous in-process fleet (one worker deliberately 4× slower):
+// self-sized chunks (service-time EWMA × factoring bound) and
+// flush-window result batches, the workers' only mode. The sub-benchmark
+// keeps its name, adaptive, so runs compare with the adaptive rows of
+// BENCH_PR10.json, which also records the fixed-chunk, per-unit-post
+// baseline this mode replaced.
 //
 // Reported metrics: wall-clock makespan, result POSTs, and lease RPCs
-// per drain. BENCH_PR10.json records the checked-in trajectory; the
-// acceptance bar is adaptive makespan ≥ 1.5× better and POSTs ≥ 4×
-// fewer on this workload.
+// per drain.
 
 import (
 	"context"
@@ -60,7 +56,7 @@ func (c *rpcCounter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // (WAL-backed queue and result store, synced — the deployment the ack
 // path is built for), a fast and a 4×-slow worker, one batch covering
 // the whole corpus.
-func drainOnce(b *testing.B, req api.CompileRequest, fixed bool) (makespan time.Duration, posts, leases int64) {
+func drainOnce(b *testing.B, req api.CompileRequest) (makespan time.Duration, posts, leases int64) {
 	b.Helper()
 	svc, err := server.Open(server.Options{
 		Distribute: true,
@@ -86,13 +82,7 @@ func drainOnce(b *testing.B, req api.CompileRequest, fixed bool) (makespan time.
 	} {
 		opt.Coordinator = ts.URL
 		opt.Wait = 200 * time.Millisecond
-		if fixed {
-			opt.Chunk = 8
-			opt.FixedChunk = true
-			opt.PostWindow = -1 // pre-batching behavior: one POST per unit
-		} else {
-			opt.ChunkTarget = 150 * time.Millisecond
-		}
+		opt.ChunkTarget = 150 * time.Millisecond
 		wg.Add(1)
 		go func(opt worker.Options) {
 			defer wg.Done()
@@ -114,10 +104,10 @@ func drainOnce(b *testing.B, req api.CompileRequest, fixed bool) (makespan time.
 	return makespan, counter.posts.Load(), counter.leases.Load()
 }
 
-func benchDrain(b *testing.B, req api.CompileRequest, fixed bool) {
+func benchDrain(b *testing.B, req api.CompileRequest) {
 	var makespanMS, posts, leases float64
 	for i := 0; i < b.N; i++ {
-		m, p, l := drainOnce(b, req, fixed)
+		m, p, l := drainOnce(b, req)
 		makespanMS += float64(m.Milliseconds())
 		posts += float64(p)
 		leases += float64(l)
@@ -141,6 +131,5 @@ func BenchmarkDistributedDrain(b *testing.B) {
 		Machines:   []api.MachineSpec{{Clusters: 2, Unclustered: true}},
 		Schedulers: []string{"ims"},
 	}
-	b.Run("fixed-chunk-8", func(b *testing.B) { benchDrain(b, req, true) })
-	b.Run("adaptive", func(b *testing.B) { benchDrain(b, req, false) })
+	b.Run("adaptive", func(b *testing.B) { benchDrain(b, req) })
 }

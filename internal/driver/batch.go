@@ -124,13 +124,6 @@ func Compile(ctx context.Context, job Job, opt BatchOptions) Result {
 	return compileTimed(ctx, job, opt.latencies(), opt.registry(), opt.Timeout)
 }
 
-// CompileOne compiles a single job synchronously with the default
-// registry and latencies — the all-defaults convenience entry point
-// (the facade and CLIs go through Compile with explicit BatchOptions).
-func CompileOne(ctx context.Context, job Job) Result {
-	return Compile(ctx, job, BatchOptions{})
-}
-
 // compileTimed compiles one job under ctx, narrowed by the per-job
 // timeout. With a plain background context it runs inline; with a
 // cancelable context it runs the job on a goroutine and a watchdog
@@ -255,18 +248,6 @@ func ForEachFirstErr(n, parallelism int, f func(i int) error) error {
 		}
 	})
 	return firstErr
-}
-
-// FirstErr returns the first error in job order, or nil; it converts a
-// batch into the all-or-nothing convention the experiment harness
-// reports with.
-func FirstErr(results []Result) error {
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }
 
 // ForEach runs f(0..n-1) on a worker pool of the given size

@@ -93,9 +93,6 @@ func TestCompileAllIsolatesFailures(t *testing.T) {
 			}
 		}
 	}
-	if err := FirstErr(results); err == nil {
-		t.Error("FirstErr found no error in a batch with failures")
-	}
 }
 
 // sleepyScheduler blocks long enough to trip any reasonable timeout.

@@ -112,7 +112,7 @@ func TestDifferentialUsefulOpsAgree(t *testing.T) {
 		want := -1
 		for _, name := range Names() {
 			sched, _ := Get(name)
-			r := CompileOne(context.Background(), Job{Loop: l, Machine: MachineFor(sched, 2), Scheduler: name})
+			r := Compile(context.Background(), Job{Loop: l, Machine: MachineFor(sched, 2), Scheduler: name}, BatchOptions{})
 			if r.Err != nil {
 				t.Fatalf("%s/%s: %v", l.Name, name, r.Err)
 			}

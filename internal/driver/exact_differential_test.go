@@ -124,7 +124,7 @@ func TestDifferentialPortfolioNeverWorseThanDMS(t *testing.T) {
 			// machine must reproduce the portfolio's schedule exactly.
 			ref := dms
 			if winner == "exact" {
-				ref = CompileOne(context.Background(), Job{Loop: l, Machine: m, Scheduler: "exact"})
+				ref = Compile(context.Background(), Job{Loop: l, Machine: m, Scheduler: "exact"}, BatchOptions{})
 				if ref.Err != nil {
 					t.Fatalf("%s/exact/%d clusters: %v", l.Name, c, ref.Err)
 				}

@@ -1,13 +1,12 @@
 package jobs
 
 // Conformance suites for the engine's two interface seams. Every
-// Queue and ResultStore implementation — today the in-process queue
-// and the single/sharded stores, tomorrow a persistent one — must pass
-// the same behavioural contract, so the suites take constructors and
-// the per-implementation tests are one-liners.
+// Queue and ResultStore implementation — the in-process queue and its
+// write-ahead-log decorator, the in-process and disk-backed stores —
+// must pass the same behavioural contract, so the suites take
+// constructors and the per-implementation tests are one-liners.
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -390,16 +389,13 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 }
 
-// unwrapQueue strips decorators (the WAL) off a queue so suite tweaks
+// unwrapQueue strips the WAL decorator off a queue so suite tweaks
 // that need the concrete in-process queue still reach it.
 func unwrapQueue(q Queue) Queue {
-	for {
-		w, ok := q.(interface{ Inner() Queue })
-		if !ok {
-			return q
-		}
-		q = w.Inner()
+	if w, ok := q.(*WALQueue); ok {
+		return w.inner
 	}
+	return q
 }
 
 func TestMemQueueConformance(t *testing.T) {
@@ -536,10 +532,6 @@ func TestMemStoreConformance(t *testing.T) {
 	testStoreConformance(t, NewMemStore)
 }
 
-func TestShardedStoreConformance(t *testing.T) {
-	testStoreConformance(t, func() ResultStore { return NewShardedStore(4) })
-}
-
 func TestDiskStoreConformance(t *testing.T) {
 	testStoreConformance(t, func() ResultStore {
 		s, err := NewDiskStore(t.TempDir(), false)
@@ -566,33 +558,4 @@ func TestDiskStoreConformanceFsync(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	})
-}
-
-// TestEngineWithShardedStore runs a full engine lifecycle on the
-// sharded store, proving the seam is genuinely interchangeable where
-// it matters — under the engine, not just the conformance suite.
-func TestEngineWithShardedStore(t *testing.T) {
-	e := New(Options{Store: NewShardedStore(8)})
-	defer e.Close()
-
-	var jobs []*Job
-	for i := 0; i < 10; i++ {
-		j := submitN(t, e, 3)
-		jobs = append(jobs, j)
-	}
-	for i, j := range jobs {
-		if state, err := j.Wait(context.Background()); err != nil || state != api.JobDone {
-			t.Fatalf("job %d: %v, %v", i, state, err)
-		}
-		recs, _ := j.Results(0)
-		if len(recs) != 3 {
-			t.Fatalf("job %d kept %d results", i, len(recs))
-		}
-		if sum := j.Summary(); sum.Jobs != 3 {
-			t.Errorf("job %d summary = %+v", i, sum)
-		}
-	}
-	if m := e.Metrics(); m.Completed != 10 || m.Retained != 10 {
-		t.Errorf("Metrics = %+v", m)
-	}
 }

@@ -235,32 +235,15 @@ func (s *DiskStore) Close() error {
 	return nil
 }
 
-// diskBuffer is a memBuffer-alike whose appends also land in the
-// job's segment file. meta is written via the store, guarded by the
-// same mutex as the records.
+// diskBuffer is a memBuffer whose appends also land in the job's
+// segment file. The embedded buffer's mutex guards the records, meta
+// and f, and is held across each segment write (and fsync), so frames
+// never interleave and a Results call after Append sees the record.
 type diskBuffer struct {
+	memBuffer
 	store *DiskStore
-
-	mu     sync.Mutex
-	f      *os.File // nil once detached (dropped/closed): memory-only
-	recs   []api.JobResult
-	errors int
-	cached int
-	bytes  int64
-	meta   []byte
-}
-
-// applyLocked accounts one record in memory. Callers hold b.mu or are
-// single-threaded (recovery).
-func (b *diskBuffer) applyLocked(rec api.JobResult) {
-	b.recs = append(b.recs, rec)
-	b.bytes += recSize(rec)
-	if rec.Error != "" {
-		b.errors++
-	}
-	if rec.Cached {
-		b.cached++
-	}
+	f     *os.File // nil once detached (dropped/closed): memory-only
+	meta  []byte
 }
 
 func (b *diskBuffer) Append(rec api.JobResult) {
@@ -305,26 +288,6 @@ func (b *diskBuffer) detach() {
 		b.f.Close() //dms:lockok b.mu orders the final close against in-flight appends; Close does not block
 		b.f = nil
 	}
-}
-
-func (b *diskBuffer) Results(from int) []api.JobResult {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(b.recs) {
-		return nil
-	}
-	out := make([]api.JobResult, len(b.recs)-from)
-	copy(out, b.recs[from:])
-	return out
-}
-
-func (b *diskBuffer) Stats() BufferStats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BufferStats{Results: len(b.recs), Errors: b.errors, Cached: b.cached, Bytes: b.bytes}
 }
 
 // mustJSON marshals v, which must be a plain wire struct; the wire

@@ -11,10 +11,9 @@
 //     expiry. Every compile unit of every batch waits on it, and
 //     in-process pullers or remote workers lease from it (see
 //     internal/server and internal/worker).
-//   - ResultStore — the per-job append-only result buffers. The
-//     default is a single in-process table; NewShardedStore spreads
-//     the index over N lock-independent shards keyed by content hash
-//     of the job ID.
+//   - ResultStore — the per-job append-only result buffers: an
+//     in-process table (NewMemStore, the default) or the durable
+//     DiskStore, which also writes each buffer to a segment file.
 //
 // Each admitted submission becomes a Job resource that moves strictly
 // forward through
@@ -108,8 +107,7 @@ type Options struct {
 	// (0 = DefaultMaxRetainedBytes).
 	MaxRetainedBytes int64
 	// Store substitutes the result-buffer store
-	// (nil = NewMemStore()). Use NewShardedStore to spread index
-	// contention over independent shards.
+	// (nil = NewMemStore()); the durable service passes a DiskStore.
 	Store ResultStore
 }
 

@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"hash/fnv"
 	"sync"
 
 	api "repro/api/v1"
@@ -59,6 +58,12 @@ type memBuffer struct {
 func (b *memBuffer) Append(rec api.JobResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	b.applyLocked(rec)
+}
+
+// applyLocked accounts one record in memory. Callers hold b.mu or are
+// single-threaded (recovery).
+func (b *memBuffer) applyLocked(rec api.JobResult) {
 	b.recs = append(b.recs, rec)
 	b.bytes += recSize(rec)
 	if rec.Error != "" {
@@ -131,48 +136,4 @@ func (s *memStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.byID)
-}
-
-// shardedStore spreads the buffer index over n independent in-process
-// stores, keyed by a content hash of the job ID, so index operations
-// from many concurrent streams and producers contend on 1/n of a lock
-// instead of one. The buffers themselves are unchanged — sharding is
-// purely an index-level concern, which is what makes the two
-// implementations interchangeable behind ResultStore.
-type shardedStore struct {
-	shards []*memStore
-}
-
-// NewShardedStore returns a ResultStore sharded n ways (n < 2 falls
-// back to the single in-process store).
-func NewShardedStore(n int) ResultStore {
-	if n < 2 {
-		return NewMemStore()
-	}
-	s := &shardedStore{shards: make([]*memStore, n)}
-	for i := range s.shards {
-		s.shards[i] = &memStore{byID: make(map[string]*memBuffer)}
-	}
-	return s
-}
-
-// shard picks the store for id by FNV-1a content hash.
-func (s *shardedStore) shard(id string) *memStore {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return s.shards[h.Sum32()%uint32(len(s.shards))]
-}
-
-func (s *shardedStore) Create(id string) Buffer { return s.shard(id).Create(id) }
-
-func (s *shardedStore) Get(id string) (Buffer, bool) { return s.shard(id).Get(id) }
-
-func (s *shardedStore) Drop(id string) { s.shard(id).Drop(id) }
-
-func (s *shardedStore) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.Len()
-	}
-	return n
 }

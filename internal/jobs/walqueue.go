@@ -376,10 +376,6 @@ func (w *WALQueue) Changed() <-chan struct{} { return w.inner.Changed() }
 
 func (w *WALQueue) Stats() QueueStats { return w.inner.Stats() }
 
-// Inner returns the decorated queue (tests reach through it; the
-// service never needs to).
-func (w *WALQueue) Inner() Queue { return w.inner }
-
 // Recovered returns the tasks replayed into the inner queue when the
 // log was opened, in their original FIFO admission order.
 func (w *WALQueue) Recovered() []Task {

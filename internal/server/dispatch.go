@@ -25,13 +25,15 @@ const (
 	// returned to the queue.
 	DefaultLeaseTTL = 15 * time.Second
 	// DefaultLeaseChunk is the units handed out to a lease request that
-	// names no size of its own (MaxUnits 0) — the warm-up size before a
-	// self-scheduling worker's chunk calculator has observations.
+	// names no size of its own (MaxUnits 0 or negative) — the warm-up
+	// size before a self-scheduling worker's chunk calculator has
+	// observations.
 	DefaultLeaseChunk = 8
 	// DefaultLeaseChunkMax caps the units handed out per lease no
 	// matter how many the worker asks for: the requeue cost of a lost
 	// lease (and the coordinator's exposure to one slow worker hoarding
-	// the queue) stays bounded.
+	// the queue) stays bounded. Self-scheduling workers clamp their
+	// requests to the same cap.
 	DefaultLeaseChunkMax = 256
 	// DefaultWorkerPoll is the re-poll hint sent with empty leases.
 	DefaultWorkerPoll = 500 * time.Millisecond
@@ -57,9 +59,6 @@ type dispatcher struct {
 	pullers  int              // in-process pullers; 0 leaves every unit to workers
 	perBatch int32            // pullers one batch may hold at once
 	ttl      time.Duration
-	chunk    int // hand-out size for requests that name none
-	chunkMax int // hard cap on any hand-out
-	poll     time.Duration
 
 	// Counters over the results batches' jobs receive (see observe).
 	jobErrors atomic.Int64
@@ -177,21 +176,9 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	if q == nil {
 		q = jobs.NewMemQueue(0) // admission is bounded per batch upstream
 	}
-	ttl, chunk, chunkMax, poll := opt.LeaseTTL, opt.LeaseChunk, opt.LeaseChunkMax, opt.WorkerPoll
+	ttl := opt.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
-	}
-	if chunk <= 0 {
-		chunk = DefaultLeaseChunk
-	}
-	if chunkMax <= 0 {
-		chunkMax = DefaultLeaseChunkMax
-	}
-	if chunkMax < chunk {
-		chunkMax = chunk // the cap never undercuts the default hand-out
-	}
-	if poll <= 0 {
-		poll = DefaultWorkerPoll
 	}
 	pullers := opt.Parallelism
 	if pullers <= 0 {
@@ -207,9 +194,6 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 		pullers:  pullers,
 		perBatch: int32((pullers + 1) / 2),
 		ttl:      ttl,
-		chunk:    chunk,
-		chunkMax: chunkMax,
-		poll:     poll,
 		units:    make(map[string]*unit),
 		leases:   make(map[string]*leaseState),
 		workers:  make(map[string]*workerState),
@@ -578,24 +562,24 @@ func taskScheduler(payload any) string {
 // lease hands the calling worker a chunk of units, long-polling up to
 // wait when the queue is empty. The chunk size is the worker's own
 // request (self-scheduling workers size it from their service-time
-// EWMA and the reported backlog), clamped to [1, chunkMax]; a request
-// that names no size gets the warm-up default. The tick that re-arms
-// the wait also drives lease expiry, so requeued units of a crashed
-// worker become leasable without separate traffic.
+// EWMA and the reported backlog), clamped to DefaultLeaseChunkMax; a
+// request that names no size gets DefaultLeaseChunk. The tick that
+// re-arms the wait also drives lease expiry, so requeued units of a
+// crashed worker become leasable without separate traffic.
 func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.Duration) api.Lease {
 	max := req.MaxUnits
 	if max <= 0 {
-		max = d.chunk
+		max = DefaultLeaseChunk
 	}
-	if max > d.chunkMax {
-		max = d.chunkMax
+	if max > DefaultLeaseChunkMax {
+		max = DefaultLeaseChunkMax
 	}
 	if wait > maxLeaseWait {
 		wait = maxLeaseWait
 	}
 	eligible := d.noteWorker(req, max)
 	deadline := time.Now().Add(wait)
-	empty := api.Lease{PollMS: int(d.poll / time.Millisecond)}
+	empty := api.Lease{PollMS: int(DefaultWorkerPoll / time.Millisecond)}
 	for {
 		d.q.Expire(time.Now())
 		ch := d.q.Changed()

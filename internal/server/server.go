@@ -119,9 +119,6 @@ type Options struct {
 	// scales adaptively: queue depth × EWMA batch service time over the
 	// running batches (see adaptiveRetryAfter).
 	RetryAfter time.Duration
-	// ResultShards spreads the engine's result-buffer index over N
-	// content-hash-keyed shards (0 or 1 = the single in-process store).
-	ResultShards int
 	// Distribute starts no in-process pullers: the server becomes a
 	// coordinator, and worker processes (internal/worker, dmsserve -role
 	// worker) lease its compile units over /v1/workers. The
@@ -131,24 +128,11 @@ type Options struct {
 	// posts nothing for this long has its unresolved units requeued
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// LeaseChunk is the units handed out to a lease request that names
-	// no size of its own — the warm-up hand-out before a
-	// self-scheduling worker sizes its own requests
-	// (0 = DefaultLeaseChunk).
-	LeaseChunk int
-	// LeaseChunkMax caps the units handed out per lease regardless of
-	// how many the worker requests (0 = DefaultLeaseChunkMax; never
-	// below LeaseChunk).
-	LeaseChunkMax int
-	// WorkerPoll is the re-poll hint sent with empty leases
-	// (0 = DefaultWorkerPoll).
-	WorkerPoll time.Duration
 	// DataDir roots the durable control-plane state: the unit queue's
 	// write-ahead log and the job result segments live under it, and a
 	// server opened over a previous process's DataDir recovers that
 	// state (see Open and recoverDurable). "" keeps queue and results
-	// in memory — exactly the pre-durability behavior. With DataDir
-	// set, ResultShards is ignored: the disk store is the result index.
+	// in memory — exactly the pre-durability behavior.
 	DataDir string
 	// Fsync syncs every WAL and segment append to stable storage
 	// before acknowledging it; off, appends ride the OS page cache
@@ -289,8 +273,8 @@ func New(opt Options) *Server {
 // original job IDs — before any request can be served.
 func Open(opt Options) (*Server, error) {
 	cache := NewCache(opt.CacheSize)
-	store := jobs.ResultStore(jobs.NewShardedStore(opt.ResultShards))
-	var q jobs.Queue // nil = the dispatcher's own in-memory queue
+	var store jobs.ResultStore // nil = the engine's in-memory store
+	var q jobs.Queue           // nil = the dispatcher's own in-memory queue
 	var durable *durableState
 	if opt.DataDir != "" {
 		var err error

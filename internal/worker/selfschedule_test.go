@@ -179,64 +179,6 @@ func TestWorkerBatchedResultPosts(t *testing.T) {
 	}
 }
 
-// TestWorkerPerUnitPostsCompat pins the escape hatch: a negative
-// PostWindow restores the pre-batching one-POST-per-unit behavior, and
-// FixedChunk pins every lease request to exactly Chunk units.
-func TestWorkerPerUnitPostsCompat(t *testing.T) {
-	loopText := goldenLoops(t)[0]
-	const n = 4
-	units := make([]api.WorkUnit, n)
-	for i := range units {
-		id := string(rune('a' + i))
-		units[i] = api.WorkUnit{ID: id, Hash: id, Loop: loopText, Machine: api.MachineSpec{Clusters: 2}, Scheduler: "dms"}
-	}
-	fake := &fakeLeaseCoordinator{
-		t:        t,
-		lease:    api.Lease{ID: "lease-perunit", Units: units, TTLMS: 60_000},
-		resolved: map[string]bool{},
-	}
-	ts := httptest.NewServer(fake.handler())
-	t.Cleanup(ts.Close)
-
-	stop := startWorker(t, ts.URL, worker.Options{
-		ID:          "legacy",
-		Chunk:       3,
-		FixedChunk:  true,
-		PostWindow:  -1,
-		Parallelism: 1,
-		UnitDelay:   time.Millisecond,
-		Wait:        50 * time.Millisecond,
-	})
-	fake.waitResolved(t, n)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		fake.mu.Lock()
-		enough := len(fake.leaseReqs) >= 3
-		fake.mu.Unlock()
-		if enough || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	stop()
-
-	fake.mu.Lock()
-	defer fake.mu.Unlock()
-	if got := len(fake.resultPosts); got != n {
-		t.Errorf("per-unit mode drained %d units in %d posts, want one each", n, got)
-	}
-	for i, batch := range fake.resultPosts {
-		if len(batch) != 1 {
-			t.Errorf("per-unit post %d carried %d results, want 1", i, len(batch))
-		}
-	}
-	for i, req := range fake.leaseReqs {
-		if req.MaxUnits != 3 {
-			t.Errorf("fixed-chunk lease request %d asked for %d units, want exactly 3", i, req.MaxUnits)
-		}
-	}
-}
-
 // TestWorkerSchedulerRouting is the mixed-fleet regression for
 // scheduler-aware routing: a worker that can only run dms advertises
 // exactly that, the coordinator routes the twophase units to the

@@ -81,17 +81,8 @@ type Options struct {
 	// Chunk is the units requested per lease before the worker's
 	// service-time EWMA has warmed up (0 = the coordinator's default).
 	// Once warm, the worker sizes its own requests from the EWMA and
-	// the coordinator-reported backlog — unless FixedChunk pins it.
+	// the coordinator-reported backlog.
 	Chunk int
-	// FixedChunk disables adaptive chunk sizing: every lease requests
-	// exactly Chunk units, the pre-self-scheduling behavior.
-	FixedChunk bool
-	// PostWindow is the result-batching flush window: completed unit
-	// results accumulate for up to this long (or until the lease
-	// drains, whichever is first) before being posted as one results[]
-	// batch (0 = DefaultPostWindow; negative = post every unit
-	// immediately, the pre-batching behavior).
-	PostWindow time.Duration
 	// ChunkTarget is the wall-clock one self-sized chunk should take
 	// to drain (0 = DefaultChunkTarget); smaller chunks adapt faster
 	// and shrink the tail a slow worker can hold, larger ones amortize
@@ -151,16 +142,6 @@ func (o Options) logf(format string, args ...any) {
 	}
 }
 
-func (o Options) postWindow() time.Duration {
-	if o.PostWindow < 0 {
-		return -1 // per-unit posting
-	}
-	if o.PostWindow == 0 {
-		return DefaultPostWindow
-	}
-	return o.PostWindow
-}
-
 func (o Options) registry() *driver.Registry {
 	if o.Registry != nil {
 		return o.Registry
@@ -197,13 +178,9 @@ func (w Options) run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		maxUnits := w.Chunk
-		if !w.FixedChunk {
-			maxUnits = calc.Next(remaining)
-		}
 		lease, err := cli.LeaseWork(ctx, api.LeaseRequest{
 			Worker:     id,
-			MaxUnits:   maxUnits,
+			MaxUnits:   calc.Next(remaining),
 			WaitMS:     int(w.wait() / time.Millisecond),
 			Schedulers: schedulers,
 			EWMAUnitMS: calc.EWMA(),
@@ -268,7 +245,7 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 		defer mu.Unlock()
 		return canceled[uid]
 	}
-	// post delivers one unit result (or, with "" unit, a pure
+	// post delivers a batch of unit results (or, with none, a pure
 	// heartbeat), canceling the lease on lease_expired.
 	post := func(results []api.UnitResult) {
 		resp, err := cli.PushWorkResults(leaseCtx, lease.ID, results)
@@ -290,7 +267,7 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 	// so a heartbeat racing (or following) that final post would draw a
 	// spurious 410 lease_expired and cancel work that drained cleanly.
 	//
-	// Completed results accumulate in buf for up to the flush window
+	// Completed results accumulate in buf for up to DefaultPostWindow
 	// before going out as one results[] post; the lease boundary (last
 	// unit) and the heartbeat ticker both force a flush, so nothing
 	// buffered outlives either the lease or a TTL third.
@@ -299,7 +276,6 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 	remaining := len(lease.Units)
 	var buf []api.UnitResult
 	var flushTimer *time.Timer
-	window := w.postWindow()
 	stopHeartbeatLocked := func() {
 		select {
 		case <-hbStop:
@@ -323,22 +299,16 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 		postMu.Lock()
 		defer postMu.Unlock()
 		remaining--
-		if window < 0 {
-			post([]api.UnitResult{r})
-		} else {
-			buf = append(buf, r)
-			if remaining == 0 {
-				flushLocked()
-			} else if flushTimer == nil {
-				flushTimer = time.AfterFunc(window, func() {
-					postMu.Lock()
-					defer postMu.Unlock()
-					flushLocked()
-				})
-			}
-		}
+		buf = append(buf, r)
 		if remaining == 0 {
+			flushLocked()
 			stopHeartbeatLocked()
+		} else if flushTimer == nil {
+			flushTimer = time.AfterFunc(DefaultPostWindow, func() {
+				postMu.Lock()
+				defer postMu.Unlock()
+				flushLocked()
+			})
 		}
 	}
 	heartbeat := func() {
