@@ -535,9 +535,11 @@ type DispatchMetrics struct {
 	PendingUnits int `json:"pending_units"`
 	LeasedUnits  int `json:"leased_units"`
 	ActiveLeases int `json:"active_leases"`
-	// Dispatched/Resolved/Requeued are monotonic counters: units handed
-	// to the queue, units resolved by a posted result, and units
-	// returned to the queue by lease expiry.
+	// Dispatched/Resolved/Requeued are monotonic counters: units put on
+	// the queue, counted once their enqueue has returned (on a durable
+	// server, once they are in its WAL, so a kill loses none of them),
+	// units resolved by a posted result, and units returned to the queue
+	// by lease expiry.
 	Dispatched uint64 `json:"dispatched"`
 	Resolved   uint64 `json:"resolved"`
 	Requeued   uint64 `json:"requeued"`

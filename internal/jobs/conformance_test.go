@@ -8,6 +8,7 @@ package jobs
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,11 +17,11 @@ import (
 )
 
 // testQueueConformance runs the Queue contract against a constructor.
-func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
+func testQueueConformance(t *testing.T, mk func() Queue) {
 	t.Run("FIFOAndPos", func(t *testing.T) {
 		// Each task leases at its admission position: one at a time,
 		// and all at once.
-		q := mk(0)
+		q := mk()
 		for i := 0; i < 6; i++ {
 			if err := q.Enqueue(Task{ID: fmt.Sprintf("t%d", i)}); err != nil {
 				t.Fatal(err)
@@ -38,28 +39,40 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		}
 	})
 
-	t.Run("Capacity", func(t *testing.T) {
-		q := mk(2)
+	t.Run("GroupEnqueue", func(t *testing.T) {
+		// A group is admitted whole and in order, after what was
+		// queued before it; a group that repeats an ID, its own or a
+		// queued one, is refused whole.
+		q := mk()
 		if err := q.Enqueue(Task{ID: "a"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Enqueue(Task{ID: "b"}); err != nil {
+		if err := q.Enqueue(Task{ID: "b"}, Task{ID: "c"}, Task{ID: "d"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Enqueue(Task{ID: "c"}); err != ErrQueueFull {
-			t.Fatalf("over-capacity enqueue: %v, want ErrQueueFull", err)
+		if err := q.Enqueue(Task{ID: "e"}, Task{ID: "b"}); err == nil {
+			t.Fatal("group repeating a queued ID accepted")
 		}
-		// Leased tasks free pending capacity.
-		if _, tasks := q.Lease("w", 1, 0); len(tasks) != 1 {
-			t.Fatal("lease failed")
+		if err := q.Enqueue(Task{ID: "e"}, Task{ID: "f"}, Task{ID: "e"}); err == nil {
+			t.Fatal("group repeating its own ID accepted")
 		}
-		if err := q.Enqueue(Task{ID: "c"}); err != nil {
-			t.Fatalf("enqueue after lease freed a slot: %v", err)
+		if err := q.Enqueue(); err != nil {
+			t.Fatalf("empty group: %v", err)
+		}
+		if st := q.Stats(); st.Pending != 4 {
+			t.Fatalf("pending after refused groups = %d, want 4", st.Pending)
+		}
+		if err := q.Enqueue(Task{ID: "e"}, Task{ID: "f"}); err != nil {
+			t.Fatalf("group after a refused one: %v", err)
+		}
+		_, tasks := q.Lease("w", 10, 0)
+		if got, want := ids(tasks), []string{"a", "b", "c", "d", "e", "f"}; !slices.Equal(got, want) {
+			t.Errorf("lease order = %v, want %v", got, want)
 		}
 	})
 
 	t.Run("AckResolvesExactlyOnce", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a"})
 		lease, tasks := q.Lease("w", 1, 0)
 		if len(tasks) != 1 {
@@ -79,7 +92,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	t.Run("NackRequeuesForOthers", func(t *testing.T) {
 		// A lapsed lease is the queue's nack: its task requeues for
 		// other owners.
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a", Hash: "h"})
 		q.Enqueue(Task{ID: "b", Hash: "other"})
 		lease, _ := q.Lease("w1", 1, 10*time.Millisecond)
@@ -102,7 +115,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("ExpiryRequeues", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		lease, tasks := q.Lease("w1", 2, 20*time.Millisecond)
@@ -134,7 +147,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("HashAffinity", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		// w1 claims hash h1 by leasing it first.
 		q.Enqueue(Task{ID: "a", Hash: "h1"})
 		l1, tasks := q.Lease("w1", 1, 0)
@@ -158,7 +171,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("StealWhenStarved", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a", Hash: "h1"})
 		if _, tasks := q.Lease("w1", 1, 0); len(tasks) != 1 {
 			t.Fatal("no lease")
@@ -181,7 +194,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 		// The requeue-order property: a crashed owner's lease of N
 		// hashed tasks comes back at the front of the queue in the
 		// original admission order, not scrambled.
-		q := mk(0)
+		q := mk()
 		const n = 12
 		for i := 0; i < n; i++ {
 			if err := q.Enqueue(Task{ID: fmt.Sprintf("t%02d", i), Hash: fmt.Sprintf("h%02d", i)}); err != nil {
@@ -206,7 +219,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("StaleAffinityDoesNotStarve", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		if mq, ok := unwrapQueue(q).(*memQueue); ok {
 			mq.affinityWait = 20 * time.Millisecond
 		}
@@ -230,7 +243,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("WithdrawPendingOnly", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		lease, _ := q.Lease("w", 1, 0)
@@ -249,7 +262,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("ChangedWakesOnEnqueue", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		ch := q.Changed()
 		done := make(chan struct{})
 		go func() {
@@ -265,7 +278,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("AckBatchMatchesPerTaskAck", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		q.Enqueue(Task{ID: "c"})
@@ -294,7 +307,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("AckBatchRefusedAfterExpiry", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a"})
 		q.Enqueue(Task{ID: "b"})
 		lease, _ := q.Lease("w", 2, 10*time.Millisecond)
@@ -312,7 +325,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("LeaseFilteredSkipsIneligible", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		q.Enqueue(Task{ID: "a", Payload: "exact"})
 		q.Enqueue(Task{ID: "b", Payload: "dms"})
 		q.Enqueue(Task{ID: "c", Payload: "exact"})
@@ -330,7 +343,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("LeaseFilteredRespectsAffinity", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		// w1 owns hash h via a plain lease; filtered leases must not
 		// hand w2 the affinitized follow-up while other work exists.
 		q.Enqueue(Task{ID: "a", Hash: "h"})
@@ -346,7 +359,7 @@ func testQueueConformance(t *testing.T, mk func(capacity int) Queue) {
 	})
 
 	t.Run("ConcurrentLeaseNoDuplicates", func(t *testing.T) {
-		q := mk(0)
+		q := mk()
 		const n = 200
 		for i := 0; i < n; i++ {
 			q.Enqueue(Task{ID: fmt.Sprintf("t%d", i), Hash: fmt.Sprintf("h%d", i%17)})
@@ -399,14 +412,14 @@ func unwrapQueue(q Queue) Queue {
 }
 
 func TestMemQueueConformance(t *testing.T) {
-	testQueueConformance(t, NewMemQueue)
+	testQueueConformance(t, func() Queue { return NewMemQueue() })
 }
 
 // TestWALQueueConformance holds the write-ahead-log decorator to the
 // exact same behavioural contract as the queue it wraps.
 func TestWALQueueConformance(t *testing.T) {
-	testQueueConformance(t, func(capacity int) Queue {
-		w, err := NewWALQueue(NewMemQueue(capacity), t.TempDir(), WALOptions{})
+	testQueueConformance(t, func() Queue {
+		w, err := NewWALQueue(NewMemQueue(), t.TempDir(), WALOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

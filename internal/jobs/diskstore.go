@@ -51,10 +51,10 @@ const (
 
 // NewDiskStore opens (creating if needed) a durable result store in
 // dir and recovers every segment found there. With syncEachAppend set
-// every appended record is fsynced before Append returns — a machine
-// crash loses nothing acked; without it the OS page cache decides, and
-// a crash can lose the last moments of results (a process crash alone
-// loses nothing either way).
+// every Append is fsynced before it returns, once per call however many
+// records it carries, so a machine crash loses nothing acked; without
+// it the OS page cache decides, and a crash can lose the last moments
+// of results (a process crash alone loses nothing either way).
 //
 //dms:ctxok synchronous local-disk open/recovery, run once at process start
 func NewDiskStore(dir string, syncEachAppend bool) (*DiskStore, error) {
@@ -238,7 +238,7 @@ func (s *DiskStore) Close() error {
 // diskBuffer is a memBuffer whose appends also land in the job's
 // segment file. The embedded buffer's mutex guards the records, meta
 // and f, and is held across each segment write (and fsync), so frames
-// never interleave and a Results call after Append sees the record.
+// never interleave and a Results call after Append sees the records.
 type diskBuffer struct {
 	memBuffer
 	store *DiskStore
@@ -246,14 +246,30 @@ type diskBuffer struct {
 	meta  []byte
 }
 
-func (b *diskBuffer) Append(rec api.JobResult) {
+// Append encodes the group's record frames before taking the lock and
+// writes them back to back in one write. A crash mid-write leaves a
+// prefix of the group in the segment; recovery keeps that prefix.
+func (b *diskBuffer) Append(recs ...api.JobResult) {
+	if len(recs) == 0 {
+		return
+	}
+	var frames []byte
+	oversized := false // a record past the frame limit stays in memory only
+	for _, rec := range recs {
+		var err error
+		if frames, err = appendFrame(frames, opRecord, mustJSON(rec)); err != nil {
+			oversized = true
+		}
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.applyLocked(rec)
+	for _, rec := range recs {
+		b.applyLocked(rec)
+	}
 	if b.f == nil {
 		return
 	}
-	if err := b.appendFrameLocked(opRecord, mustJSON(rec)); err != nil {
+	if err := b.appendFramesLocked(frames); err != nil || oversized {
 		b.store.noteIOErr()
 	}
 }
@@ -271,7 +287,17 @@ func (b *diskBuffer) setMeta(meta []byte) error {
 // appendFrameLocked writes one frame to the segment, fsyncing under
 // the store's sync policy. Requires b.mu.
 func (b *diskBuffer) appendFrameLocked(op byte, payload []byte) error {
-	if _, err := appendFrame(b.f, op, payload); err != nil {
+	frame, err := appendFrame(nil, op, payload)
+	if err != nil {
+		return err
+	}
+	return b.appendFramesLocked(frame)
+}
+
+// appendFramesLocked writes pre-encoded frames to the segment in one
+// write, fsyncing once under the store's sync policy. Requires b.mu.
+func (b *diskBuffer) appendFramesLocked(frames []byte) error {
+	if _, err := b.f.Write(frames); err != nil {
 		return err
 	}
 	if b.store.sync {

@@ -130,3 +130,83 @@ func TestDiskStoreDropRemovesSegment(t *testing.T) {
 		t.Fatal("append after drop resurrected the segment")
 	}
 }
+
+// TestDiskStoreGroupAppend: a multi-record Append lands in one write
+// and recovers whole, in order. A crash in the middle of that write
+// leaves a torn tail; recovery keeps exactly the group's whole frames,
+// a prefix of the group, and the segment accepts new appends.
+func TestDiskStoreGroupAppend(t *testing.T) {
+	dir := t.TempDir()
+	s1 := openDiskStore(t, dir)
+	s1.Create("job").Append(api.JobResult{Index: 0, Job: "first"})
+	seg := s1.segPath("job")
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := st.Size()
+	group := []api.JobResult{
+		{Index: 1, Job: "a", Schedule: "t=0 c=0 mem x\n"},
+		{Index: 2, Job: "b", Error: "boom"},
+		{Index: 3, Job: "c", Cached: true},
+	}
+	b, _ := s1.Get("job")
+	b.Append(group...)
+	s1.Close()
+
+	s2 := openDiskStore(t, dir)
+	got, _ := s2.Get("job")
+	recs := got.Results(0)
+	if len(recs) != 4 || recs[1].Job != "a" || recs[2].Error != "boom" || !recs[3].Cached {
+		t.Fatalf("group append recovered as %+v", recs)
+	}
+	if st := got.Stats(); st.Results != 4 || st.Errors != 1 || st.Cached != 1 {
+		t.Fatalf("group append counters = %+v", st)
+	}
+	s2.Close()
+
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[k] is the segment size holding the group's first k frames.
+	ends := []int64{before}
+	for _, rec := range group {
+		frame, err := appendFrame(nil, opRecord, mustJSON(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, ends[len(ends)-1]+int64(len(frame)))
+	}
+	if ends[len(group)] != int64(len(full)) {
+		t.Fatalf("segment is %d bytes, want %d", len(full), ends[len(group)])
+	}
+	for cut := before; cut < int64(len(full)); cut++ {
+		whole := 0
+		for whole < len(group) && ends[whole+1] <= cut {
+			whole++
+		}
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openDiskStore(t, dir)
+		b, _ := s.Get("job")
+		recs := b.Results(0)
+		if len(recs) != 1+whole {
+			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(recs), 1+whole)
+		}
+		for k, rec := range recs[1:] {
+			if rec.Job != group[k].Job {
+				t.Fatalf("cut %d: record %d = %+v, want %+v", cut, k+1, rec, group[k])
+			}
+		}
+		b.Append(api.JobResult{Index: 9, Job: "after"})
+		s.Close()
+		s = openDiskStore(t, dir)
+		b, _ = s.Get("job")
+		if recs := b.Results(0); len(recs) != 2+whole || recs[len(recs)-1].Job != "after" {
+			t.Fatalf("cut %d: append after truncation lost: %+v", cut, recs)
+		}
+		s.Close()
+	}
+}

@@ -55,8 +55,7 @@ import (
 )
 
 // ErrQueueFull is returned by Submit when the queued jobs are at
-// capacity (and by a bounded Queue's Enqueue); the service maps it to
-// queue_full / HTTP 429.
+// capacity; the service maps it to queue_full / HTTP 429.
 var ErrQueueFull = errors.New("jobs: admission queue full")
 
 // ErrClosed is returned by Submit after Close.
@@ -579,11 +578,15 @@ func (j *Job) Start() {
 	e.running++
 }
 
-// Append adds one result to the buffer and wakes the streams
-// following it. A terminal job's buffer never grows: an Append after
-// the terminal transition is dropped, so a result racing a cancel
-// cannot change a summary a stream has already sent.
-func (j *Job) Append(rec api.JobResult) {
+// Append adds a group of results to the buffer in one Buffer.Append
+// (one segment write on a durable store) and wakes the streams
+// following it once. A terminal job's buffer never grows: an Append
+// after the terminal transition is dropped whole, so a result racing a
+// cancel cannot change a summary a stream has already sent.
+func (j *Job) Append(recs ...api.JobResult) {
+	if len(recs) == 0 {
+		return
+	}
 	j.appendMu.Lock()
 	defer j.appendMu.Unlock()
 	j.mu.Lock() //dms:lockok appendMu is taken before mu; see its comment
@@ -592,7 +595,7 @@ func (j *Job) Append(rec api.JobResult) {
 	if terminal {
 		return
 	}
-	j.buf.Append(rec)
+	j.buf.Append(recs...)
 	j.mu.Lock() //dms:lockok appendMu is taken before mu; see its comment
 	j.broadcastLocked()
 	j.mu.Unlock()

@@ -515,6 +515,42 @@ func TestEngineCloseDrainsQueue(t *testing.T) {
 	}
 }
 
+// TestJobGroupAppend: a group of results lands in order under one
+// broadcast, and after the terminal transition a group is dropped
+// whole.
+func TestJobGroupAppend(t *testing.T) {
+	e := New(Options{})
+	defer e.Close()
+	j := submit(t, e, 5)
+	j.Start()
+	ch := j.Changed()
+	j.Append(api.JobResult{Index: 2}, api.JobResult{Index: 0, Error: "boom"}, api.JobResult{Index: 1, Cached: true})
+	select {
+	case <-ch:
+	default:
+		t.Fatal("group Append woke no waiter")
+	}
+	ch = j.Changed()
+	j.Append()
+	select {
+	case <-ch:
+		t.Fatal("empty Append woke the waiters")
+	default:
+	}
+	recs, _ := j.Results(0)
+	if len(recs) != 3 || recs[0].Index != 2 || recs[1].Index != 0 || recs[2].Index != 1 {
+		t.Fatalf("results after the group = %+v, want indices 2 0 1", recs)
+	}
+	if snap := j.Snapshot(); snap.Done != 3 || snap.Errors != 1 || snap.Cached != 1 {
+		t.Fatalf("snapshot after the group = %+v", snap)
+	}
+	e.Cancel(j.ID())
+	j.Append(api.JobResult{Index: 3}, api.JobResult{Index: 4})
+	if recs, _ := j.Results(0); len(recs) != 3 {
+		t.Errorf("group appended after cancel: %d results, want 3", len(recs))
+	}
+}
+
 // TestJobContextCarriesID pins the JobID context plumbing: a job's
 // context, and any context derived from it, carries the job's ID, so
 // external dispatch state keyed by it survives a restart.

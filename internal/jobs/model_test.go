@@ -1,7 +1,8 @@
 package jobs
 
 // Model-based test of the Queue contract: seeded random sequences of
-// queue calls, each checked against a plain reference model.
+// queue calls, multi-task Enqueue groups included, each checked
+// against a plain reference model.
 //
 // With unhashed tasks the model predicts every result exactly, down to
 // which tasks each lease returns. With hashed tasks the choice a lease
@@ -205,24 +206,35 @@ var (
 func (r *modelRun) step(i int) {
 	t := r.t
 	switch k := r.rng.IntN(20); {
-	case k < 5: // Enqueue a fresh task, or a duplicate of a live one
-		if len(r.m.live) > 0 && r.rng.IntN(8) == 0 {
-			id := r.anyLive()
-			if err := r.q.Enqueue(Task{ID: id}); err == nil {
-				t.Fatalf("step %d: Enqueue of live duplicate %s accepted", i, id)
+	case k < 5: // Enqueue a group of fresh tasks, or a group repeating an ID
+		group := make([]Task, 1+r.rng.IntN(3))
+		for j := range group {
+			group[j].ID = "t" + strconv.Itoa(r.nextID+j)
+			if r.hashed && r.rng.IntN(4) != 0 {
+				group[j].Hash = "h" + strconv.Itoa(r.rng.IntN(4))
 			}
-			return
 		}
-		id := "t" + strconv.Itoa(r.nextID)
-		r.nextID++
-		hash := ""
-		if r.hashed && r.rng.IntN(4) != 0 {
-			hash = "h" + strconv.Itoa(r.rng.IntN(4))
+		if r.rng.IntN(8) == 0 {
+			// A live ID, or one of the group's own, makes the whole
+			// group a refusal that leaves the queue as it was.
+			j := r.rng.IntN(len(group))
+			if len(r.m.live) > 0 && r.rng.IntN(2) == 0 {
+				group[j].ID = r.anyLive()
+			} else {
+				group = append(group, group[j])
+			}
+			if err := r.q.Enqueue(group...); err == nil {
+				t.Fatalf("step %d: Enqueue of group %v repeating an ID accepted", i, ids(group))
+			}
+			break
 		}
-		if err := r.q.Enqueue(Task{ID: id, Hash: hash}); err != nil {
-			t.Fatalf("step %d: Enqueue %s: %v", i, id, err)
+		if err := r.q.Enqueue(group...); err != nil {
+			t.Fatalf("step %d: Enqueue %v: %v", i, ids(group), err)
 		}
-		r.m.enqueue(id, hash)
+		for _, task := range group {
+			r.m.enqueue(task.ID, task.Hash)
+		}
+		r.nextID += len(group)
 	case k < 9: // Lease or LeaseFiltered
 		owner := "w" + strconv.Itoa(r.rng.IntN(3))
 		max := 1 + r.rng.IntN(4)
@@ -471,7 +483,7 @@ func runQueueModel(t *testing.T, open func(t *testing.T) (Queue, func() Queue)) 
 }
 
 func TestMemQueueModel(t *testing.T) {
-	runQueueModel(t, func(*testing.T) (Queue, func() Queue) { return NewMemQueue(0), nil })
+	runQueueModel(t, func(*testing.T) (Queue, func() Queue) { return NewMemQueue(), nil })
 }
 
 // TestWALQueueModel also crashes the queue: the handle is dropped
@@ -480,7 +492,7 @@ func TestWALQueueModel(t *testing.T) {
 	runQueueModel(t, func(t *testing.T) (Queue, func() Queue) {
 		dir := t.TempDir()
 		open := func() Queue {
-			w, err := NewWALQueue(NewMemQueue(0), dir, WALOptions{})
+			w, err := NewWALQueue(NewMemQueue(), dir, WALOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

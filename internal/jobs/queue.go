@@ -49,9 +49,11 @@ type QueueStats struct {
 // and heartbeat by posting results. WALQueue makes it durable. All
 // implementations must be safe for concurrent use.
 type Queue interface {
-	// Enqueue admits a task, or returns ErrQueueFull when the queue is
-	// at capacity.
-	Enqueue(t Task) error
+	// Enqueue admits a group of tasks at once, in order: under one lock
+	// acquisition, with one Changed broadcast and, on a durable queue,
+	// one log write. It is all or nothing: a group carrying an ID
+	// already queued, or one ID twice, is refused whole.
+	Enqueue(ts ...Task) error
 	// Lease hands up to max pending tasks to owner under a fresh lease
 	// and returns its ID. Tasks whose Hash is already affinitized to
 	// owner are preferred, unclaimed hashes are affinitized to owner on
@@ -119,7 +121,6 @@ const DefaultAffinityWait = 5 * time.Second
 // memQueue is the in-process Queue: a mutex-guarded FIFO with an
 // affinity table and per-lease deadlines.
 type memQueue struct {
-	capacity     int           // <= 0: unbounded
 	affinityWait time.Duration // see DefaultAffinityWait
 
 	mu       sync.Mutex
@@ -147,11 +148,12 @@ type qlease struct {
 	tasks    map[string]*qtask
 }
 
-// NewMemQueue returns the in-process Queue implementation, bounded to
-// capacity pending tasks (<= 0: unbounded).
-func NewMemQueue(capacity int) Queue {
+// NewMemQueue returns the in-process Queue implementation. The queue
+// is unbounded: the engine bounds admission per batch. Any argument is
+// ignored; it is the removed capacity bound, still accepted so that
+// callers written against it (the perfbench module) keep compiling.
+func NewMemQueue(...int) Queue {
 	return &memQueue{
-		capacity:     capacity,
 		affinityWait: DefaultAffinityWait,
 		byID:         make(map[string]*qtask),
 		leases:       make(map[string]*qlease),
@@ -188,22 +190,31 @@ func newLeaseID() string {
 	return hex.EncodeToString(b[:])
 }
 
-func (q *memQueue) Enqueue(t Task) error {
+func (q *memQueue) Enqueue(ts ...Task) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	now := time.Now()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.expireLocked(time.Now())
-	if q.capacity > 0 && len(q.pending) >= q.capacity {
-		return ErrQueueFull
+	q.expireLocked(now)
+	for i, t := range ts {
+		if _, dup := q.byID[t.ID]; dup {
+			// Every ID before this one was new: unregister them again.
+			for _, u := range ts[:i] {
+				delete(q.byID, u.ID)
+			}
+			q.seq -= uint64(i)
+			return fmt.Errorf("jobs: task %q already queued", t.ID)
+		}
+		q.seq++
+		q.byID[t.ID] = &qtask{task: t, enqueued: now, seq: q.seq}
 	}
-	if _, dup := q.byID[t.ID]; dup {
-		return fmt.Errorf("jobs: task %q already queued", t.ID)
-	}
-	q.seq++
-	qt := &qtask{task: t, enqueued: time.Now(), seq: q.seq}
-	q.pending = append(q.pending, qt)
-	q.byID[t.ID] = qt
-	if t.Hash != "" {
-		q.hashRefs[t.Hash]++
+	for _, t := range ts {
+		q.pending = append(q.pending, q.byID[t.ID])
+		if t.Hash != "" {
+			q.hashRefs[t.Hash]++
+		}
 	}
 	q.broadcastLocked()
 	return nil

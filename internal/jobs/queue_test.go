@@ -15,7 +15,7 @@ import (
 // whichever owners leased next and discarded the fleet's cache warmth
 // in one step.)
 func TestAffinityEvictionBounded(t *testing.T) {
-	q := NewMemQueue(0).(*memQueue)
+	q := NewMemQueue().(*memQueue)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := 0; i < maxAffinity; i++ {
@@ -59,7 +59,7 @@ func TestAffinityEvictionBounded(t *testing.T) {
 // to delete the route unconditionally, severing the new owner's route
 // and scattering its identical-content tasks across the fleet.)
 func TestRequeueKeepsTakenOverRoute(t *testing.T) {
-	q := NewMemQueue(0).(*memQueue)
+	q := NewMemQueue().(*memQueue)
 
 	// Owner A leases t1 and thereby claims hash H.
 	if err := q.Enqueue(Task{ID: "t1", Hash: "H"}); err != nil {
@@ -111,7 +111,7 @@ func TestRequeueKeepsTakenOverRoute(t *testing.T) {
 // recovered batch out scrambled — and costing O(k·n) in repeated
 // prepends.)
 func TestExpiryRestoresFIFOOrder(t *testing.T) {
-	q := NewMemQueue(0)
+	q := NewMemQueue()
 	const n = 16
 	for i := 0; i < n; i++ {
 		if err := q.Enqueue(Task{ID: fmt.Sprintf("t%02d", i), Hash: fmt.Sprintf("h%02d", i)}); err != nil {
@@ -140,7 +140,7 @@ func TestExpiryRestoresFIFOOrder(t *testing.T) {
 // ahead of tasks admitted after it, so a crash does not send the lost
 // work to the back of the line.
 func TestExpiryRequeuesAheadOfNewerWork(t *testing.T) {
-	q := NewMemQueue(0)
+	q := NewMemQueue()
 	if err := q.Enqueue(Task{ID: "old"}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func ids(tasks []Task) []string {
 // that may never lease again. A route shared with a still-live task
 // survives.
 func TestWithdrawClearsOrphanRoute(t *testing.T) {
-	q := NewMemQueue(0).(*memQueue)
+	q := NewMemQueue().(*memQueue)
 
 	// owner-a leases t1 and claims H; t2 (same hash) stays pending.
 	mustEnqueue(t, q, Task{ID: "t1", Hash: "H"}, Task{ID: "t2", Hash: "H"})
@@ -241,7 +241,7 @@ func TestLeaseIDEntropyFallback(t *testing.T) {
 
 	// The queue keeps serving: a full Lease cycle under the failing
 	// entropy source.
-	q := NewMemQueue(0)
+	q := NewMemQueue()
 	mustEnqueue(t, q, Task{ID: "t1"})
 	lease, tasks := q.Lease("owner-a", 1, 0)
 	if lease == "" || len(tasks) != 1 {
@@ -258,7 +258,7 @@ func TestLeaseIDEntropyFallback(t *testing.T) {
 // kept the last large batch alive for as long as later traffic (cache
 // hits, say) enqueued nothing.
 func TestPendingReleasesVacatedSlots(t *testing.T) {
-	q := NewMemQueue(0).(*memQueue)
+	q := NewMemQueue().(*memQueue)
 	for i := range 4 {
 		q.Enqueue(Task{ID: fmt.Sprint(i), Payload: i})
 	}

@@ -29,10 +29,13 @@ const maxFramePayload = 16 << 20
 // partial or corrupt tail to truncate, not an error to surface.
 var errTornFrame = errors.New("jobs: torn frame")
 
-// appendFrame writes one frame to w and returns the bytes written.
-func appendFrame(w io.Writer, op byte, payload []byte) (int, error) {
+// appendFrame appends one encoded frame to dst and returns the
+// extended buffer. A group of frames encoded back to back goes to disk
+// in one write, and a crash mid-write leaves an intact prefix of them
+// followed by one torn frame, which recovery truncates.
+func appendFrame(dst []byte, op byte, payload []byte) ([]byte, error) {
 	if len(payload) > maxFramePayload {
-		return 0, fmt.Errorf("jobs: frame payload %d bytes exceeds limit", len(payload))
+		return dst, fmt.Errorf("jobs: frame payload %d bytes exceeds limit", len(payload))
 	}
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -41,13 +44,8 @@ func appendFrame(w io.Writer, op byte, payload []byte) (int, error) {
 	crc.Write(hdr[4:5])
 	crc.Write(payload)
 	binary.LittleEndian.PutUint32(hdr[5:9], crc.Sum32())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return frameHeaderLen + len(payload), nil
+	dst = append(dst, hdr[:]...)
+	return append(dst, payload...), nil
 }
 
 // readFrame reads one frame from r. io.EOF marks a clean end of file;

@@ -21,9 +21,11 @@ type BufferStats struct {
 // in completion order and stay readable from any offset until the
 // store drops the buffer. Implementations must be safe for concurrent
 // use; Append must be ordered with respect to Results (a Results call
-// after Append returns observes the appended record).
+// after Append returns observes the appended records).
 type Buffer interface {
-	Append(rec api.JobResult)
+	// Append adds a group of records, in order, as one step: a durable
+	// buffer writes the group in one write with one fsync.
+	Append(recs ...api.JobResult)
 	// Results copies the buffered records from offset from; an offset
 	// beyond the buffer yields nil.
 	Results(from int) []api.JobResult
@@ -55,10 +57,12 @@ type memBuffer struct {
 	bytes  int64
 }
 
-func (b *memBuffer) Append(rec api.JobResult) {
+func (b *memBuffer) Append(recs ...api.JobResult) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.applyLocked(rec)
+	for _, rec := range recs {
+		b.applyLocked(rec)
+	}
 }
 
 // applyLocked accounts one record in memory. Callers hold b.mu or are

@@ -26,7 +26,8 @@ type WALOptions struct {
 
 // WALQueue decorates a Queue with a write-ahead log so admitted work
 // survives a coordinator crash. Every Enqueue, Ack and Withdraw is
-// logged; leases deliberately are NOT — a lease is a
+// logged — one write (and, with Sync, one fsync) per call, however many
+// tasks the call covers; leases deliberately are NOT — a lease is a
 // liveness fact about a worker, and after a restart no such fact
 // deserves trust. On open the log (snapshot + tail) replays every
 // logged-but-unacked task into the inner queue as pending, in original
@@ -136,11 +137,10 @@ func NewWALQueue(inner Queue, dir string, opt WALOptions) (*WALQueue, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: wal task %s: decode payload: %w", wt.rec.ID, err)
 		}
-		t := Task{ID: wt.rec.ID, Hash: wt.rec.Hash, Payload: payload}
-		if err := inner.Enqueue(t); err != nil {
-			return nil, fmt.Errorf("jobs: wal replay enqueue %s: %w", wt.rec.ID, err)
-		}
-		w.recovered = append(w.recovered, t)
+		w.recovered = append(w.recovered, Task{ID: wt.rec.ID, Hash: wt.rec.Hash, Payload: payload})
+	}
+	if err := inner.Enqueue(w.recovered...); err != nil {
+		return nil, fmt.Errorf("jobs: wal replay enqueue: %w", err)
 	}
 	if err := w.compactLocked(); err != nil {
 		log.Close()
@@ -203,11 +203,21 @@ func (w *WALQueue) applyFrame(op byte, payload []byte) error {
 
 // logFrame appends one frame to the mutation tail. Requires w.mu.
 func (w *WALQueue) logFrame(op byte, payload []byte) error {
-	n, err := appendFrame(w.log, op, payload)
+	frame, err := appendFrame(nil, op, payload)
 	if err != nil {
 		return err
 	}
+	return w.logFrames(frame)
+}
+
+// logFrames appends pre-encoded frames to the mutation tail in one
+// write, fsyncing once under the sync policy. Requires w.mu.
+func (w *WALQueue) logFrames(frames []byte) error {
+	n, err := w.log.Write(frames)
 	w.logBytes += int64(n)
+	if err != nil {
+		return err
+	}
 	if w.opt.Sync {
 		return w.log.Sync()
 	}
@@ -222,20 +232,23 @@ func (w *WALQueue) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	var snapBytes int64
+	var snap []byte
 	kept := make([]*walTask, 0, len(w.live))
 	for _, wt := range w.order {
 		if wt.gone {
 			continue
 		}
 		kept = append(kept, wt)
-		n, err := appendFrame(f, opWALEnqueue, mustJSON(wt.rec))
-		if err != nil {
+		if snap, err = appendFrame(snap, opWALEnqueue, mustJSON(wt.rec)); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return err
 		}
-		snapBytes += int64(n)
+	}
+	if _, err := f.Write(snap); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -261,7 +274,7 @@ func (w *WALQueue) compactLocked() error {
 		return err
 	}
 	w.logBytes = 0
-	w.snapBytes = snapBytes
+	w.snapBytes = int64(len(snap))
 	w.order = kept
 	return nil
 }
@@ -275,23 +288,40 @@ func (w *WALQueue) maybeCompactLocked() {
 	}
 }
 
-func (w *WALQueue) Enqueue(t Task) error {
-	payload, err := w.opt.Encode(t.Payload)
-	if err != nil {
-		return fmt.Errorf("jobs: wal encode payload for %s: %w", t.ID, err)
+// Enqueue admits the group through the inner queue and logs it as
+// the group's enqueue frames, back to back in one write. The payloads
+// are encoded before the lock is taken. A crash mid-write leaves a
+// prefix of the group logged; recovery replays that prefix.
+func (w *WALQueue) Enqueue(ts ...Task) error {
+	if len(ts) == 0 {
+		return nil
+	}
+	recs := make([]walRecord, len(ts))
+	var frames []byte
+	for i, t := range ts {
+		payload, err := w.opt.Encode(t.Payload)
+		if err != nil {
+			return fmt.Errorf("jobs: wal encode payload for %s: %w", t.ID, err)
+		}
+		recs[i] = walRecord{ID: t.ID, Hash: t.Hash, Payload: payload}
+		// An oversized frame is left out of the group: its task is
+		// admitted all the same and only loses durability, as it would
+		// to a failed write.
+		frames, _ = appendFrame(frames, opWALEnqueue, mustJSON(recs[i]))
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.inner.Enqueue(t); err != nil {
+	if err := w.inner.Enqueue(ts...); err != nil {
 		return err
 	}
-	rec := walRecord{ID: t.ID, Hash: t.Hash, Payload: payload}
-	wt := &walTask{rec: rec}
-	w.order = append(w.order, wt)
-	w.live[t.ID] = wt
-	if err := w.logFrame(opWALEnqueue, mustJSON(rec)); err != nil {
-		// The task is admitted either way; losing the frame only costs
-		// durability of this one task.
+	for _, rec := range recs {
+		wt := &walTask{rec: rec}
+		w.order = append(w.order, wt)
+		w.live[rec.ID] = wt
+	}
+	if err := w.logFrames(frames); err != nil {
+		// The tasks are admitted either way; losing the write only
+		// costs the group's durability.
 		return nil
 	}
 	return nil

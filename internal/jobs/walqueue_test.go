@@ -1,16 +1,18 @@
 package jobs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
 
-func openWALQueue(t *testing.T, dir string, capacity int) *WALQueue {
+func openWALQueue(t *testing.T, dir string) *WALQueue {
 	t.Helper()
-	w, err := NewWALQueue(NewMemQueue(capacity), dir, WALOptions{})
+	w, err := NewWALQueue(NewMemQueue(), dir, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +26,7 @@ func openWALQueue(t *testing.T, dir string, capacity int) *WALQueue {
 // everything resolved stays resolved.
 func TestWALQueueRecovery(t *testing.T) {
 	dir := t.TempDir()
-	w1 := openWALQueue(t, dir, 0)
+	w1 := openWALQueue(t, dir)
 	for i := 0; i < 6; i++ {
 		task := Task{ID: fmt.Sprintf("t%d", i), Hash: fmt.Sprintf("h%d", i%2), Payload: map[string]any{"i": float64(i)}}
 		if err := w1.Enqueue(task); err != nil {
@@ -47,7 +49,7 @@ func TestWALQueueRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openWALQueue(t, dir, 0)
+	w2 := openWALQueue(t, dir)
 	rec := w2.Recovered()
 	want := []string{"t1", "t3", "t4", "t5"}
 	if len(rec) != len(want) {
@@ -82,7 +84,7 @@ func TestWALQueueRecovery(t *testing.T) {
 // to ack (unknown IDs) replay as live work.
 func TestWALQueueAckBatchReplay(t *testing.T) {
 	dir := t.TempDir()
-	w1 := openWALQueue(t, dir, 0)
+	w1 := openWALQueue(t, dir)
 	for i := 0; i < 5; i++ {
 		if err := w1.Enqueue(Task{ID: fmt.Sprintf("t%d", i)}); err != nil {
 			t.Fatal(err)
@@ -109,7 +111,7 @@ func TestWALQueueAckBatchReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openWALQueue(t, dir, 0)
+	w2 := openWALQueue(t, dir)
 	rec := w2.Recovered()
 	want := []string{"t1", "t3", "t4"}
 	if len(rec) != len(want) {
@@ -141,13 +143,13 @@ func TestWALQueueAckBatchReplay(t *testing.T) {
 // second restart with no intervening traffic replays the same tasks.
 func TestWALQueueRecoveryIsStable(t *testing.T) {
 	dir := t.TempDir()
-	w1 := openWALQueue(t, dir, 0)
+	w1 := openWALQueue(t, dir)
 	for i := 0; i < 3; i++ {
 		w1.Enqueue(Task{ID: fmt.Sprintf("t%d", i)})
 	}
 	w1.Close()
 	for round := 0; round < 3; round++ {
-		w := openWALQueue(t, dir, 0)
+		w := openWALQueue(t, dir)
 		if got := len(w.Recovered()); got != 3 {
 			t.Fatalf("round %d recovered %d tasks, want 3", round, got)
 		}
@@ -159,7 +161,7 @@ func TestWALQueueRecoveryIsStable(t *testing.T) {
 // truncated away; the intact prefix replays.
 func TestWALQueueTornTail(t *testing.T) {
 	dir := t.TempDir()
-	w1 := openWALQueue(t, dir, 0)
+	w1 := openWALQueue(t, dir)
 	w1.Enqueue(Task{ID: "t0"})
 	w1.Enqueue(Task{ID: "t1"})
 	// Simulate a crash: no Close, just tear the log's tail directly.
@@ -172,7 +174,7 @@ func TestWALQueueTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2, err := NewWALQueue(NewMemQueue(0), dir, WALOptions{})
+	w2, err := NewWALQueue(NewMemQueue(), dir, WALOptions{})
 	if err != nil {
 		t.Fatalf("open over torn tail: %v", err)
 	}
@@ -187,12 +189,74 @@ func TestWALQueueTornTail(t *testing.T) {
 	}
 }
 
+// TestWALQueueTornGroup: a crash in the middle of one grouped
+// Enqueue write leaves a torn log. Cut at every byte of the group's
+// write, recovery replays exactly the group's whole frames, a prefix
+// of the group in order, and a second open replays the same.
+func TestWALQueueTornGroup(t *testing.T) {
+	src := t.TempDir()
+	w, err := NewWALQueue(NewMemQueue(), src, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := make([]Task, 5)
+	for i := range group {
+		group[i] = Task{ID: fmt.Sprintf("t%d", i), Hash: "h", Payload: i}
+	}
+	if err := w.Enqueue(group...); err != nil {
+		t.Fatal(err)
+	}
+	w.log.Close() // crash: no compaction
+	snap, err := os.ReadFile(filepath.Join(src, walSnapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(src, walLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ends[k] is the log size holding the group's first k frames.
+	ends := []int{0}
+	for rest := log; len(rest) > 0; {
+		n := frameHeaderLen + int(binary.LittleEndian.Uint32(rest))
+		ends = append(ends, ends[len(ends)-1]+n)
+		rest = rest[n:]
+	}
+	if len(ends) != len(group)+1 {
+		t.Fatalf("group wrote %d frames, want %d", len(ends)-1, len(group))
+	}
+	for cut := 0; cut <= len(log); cut++ {
+		whole := 0
+		for whole < len(group) && ends[whole+1] <= cut {
+			whole++
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walSnapName), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walLogName), log[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for open := 1; open <= 2; open++ {
+			w, err := NewWALQueue(NewMemQueue(), dir, WALOptions{})
+			if err != nil {
+				t.Fatalf("cut %d, open %d: %v", cut, open, err)
+			}
+			got := ids(w.Recovered())
+			w.Close()
+			if want := ids(group[:whole]); !slices.Equal(got, want) {
+				t.Fatalf("cut %d of %d, open %d: recovered %v, want %v", cut, len(log), open, got, want)
+			}
+		}
+	}
+}
+
 // TestWALQueueCompaction: churning tasks through the queue must not
 // grow the log without bound — dead entries are compacted into a
 // snapshot of only the live set.
 func TestWALQueueCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w := openWALQueue(t, dir, 0)
+	w := openWALQueue(t, dir)
 	// One long-lived straggler so compaction always has live state to
 	// carry over.
 	w.Enqueue(Task{ID: "straggler"})
@@ -219,7 +283,7 @@ func TestWALQueueCompaction(t *testing.T) {
 	st := w.Stats()
 	w.Close()
 
-	w2 := openWALQueue(t, dir, 0)
+	w2 := openWALQueue(t, dir)
 	if got := len(w2.Recovered()); got != st.Pending+st.Leased {
 		t.Fatalf("recovered %d tasks after churn, want %d", got, st.Pending+st.Leased)
 	}
@@ -234,14 +298,14 @@ func TestWALQueueCustomCodec(t *testing.T) {
 		Encode: func(p any) ([]byte, error) { return []byte(p.(payload).V), nil },
 		Decode: func(b []byte) (any, error) { return payload{V: string(b)}, nil },
 	}
-	w1, err := NewWALQueue(NewMemQueue(0), dir, opt)
+	w1, err := NewWALQueue(NewMemQueue(), dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1.Enqueue(Task{ID: "t", Payload: payload{V: "hello"}})
 	w1.Close()
 
-	w2, err := NewWALQueue(NewMemQueue(0), dir, opt)
+	w2, err := NewWALQueue(NewMemQueue(), dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -174,7 +175,7 @@ func (b *dispatchBatch) start() {
 
 func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	if q == nil {
-		q = jobs.NewMemQueue(0) // admission is bounded per batch upstream
+		q = jobs.NewMemQueue() // admission is bounded per batch upstream
 	}
 	ttl := opt.LeaseTTL
 	if ttl <= 0 {
@@ -372,7 +373,8 @@ func (d *dispatcher) Close() {
 // answers at once: cache hits resolve immediately, the rest become
 // leasable units. The batch's job receives one record stream whoever
 // compiles the units — completion order, Index set, Cached marking
-// cache hits — and finishes with its last unit. Canceling the job
+// cache hits — and finishes with its last unit. jobList is never empty
+// (request validation refuses an empty batch). Canceling the job
 // withdraws its pending units before it turns terminal (see
 // cancelBatch).
 func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Duration, noCache bool) {
@@ -381,9 +383,7 @@ func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Dura
 	if d.closed {
 		return // the engine closed first, and canceled j
 	}
-	// The loop holds one extra pending count until it is done, so units
-	// resolving meanwhile cannot finish the job early.
-	b := newBatch(j, len(jobList)+1)
+	b := newBatch(j, len(jobList))
 	b.enqueued = make(chan struct{})
 	j.OnCancel(func() { d.cancelBatch(b) })
 	d.wg.Add(1)
@@ -394,9 +394,12 @@ func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Dura
 	}()
 }
 
-// enqueue keys the batch and queues its units, each as soon as it is
-// keyed, so compiles start while the rest of the batch is still being
-// keyed. It stops early when the job's context ends.
+// enqueue keys the batch and queues its units in groups of at most
+// DefaultLeaseChunkMax (the most one lease can take), one Queue.Enqueue
+// — one log write on a durable queue — per group. Compiles of a group
+// start while the next one is still being keyed. It stops early when
+// the job's context ends; units keyed but not yet queued then never
+// reach the queue.
 func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout time.Duration, noCache bool) {
 	// Units are keyed by the job ID so that durable queue state written
 	// under one process re-attaches to the same job resource in the
@@ -407,9 +410,10 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout tim
 	// unrouted, in plain FIFO order.
 	route := d.pullers == 0
 	keys := newKeyer()
+	group := make([]*unit, 0, min(len(jobList), DefaultLeaseChunkMax))
 	for i, job := range jobList {
 		if b.ctx.Err() != nil {
-			break // canceled: cancelBatch withdraws what was queued
+			return // canceled: cancelBatch withdraws what was queued
 		}
 		key := keys.key(job)
 		if !noCache {
@@ -419,11 +423,11 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout tim
 				rec := v.(api.JobResult)
 				rec.Index = i
 				rec.Cached = true
-				d.settle(b, &rec, job.Scheduler)
+				d.settle(b, outcome{rec, job.Scheduler})
 				continue
 			}
 		}
-		u := &unit{
+		group = append(group, &unit{
 			id:      batchID + "/" + strconv.Itoa(i),
 			key:     key,
 			job:     job,
@@ -431,23 +435,41 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout tim
 			noCache: noCache,
 			batch:   b,
 			index:   i,
-		}
-		b.units = append(b.units, u)
-		d.mu.Lock()
-		d.units[u.id] = u
-		d.dispatched++
-		d.mu.Unlock()
-		t := jobs.Task{ID: u.id, Payload: u}
-		if route {
-			t.Hash = key
-		}
-		// The unit queue is unbounded — admission control already
-		// happened at the engine — so Enqueue cannot fail here.
-		if err := d.q.Enqueue(t); err != nil {
-			panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
+		})
+		if len(group) == cap(group) {
+			d.queueUnits(b, group, route)
+			group = group[:0]
 		}
 	}
-	d.settle(b, nil, "")
+	if len(group) > 0 {
+		d.queueUnits(b, group, route)
+	}
+}
+
+// queueUnits puts one group of a batch's units on the queue with one
+// Enqueue. The units are registered first, so a puller or worker can
+// claim one the moment it is queued, and counted dispatched once the
+// Enqueue has returned: on a durable queue, once they are logged.
+func (d *dispatcher) queueUnits(b *dispatchBatch, group []*unit, route bool) {
+	tasks := make([]jobs.Task, len(group))
+	d.mu.Lock()
+	for i, u := range group {
+		d.units[u.id] = u
+		tasks[i] = jobs.Task{ID: u.id, Payload: u}
+		if route {
+			tasks[i].Hash = u.key
+		}
+	}
+	d.mu.Unlock()
+	b.units = append(b.units, group...)
+	// The unit queue is unbounded — admission control already happened
+	// at the engine — and unit IDs are unique, so Enqueue cannot fail.
+	if err := d.q.Enqueue(tasks...); err != nil {
+		panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
+	}
+	d.mu.Lock()
+	d.dispatched += uint64(len(group))
+	d.mu.Unlock()
 }
 
 // cancelBatch is the job's OnCancel hook: it runs inside the engine's
@@ -650,11 +672,8 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored 
 	resp := &api.WorkResultsResponse{}
 	// One pass under d.mu claims every live unit and attributes it to
 	// the posting worker's gauges; the batch resolution (cache adds and
-	// job appends) runs outside the lock in post order.
-	type resolvedUnit struct {
-		u   *unit
-		rec api.JobResult
-	}
+	// job appends) runs outside the lock in post order, one settle —
+	// one segment write on a durable store — per batch.
 	var done []resolvedUnit
 	d.mu.Lock()
 	var ws *workerState
@@ -682,9 +701,7 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored 
 		done = append(done, resolvedUnit{u, ur.Result})
 	}
 	d.mu.Unlock()
-	for _, r := range done {
-		d.resolve(r.u, r.rec, stored)
-	}
+	d.resolve(done, stored)
 	if len(ids) > 0 {
 		d.q.AckBatch(lease, ids)
 	}
@@ -714,37 +731,70 @@ func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored 
 	return resp, nil
 }
 
-// resolve feeds one authoritative unit result back to its batch,
-// memoizing successes in the coordinator cache (stored shorn of Index
-// and Cached, like CompileRecord stores them) unless stored says they
-// are there already.
-func (d *dispatcher) resolve(u *unit, rec api.JobResult, stored bool) {
-	if rec.Error == "" && !stored {
-		entry := rec
-		entry.Index = 0
-		entry.Cached = false
-		d.cache.Add(u.key, entry)
-	}
-	rec.Index = u.index
-	d.settle(u.batch, &rec, u.job.Scheduler)
+// resolvedUnit is one unit a results post resolved, with its result.
+type resolvedUnit struct {
+	u   *unit
+	rec api.JobResult
 }
 
-// settle counts one pending unit of the batch as done, first appending
-// rec to the batch's job when there is one, and finishes the job when
-// nothing is left pending. A closed batch, or one whose job's context
-// has ended (canceled, or the engine closed), discards late results: a
-// result drained by a cancellation is not a compile result.
-func (d *dispatcher) settle(b *dispatchBatch, rec *api.JobResult, scheduler string) {
+// resolve feeds authoritative unit results back to their batches,
+// memoizing successes in the coordinator cache (stored shorn of Index
+// and Cached, like CompileRecord stores them) unless stored says they
+// are there already. The results of each batch settle together, in
+// post order.
+func (d *dispatcher) resolve(done []resolvedUnit, stored bool) {
+	type batchOutcomes struct {
+		b    *dispatchBatch
+		outs []outcome
+	}
+	var byBatch []batchOutcomes // a post spans few batches
+	for _, r := range done {
+		u, rec := r.u, r.rec
+		if rec.Error == "" && !stored {
+			entry := rec
+			entry.Index = 0
+			entry.Cached = false
+			d.cache.Add(u.key, entry)
+		}
+		rec.Index = u.index
+		k := slices.IndexFunc(byBatch, func(g batchOutcomes) bool { return g.b == u.batch })
+		if k < 0 {
+			k = len(byBatch)
+			byBatch = append(byBatch, batchOutcomes{b: u.batch})
+		}
+		byBatch[k].outs = append(byBatch[k].outs, outcome{rec, u.job.Scheduler})
+	}
+	for _, g := range byBatch {
+		d.settle(g.b, g.outs...)
+	}
+}
+
+// outcome is one result record for a batch's job, with the scheduler
+// that produced it.
+type outcome struct {
+	rec       api.JobResult
+	scheduler string
+}
+
+// settle counts one pending unit of the batch as done per outcome,
+// appending the records to the batch's job in one Append, and finishes
+// the job when nothing is left pending. A closed batch, or one whose
+// job's context has ended (canceled, or the engine closed), discards
+// late results: a result drained by a cancellation is not a compile
+// result.
+func (d *dispatcher) settle(b *dispatchBatch, outs ...outcome) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed || b.ctx.Err() != nil {
 		return
 	}
-	if rec != nil {
-		d.observe(*rec, scheduler)
-		b.job.Append(*rec)
+	recs := make([]api.JobResult, len(outs))
+	for i, o := range outs {
+		d.observe(o.rec, o.scheduler)
+		recs[i] = o.rec
 	}
-	b.pending--
+	b.job.Append(recs...)
+	b.pending -= len(outs)
 	if b.pending == 0 {
 		b.closed = true
 		b.start() // a batch served without a compile still runs, briefly
@@ -782,11 +832,11 @@ func (d *dispatcher) adopt(j *jobs.Job, unitList []adoptedUnit) {
 		job, err := UnitJob(au.Wire)
 		if err != nil {
 			d.q.Withdraw(au.ID)
-			d.settle(b, &api.JobResult{
+			d.settle(b, outcome{api.JobResult{
 				Index:     au.Index,
 				Error:     fmt.Sprintf("recovered unit unusable: %v", err),
 				ErrorCode: api.CodeInternal,
-			}, au.Wire.Scheduler)
+			}, au.Wire.Scheduler})
 			continue
 		}
 		u := &unit{

@@ -36,7 +36,7 @@ func openDurable(dir string, fsync bool) (*durableState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: open result store: %w", err)
 	}
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(0), filepath.Join(dir, "queue"), jobs.WALOptions{
+	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{
 		Sync:   fsync,
 		Encode: encodeUnitPayload,
 		Decode: decodeUnitPayload,

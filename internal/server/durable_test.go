@@ -160,6 +160,85 @@ func TestDurableStandaloneResumesInterruptedBatch(t *testing.T) {
 	})
 }
 
+// TestDurableKillAfterDispatchedKeepsEveryUnit is the standalone
+// kill -9 leg of CI in Go. Once dispatch.dispatched reaches the batch
+// size, every unit is in the WAL: a copy of the live data directory,
+// taken without closing the server (a kill, to the files), recovers
+// all of them, and the job resumes to done from the copy. The batch
+// is larger than one enqueue group, and its one puller is gated, so
+// no unit resolves before the copy.
+func TestDurableKillAfterDispatchedKeepsEveryUnit(t *testing.T) {
+	gated, err := drivertest.NewGated("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := driver.NewRegistry()
+	reg.MustRegister(gated)
+	dir := t.TempDir()
+	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Registry: reg, Parallelism: 1})
+	t.Cleanup(svc1.Close)
+	t.Cleanup(ts1.Close)
+
+	var loops []string
+	for len(loops) < 100 {
+		loops = append(loops, goldenLoops(t)...)
+	}
+	req := api.CompileRequest{
+		Protocol:   api.Version,
+		Loops:      loops[:100],
+		Machines:   []api.MachineSpec{{Clusters: 1}, {Clusters: 2}, {Clusters: 4}},
+		Schedulers: []string{"dms"},
+		NoCache:    true,
+	}
+	njobs := req.Jobs()
+	if njobs <= DefaultLeaseChunkMax {
+		t.Fatalf("batch of %d units fits one enqueue group of %d", njobs, DefaultLeaseChunkMax)
+	}
+	job := submitJob(t, ts1.URL, req)
+	eventually(t, "every unit dispatched", func() bool {
+		return svc1.Snapshot().Dispatch.Dispatched == uint64(njobs)
+	})
+	killed := t.TempDir()
+	copyDir(t, dir, killed)
+
+	svc2, ts2 := openDurableServer(t, Options{DataDir: killed})
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	if m := svc2.Snapshot().Durability; m == nil || m.RecoveredTasks != njobs || m.RecoveredBuffers != 1 {
+		t.Fatalf("durability of the copy = %+v, want %d tasks, 1 buffer", m, njobs)
+	}
+	done := waitJob(t, ts2.URL, job.ID)
+	if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
+		t.Fatalf("resumed job = %+v", done)
+	}
+}
+
+// copyDir copies the regular files under src into dst, keeping their
+// relative paths.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDurableCoordinatorGracefulRestartKeepsUnits: a distributing
 // coordinator closed with queued units (no workers attached) must NOT
 // treat its own shutdown as batch cancellation — the units stay in the
@@ -319,7 +398,7 @@ func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Close()
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(0), filepath.Join(dir, "queue"), jobs.WALOptions{
+	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{
 		Encode: encodeUnitPayload,
 		Decode: decodeUnitPayload,
 	})
