@@ -536,10 +536,9 @@ type DispatchMetrics struct {
 	LeasedUnits  int `json:"leased_units"`
 	ActiveLeases int `json:"active_leases"`
 	// Dispatched/Resolved/Requeued are monotonic counters: units put on
-	// the queue, counted once their enqueue has returned (on a durable
-	// server, once they are in its WAL, so a kill loses none of them),
-	// units resolved by a posted result, and units returned to the queue
-	// by lease expiry.
+	// the queue (including those a restart queued again), units
+	// resolved by a posted result, and units returned to the queue by
+	// lease expiry.
 	Dispatched uint64 `json:"dispatched"`
 	Resolved   uint64 `json:"resolved"`
 	Requeued   uint64 `json:"requeued"`
@@ -578,13 +577,15 @@ type WorkerMetrics struct {
 // DurabilityMetrics reports the disk-backed control plane of a
 // coordinator started with a data directory.
 type DurabilityMetrics struct {
-	// RecoveredTasks counts the queue tasks replayed from the
-	// write-ahead log when this process started; RecoveredBuffers
-	// counts the result buffers rebuilt from disk segments.
+	// RecoveredTasks counts the units recovery queued again when this
+	// process started: the pending units rebuilt from the batch
+	// records, plus any units read from a queue log of the previous
+	// format. RecoveredBuffers counts the result buffers rebuilt from
+	// disk segments.
 	RecoveredTasks   int `json:"recovered_tasks"`
 	RecoveredBuffers int `json:"recovered_buffers"`
-	// WALBytes is the current size of the queue's durable log
-	// (snapshot + live tail, after compaction).
+	// WALBytes is the total size of the live result segments, the
+	// server's one durable log.
 	WALBytes int64 `json:"wal_bytes"`
 }
 

@@ -33,12 +33,13 @@
 // which units the coordinator routes here.
 //
 // Both serving roles accept -data-dir, which makes the control plane
-// durable: the unit queue is write-ahead logged and result buffers
-// live in disk segments under that directory. A coordinator killed
-// mid-batch and restarted over the same -data-dir resumes interrupted
-// jobs under their original IDs — workers drain the recovered queue —
-// and finished jobs stay pollable. A standalone server resumes the
-// same way, its in-process pullers draining the recovered queue.
+// durable: each job's result segment under that directory records the
+// batch's request before the submit answers, then its results. A
+// coordinator killed mid-batch and restarted over the same -data-dir
+// resumes interrupted jobs under their original IDs — their pending
+// units are rebuilt from the requests and queued again, for workers to
+// drain — and finished jobs stay pollable. A standalone server resumes
+// the same way, its in-process pullers draining the recovered units.
 //
 // Submit work with cmd/dmsclient, the pkg/dmsclient SDK, or any HTTP
 // client. The synchronous surface streams NDJSON closed by a summary
@@ -100,7 +101,7 @@ func main() {
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "retention of finished jobs' results for polling/resume")
 		jobBytes   = flag.Int64("job-bytes", jobs.DefaultMaxRetainedBytes, "approximate cap on retained results' total size")
 		retryAfter = flag.Duration("retry-after", server.DefaultRetryAfter, "429 backoff hint until batch service times are observed (then adaptive)")
-		dataDir    = flag.String("data-dir", "", "durable state directory: queue WAL + result segments, recovered on restart (empty = in-memory)")
+		dataDir    = flag.String("data-dir", "", "durable state directory: one result segment per job, holding its request and results, recovered on restart (empty = in-memory)")
 		fsync      = flag.Bool("fsync", true, "fsync every durable append (with -data-dir; off rides the OS page cache)")
 		grace      = flag.Duration("grace", 10*time.Second, "shutdown grace period")
 

@@ -94,6 +94,7 @@ func (lh *lockHeldScan) stmt(s ast.Stmt, held map[string]bool) {
 		lh.block(st.List, copyHeld(held))
 		return
 	case *ast.IfStmt:
+		lh.exprOps(st.Init, held)
 		lh.exprOps(st.Cond, held)
 		lh.block(st.Body.List, copyHeld(held))
 		if st.Else != nil {
@@ -101,24 +102,24 @@ func (lh *lockHeldScan) stmt(s ast.Stmt, held map[string]bool) {
 		}
 		return
 	case *ast.ForStmt:
+		lh.exprOps(st.Init, held)
+		lh.exprOps(st.Cond, held)
+		lh.exprOps(st.Post, held)
 		lh.block(st.Body.List, copyHeld(held))
 		return
 	case *ast.RangeStmt:
 		lh.exprOps(st.X, held)
 		lh.block(st.Body.List, copyHeld(held))
 		return
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		var body *ast.BlockStmt
-		if sw, ok := st.(*ast.SwitchStmt); ok {
-			body = sw.Body
-		} else {
-			body = st.(*ast.TypeSwitchStmt).Body
-		}
-		for _, clause := range body.List {
-			if cc, ok := clause.(*ast.CaseClause); ok {
-				lh.block(cc.Body, copyHeld(held))
-			}
-		}
+	case *ast.SwitchStmt:
+		lh.exprOps(st.Init, held)
+		lh.exprOps(st.Tag, held)
+		lh.caseClauses(st.Body, held)
+		return
+	case *ast.TypeSwitchStmt:
+		lh.exprOps(st.Init, held)
+		lh.exprOps(st.Assign, held)
+		lh.caseClauses(st.Body, held)
 		return
 	case *ast.LabeledStmt:
 		lh.stmt(st.Stmt, held)
@@ -129,8 +130,21 @@ func (lh *lockHeldScan) stmt(s ast.Stmt, held map[string]bool) {
 	lh.exprOps(s, held)
 }
 
+// caseClauses scans a switch body: each clause's expressions with the
+// held set, its statements with a copy.
+func (lh *lockHeldScan) caseClauses(body *ast.BlockStmt, held map[string]bool) {
+	for _, clause := range body.List {
+		if cc, ok := clause.(*ast.CaseClause); ok {
+			for _, e := range cc.List {
+				lh.exprOps(e, held)
+			}
+			lh.block(cc.Body, copyHeld(held))
+		}
+	}
+}
+
 // exprOps reports every blocking op in the subtree when a lock is
-// held.
+// held. A nil root (an absent clause) has none.
 func (lh *lockHeldScan) exprOps(root ast.Node, held map[string]bool) {
 	if root == nil || len(held) == 0 {
 		return

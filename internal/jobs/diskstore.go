@@ -3,11 +3,13 @@ package jobs
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	api "repro/api/v1"
 )
@@ -37,6 +39,8 @@ type DiskStore struct {
 	byID      map[string]*diskBuffer
 	recovered []string // job IDs restored by Open, in no particular order
 	ioErrs    uint64   // failed disk appends (memory stays authoritative)
+
+	bytes atomic.Int64 // total size of the indexed segment files
 }
 
 // segExt suffixes one job's segment file; the name stem is the
@@ -46,8 +50,11 @@ const segExt = ".seg"
 // Segment frame ops.
 const (
 	opRecord = 'R' // payload: JSON api.JobResult
-	opMeta   = 'M' // payload: opaque job metadata (see MetaStore)
+	opMeta   = 'M' // payload: opaque job metadata (see SetMeta)
 )
+
+// MaxMetaBytes bounds one SetMeta payload: metadata is one frame.
+const MaxMetaBytes = maxFramePayload
 
 // NewDiskStore opens (creating if needed) a durable result store in
 // dir and recovers every segment found there. With syncEachAppend set
@@ -115,6 +122,8 @@ func (s *DiskStore) recoverSegment(path string) (*diskBuffer, error) {
 		f.Close()
 		return nil, err
 	}
+	b.size = valid
+	s.bytes.Add(valid)
 	return b, nil
 }
 
@@ -137,8 +146,8 @@ func (s *DiskStore) Create(id string) Buffer {
 	s.mu.Unlock()
 	if old != nil {
 		// Closing the replaced segment does file I/O; keep it outside
-		// the index lock.
-		old.detach()
+		// the index lock. The open above truncated its file.
+		s.bytes.Add(-old.detach())
 	}
 	return b
 }
@@ -157,7 +166,7 @@ func (s *DiskStore) Drop(id string) {
 	delete(s.byID, id)
 	s.mu.Unlock()
 	if b != nil {
-		b.detach()
+		s.bytes.Add(-b.detach())
 		os.Remove(s.segPath(id))
 	}
 }
@@ -168,9 +177,10 @@ func (s *DiskStore) Len() int {
 	return len(s.byID)
 }
 
-// SetMeta durably attaches opaque metadata to a job's segment (the
-// engine records the expected result count here, so recovery can tell
-// a finished job from one that died mid-run). Implements MetaStore.
+// SetMeta appends caller-defined metadata to a job's segment, synced
+// under the store's policy, and fails when the segment is not open.
+// It is written, not kept in memory: a reopened store reports the last
+// one through Meta.
 func (s *DiskStore) SetMeta(id string, meta []byte) error {
 	s.mu.Lock()
 	b := s.byID[id]
@@ -181,7 +191,8 @@ func (s *DiskStore) SetMeta(id string, meta []byte) error {
 	return b.setMeta(meta)
 }
 
-// Meta returns the metadata last attached to id, if any.
+// Meta returns the last metadata recovered from id's segment when the
+// store was opened, if any.
 func (s *DiskStore) Meta(id string) ([]byte, bool) {
 	s.mu.Lock()
 	b := s.byID[id]
@@ -213,6 +224,9 @@ func (s *DiskStore) IOErrors() uint64 {
 	return s.ioErrs
 }
 
+// SegmentBytes reports the total size of the indexed segment files.
+func (s *DiskStore) SegmentBytes() int64 { return s.bytes.Load() }
+
 func (s *DiskStore) noteIOErr() {
 	s.mu.Lock()
 	s.ioErrs++
@@ -236,14 +250,15 @@ func (s *DiskStore) Close() error {
 }
 
 // diskBuffer is a memBuffer whose appends also land in the job's
-// segment file. The embedded buffer's mutex guards the records, meta
-// and f, and is held across each segment write (and fsync), so frames
-// never interleave and a Results call after Append sees the records.
+// segment file. The embedded buffer's mutex guards every field and is
+// held across each segment write (and fsync), so frames never
+// interleave and a Results call after Append sees the records.
 type diskBuffer struct {
 	memBuffer
 	store *DiskStore
 	f     *os.File // nil once detached (dropped/closed): memory-only
-	meta  []byte
+	size  int64    // bytes of the segment file, recovered plus written
+	meta  []byte   // last metadata frame recovered from the segment
 }
 
 // Append encodes the group's record frames before taking the lock and
@@ -269,35 +284,32 @@ func (b *diskBuffer) Append(recs ...api.JobResult) {
 	if b.f == nil {
 		return
 	}
+	//dms:lockok b.mu is the segment's append serialization point; frames must not interleave
 	if err := b.appendFramesLocked(frames); err != nil || oversized {
 		b.store.noteIOErr()
 	}
 }
 
 func (b *diskBuffer) setMeta(meta []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.meta = append([]byte(nil), meta...)
-	if b.f == nil {
-		return nil
-	}
-	return b.appendFrameLocked(opMeta, meta) //dms:lockok b.mu is the segment's append serialization point; frames must not interleave
-}
-
-// appendFrameLocked writes one frame to the segment, fsyncing under
-// the store's sync policy. Requires b.mu.
-func (b *diskBuffer) appendFrameLocked(op byte, payload []byte) error {
-	frame, err := appendFrame(nil, op, payload)
+	frame, err := appendFrame(nil, opMeta, meta)
 	if err != nil {
 		return err
 	}
-	return b.appendFramesLocked(frame)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.f == nil {
+		return errors.New("jobs: segment not open")
+	}
+	return b.appendFramesLocked(frame) //dms:lockok b.mu is the segment's append serialization point; frames must not interleave
 }
 
 // appendFramesLocked writes pre-encoded frames to the segment in one
 // write, fsyncing once under the store's sync policy. Requires b.mu.
 func (b *diskBuffer) appendFramesLocked(frames []byte) error {
-	if _, err := b.f.Write(frames); err != nil {
+	n, err := b.f.Write(frames)
+	b.size += int64(n)
+	b.store.bytes.Add(int64(n))
+	if err != nil {
 		return err
 	}
 	if b.store.sync {
@@ -306,14 +318,18 @@ func (b *diskBuffer) appendFramesLocked(frames []byte) error {
 	return nil
 }
 
-// detach closes the segment file; the buffer lives on in memory.
-func (b *diskBuffer) detach() {
+// detach closes the segment file and returns its size; the buffer
+// lives on in memory.
+func (b *diskBuffer) detach() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.f != nil {
 		b.f.Close() //dms:lockok b.mu orders the final close against in-flight appends; Close does not block
 		b.f = nil
 	}
+	size := b.size
+	b.size = 0
+	return size
 }
 
 // mustJSON marshals v, which must be a plain wire struct; the wire

@@ -210,3 +210,78 @@ func TestDiskStoreGroupAppend(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestDiskStoreCutMetaFrames cuts a segment at every byte of its first
+// metadata frame (a batch's request record) and of its terminal one (a
+// cancellation record). Recovery never fails, reaches the same state
+// when run twice, and reports the last intact metadata frame: none
+// within the first frame, the first within the terminal one.
+func TestDiskStoreCutMetaFrames(t *testing.T) {
+	dir := t.TempDir()
+	request := []byte(`{"n":2,"request":{"loops":["loop l trip 10\nx = load\n"],"machines":[{"clusters":2}],"schedulers":["dms"],"options":{}}}`)
+	terminal := []byte(`{"n":2,"state":"canceled"}`)
+	s1 := openDiskStore(t, dir)
+	s1.Create("job")
+	if err := s1.SetMeta("job", request); err != nil {
+		t.Fatal(err)
+	}
+	b, _ := s1.Get("job")
+	b.Append(api.JobResult{Index: 0, Job: "done"})
+	if err := s1.SetMeta("job", terminal); err != nil {
+		t.Fatal(err)
+	}
+	seg := s1.segPath("job")
+	if got := s1.SegmentBytes(); got <= 0 {
+		t.Fatalf("SegmentBytes = %d after three frames", got)
+	}
+	if _, ok := s1.Meta("job"); ok {
+		t.Fatal("metadata written in this process kept in memory")
+	}
+	s1.Close()
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqFrame, _ := appendFrame(nil, opMeta, request)
+	termFrame, _ := appendFrame(nil, opMeta, terminal)
+	reqEnd := len(reqFrame)
+	termStart := len(full) - len(termFrame)
+
+	type state struct {
+		meta  string
+		recs  int
+		bytes int64
+	}
+	recoverCut := func() state {
+		s := openDiskStore(t, dir)
+		defer s.Close()
+		st := state{bytes: s.SegmentBytes()}
+		if meta, ok := s.Meta("job"); ok {
+			st.meta = string(meta)
+		}
+		if b, ok := s.Get("job"); ok {
+			st.recs = len(b.Results(0))
+		}
+		return st
+	}
+	check := func(cut int, wantMeta []byte, wantRecs int) {
+		t.Helper()
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first := recoverCut()
+		if first.meta != string(wantMeta) || first.recs != wantRecs {
+			t.Fatalf("cut %d: meta %q with %d records, want %q with %d", cut, first.meta, first.recs, wantMeta, wantRecs)
+		}
+		if again := recoverCut(); again != first {
+			t.Fatalf("cut %d: second recovery %+v, first %+v", cut, again, first)
+		}
+	}
+	for cut := 0; cut < reqEnd; cut++ {
+		check(cut, nil, 0)
+	}
+	for cut := termStart; cut < len(full); cut++ {
+		check(cut, request, 1)
+	}
+	check(len(full), terminal, 1)
+}

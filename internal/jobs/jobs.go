@@ -44,7 +44,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -66,27 +65,11 @@ type jobIDKey struct{}
 
 // JobID returns the ID of the job whose context ctx is (or derives
 // from), or "" for any other context. Work handed to an external
-// system (the dispatcher's durable unit queue) is keyed by this ID, so
-// state restored after a crash re-attaches to the same job.
+// system (the dispatcher's units) is keyed by this ID, so state
+// restored after a crash re-attaches to the same job.
 func JobID(ctx context.Context) string {
 	id, _ := ctx.Value(jobIDKey{}).(string)
 	return id
-}
-
-// MetaStore is the optional ResultStore extension a durable store
-// implements: opaque per-job metadata persisted alongside the result
-// buffer. The engine writes a BufferMeta at Submit so recovery can
-// tell a finished job (buffer holds all n results) from one that died
-// mid-run.
-type MetaStore interface {
-	SetMeta(id string, meta []byte) error
-	Meta(id string) ([]byte, bool)
-}
-
-// BufferMeta is the engine's durable per-job metadata.
-type BufferMeta struct {
-	// N is the expected result count promised to Submit.
-	N int `json:"n"`
 }
 
 // Options configure an Engine.
@@ -159,6 +142,7 @@ type Engine struct {
 	mu            sync.Mutex
 	byID          map[string]*Job
 	queued        []*Job // queued jobs in admission order
+	reserved      int    // Submits past the capacity check, creating their buffer
 	finished      []*Job // terminal jobs in finish order, awaiting GC
 	retainedBytes int64  // approximate result bytes across e.finished
 	running       int
@@ -246,32 +230,41 @@ func newID() string {
 }
 
 // Submit admits a batch of n expected results as a queued job, or
-// fails with ErrQueueFull when Capacity jobs are queued already.
+// fails with ErrQueueFull when Capacity jobs are queued already. The
+// job's buffer is created outside e.mu, since a durable store opens a
+// file for it, under a slot reserved against Capacity: the bound stays
+// exact, and a refused Submit touches no store.
 func (e *Engine) Submit(n int) (*Job, error) {
 	now := time.Now()
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.closed {
 		e.rejected++
+		e.mu.Unlock()
 		return nil, ErrClosed
 	}
 	e.gcLocked(now)
-	if len(e.queued) >= e.opt.capacity() {
+	if len(e.queued)+e.reserved >= e.opt.capacity() {
 		e.rejected++
+		e.mu.Unlock()
 		return nil, ErrQueueFull
 	}
+	e.reserved++
+	e.mu.Unlock()
+
 	id := newID()
-	j := e.newJobLocked(id, n, e.store.Create(id), now)
-	// Persist the expected result count before the job can produce any
-	// visible effect: recovery needs it to distinguish a complete
-	// buffer from a truncated one. Best-effort — a failed write only
-	// degrades this job's recoverability, not its execution.
-	if ms, ok := e.store.(MetaStore); ok {
-		if meta, err := json.Marshal(BufferMeta{N: n}); err == nil {
-			ms.SetMeta(j.id, meta)
-		}
+	buf := e.store.Create(id)
+
+	e.mu.Lock()
+	e.reserved--
+	if e.closed {
+		e.rejected++
+		e.mu.Unlock()
+		e.store.Drop(id)
+		return nil, ErrClosed
 	}
+	j := e.newJobLocked(id, n, buf, now)
 	e.admitLocked(j)
+	e.mu.Unlock()
 	return j, nil
 }
 
@@ -538,11 +531,11 @@ func (j *Job) Context() context.Context { return j.ctx }
 
 // OnCancel registers f to run inside Cancel, after the job's context
 // is canceled and before the job turns terminal. The producer
-// withdraws the job's pending work there, so none of it is left
-// queued — on a durable queue, for a restart to resume — once anyone
-// can see the job canceled. Close
-// does not run f: work outstanding at shutdown is what a restart must
-// find. The hook is dropped once the job is terminal.
+// withdraws the job's pending work there, and a durable producer
+// records the cancellation, so once anyone can see the job canceled
+// none of its work is left for a restart to resume. Close does not run
+// f: work outstanding at shutdown is what a restart must find. The
+// hook is dropped once the job is terminal.
 func (j *Job) OnCancel(f func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -612,25 +611,73 @@ func TestEngineCancelRunsHookFirst(t *testing.T) {
 	}
 }
 
-// TestSubmitPersistsMeta pins the MetaStore handshake: a durable store
-// under the engine learns each job's expected result count at Submit,
-// before the job produces anything.
-func TestSubmitPersistsMeta(t *testing.T) {
-	ds, err := NewDiskStore(t.TempDir(), false)
-	if err != nil {
-		t.Fatal(err)
+// gatedStore is a ResultStore whose first Create blocks until gate
+// closes: a disk stalled under the segment open.
+type gatedStore struct {
+	ResultStore
+	gate    chan struct{}
+	entered chan struct{}
+	once    sync.Once
+}
+
+func (s *gatedStore) Create(id string) Buffer {
+	first := false
+	s.once.Do(func() { first = true })
+	if first {
+		close(s.entered)
+		<-s.gate
 	}
-	defer ds.Close()
-	e := New(Options{Store: ds})
-	defer e.Close()
-	j := submit(t, e, 3)
-	meta, ok := ds.Meta(j.ID())
-	if !ok {
-		t.Fatal("no metadata persisted at Submit")
+	return s.ResultStore.Create(id)
+}
+
+// TestSubmitCreatesBufferOffLock: a Submit whose store stalls creating
+// the job's buffer holds no engine lock meanwhile. Metrics, Get and a
+// second Submit all return while the first Submit is still inside
+// Create, and the stalled slot still counts against Capacity.
+func TestSubmitCreatesBufferOffLock(t *testing.T) {
+	st := &gatedStore{ResultStore: NewMemStore(), gate: make(chan struct{}), entered: make(chan struct{})}
+	var release sync.Once
+	open := func() { release.Do(func() { close(st.gate) }) }
+	e := New(Options{Store: st, Capacity: 2})
+	t.Cleanup(e.Close)
+	t.Cleanup(open)
+	first := make(chan *Job, 1)
+	go func() {
+		j, err := e.Submit(1)
+		if err != nil {
+			t.Error(err)
+		}
+		first <- j
+	}()
+	<-st.entered
+
+	returned := make(chan struct{})
+	var second *Job
+	var secondErr, thirdErr error
+	go func() {
+		defer close(returned)
+		e.Metrics()
+		e.Get("unknown")
+		second, secondErr = e.Submit(1)
+		_, thirdErr = e.Submit(1)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Metrics, Get or Submit blocked behind a stalled Create")
 	}
-	var bm BufferMeta
-	if err := json.Unmarshal(meta, &bm); err != nil || bm.N != 3 {
-		t.Fatalf("meta = %q (%v), want n=3", meta, err)
+	if secondErr != nil || second == nil {
+		t.Fatalf("second Submit = %v, %v", second, secondErr)
+	}
+	if thirdErr != ErrQueueFull {
+		t.Fatalf("third Submit = %v, want ErrQueueFull: the stalled Submit holds a slot", thirdErr)
+	}
+	open()
+	if j := <-first; j == nil || j.Snapshot().State != api.JobQueued {
+		t.Fatalf("stalled Submit = %+v", j)
+	}
+	if m := e.Metrics(); m.Depth != 2 || m.Admitted != 2 || m.Rejected != 1 {
+		t.Fatalf("metrics = %+v, want 2 queued, 2 admitted, 1 rejected", m)
 	}
 }
 

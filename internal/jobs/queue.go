@@ -46,7 +46,7 @@ type QueueStats struct {
 // Every compile unit of every batch waits on it. In-process pullers
 // lease one unit at a time with no expiry (they cannot crash
 // independently of the queue); remote workers lease chunks under a TTL
-// and heartbeat by posting results. WALQueue makes it durable. All
+// and heartbeat by posting results. WALQueue logs one to disk. All
 // implementations must be safe for concurrent use.
 type Queue interface {
 	// Enqueue admits a group of tasks at once, in order: under one lock

@@ -319,11 +319,9 @@ func (w *WALQueue) Enqueue(ts ...Task) error {
 		w.order = append(w.order, wt)
 		w.live[rec.ID] = wt
 	}
-	if err := w.logFrames(frames); err != nil {
-		// The tasks are admitted either way; losing the write only
-		// costs the group's durability.
-		return nil
-	}
+	// The tasks are admitted either way; losing the write only costs
+	// the group's durability.
+	w.logFrames(frames) //dms:lockok w.mu is the WAL serialization point; frames must match queue-op order
 	return nil
 }
 

@@ -56,6 +56,7 @@ var errLeaseExpired = errors.New("server: lease expired")
 type dispatcher struct {
 	q        jobs.Queue
 	cache    *Cache
+	durable  *durableState    // nil without Options.DataDir
 	registry *driver.Registry // back-ends of the in-process pullers
 	pullers  int              // in-process pullers; 0 leaves every unit to workers
 	perBatch int32            // pullers one batch may hold at once
@@ -73,7 +74,7 @@ type dispatcher struct {
 	resolved   uint64
 
 	closed   bool        // Close has begun; guarded by mu
-	shutdown atomic.Bool // process exiting: keep canceled units durable
+	shutdown atomic.Bool // process exiting: leave canceled batches for a restart
 
 	stop chan struct{}
 	wg   sync.WaitGroup // janitor, pullers, batches being queued
@@ -134,9 +135,8 @@ type unit struct {
 }
 
 // wireForm returns the unit's self-contained wire form, rendering it
-// on first use: only a unit that crosses a process boundary — a WAL
-// enqueue frame or a remote lease — ever needs one, and it is
-// rendered at most once.
+// on first use: only a unit that crosses a process boundary, in a
+// remote lease, ever needs one, and it is rendered at most once.
 func (u *unit) wireForm() api.WorkUnit {
 	u.wireOnce.Do(func() { u.wire = wireUnit(u) })
 	return u.wire
@@ -173,10 +173,7 @@ func (b *dispatchBatch) start() {
 	}
 }
 
-func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
-	if q == nil {
-		q = jobs.NewMemQueue() // admission is bounded per batch upstream
-	}
+func newDispatcher(cache *Cache, durable *durableState, opt Options) *dispatcher {
 	ttl := opt.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -189,8 +186,9 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 		pullers = 0 // every unit goes to remote workers
 	}
 	d := &dispatcher{
-		q:        q,
+		q:        jobs.NewMemQueue(), // admission is bounded per batch upstream
 		cache:    cache,
+		durable:  durable,
 		registry: opt.Registry,
 		pullers:  pullers,
 		perBatch: int32((pullers + 1) / 2),
@@ -205,9 +203,8 @@ func newDispatcher(cache *Cache, q jobs.Queue, opt Options) *dispatcher {
 	return d
 }
 
-// startPullers launches the in-process puller pool, after durable
-// recovery, so no puller leases a replayed unit its batch has not
-// adopted yet.
+// startPullers launches the in-process puller pool, once durable
+// recovery has queued the recovered units.
 func (d *dispatcher) startPullers() {
 	d.wg.Add(d.pullers)
 	for range d.pullers {
@@ -225,14 +222,13 @@ const pullerOwner = "local"
 // batch holds at most about perBatch pullers, half the pool, so
 // side-by-side batches share the pool rather than the oldest taking
 // all of it. Once shutdown begins a puller resolves nothing, leaving
-// its units on the durable queue.
+// its units pending in their segments for a restart.
 func (d *dispatcher) pull() {
 	defer d.wg.Done()
 	// The count is read here and raised after the lease, so concurrent
 	// leases may overshoot the cap briefly; it is a share, not a bound.
 	underCap := func(t jobs.Task) bool {
-		u, ok := t.Payload.(*unit) // a replayed task carries its wire form
-		return !ok || u.batch.pulling.Load() < d.perBatch
+		return t.Payload.(*unit).batch.pulling.Load() < d.perBatch
 	}
 	for !d.shutdown.Load() {
 		ch := d.q.Changed()
@@ -245,11 +241,7 @@ func (d *dispatcher) pull() {
 				return
 			}
 		}
-		units := d.claim(lease, tasks)
-		if len(units) == 0 {
-			continue // an orphan, acked off the queue
-		}
-		u := units[0]
+		u := claim(tasks)[0]
 		u.batch.pulling.Add(1)
 		rec := CompileRecord(u.batch.ctx, d.cache, u.key, u.job, driver.BatchOptions{
 			Timeout:   u.timeout,
@@ -264,25 +256,13 @@ func (d *dispatcher) pull() {
 	}
 }
 
-// claim resolves a lease's tasks to the dispatcher's live units and
-// starts their batches' jobs. A task replayed from the durable queue
-// carries its wire form, so the authoritative *unit (with its batch
-// binding) is the adopted one under d.units; a task no batch owns (its
-// job was lost in recovery) is acked off the queue for good.
-func (d *dispatcher) claim(lease string, tasks []jobs.Task) []*unit {
-	units := make([]*unit, 0, len(tasks))
-	d.mu.Lock()
-	for _, t := range tasks {
-		u, live := d.units[t.ID]
-		if !live {
-			d.q.Ack(lease, t.ID)
-			continue
-		}
-		units = append(units, u)
-	}
-	d.mu.Unlock()
-	for _, u := range units {
-		u.batch.start()
+// claim returns a lease's units, whose tasks carry them as payload,
+// and starts their batches' jobs.
+func claim(tasks []jobs.Task) []*unit {
+	units := make([]*unit, len(tasks))
+	for i, t := range tasks {
+		units[i] = t.Payload.(*unit)
+		units[i].batch.start()
 	}
 	return units
 }
@@ -390,28 +370,51 @@ func (d *dispatcher) submit(j *jobs.Job, jobList []driver.Job, timeout time.Dura
 	go func() {
 		defer d.wg.Done()
 		defer close(b.enqueued)
-		d.enqueue(b, jobList, timeout, noCache)
+		d.enqueue(b, jobList, nil, timeout, noCache)
 	}()
 }
 
-// enqueue keys the batch and queues its units in groups of at most
-// DefaultLeaseChunkMax (the most one lease can take), one Queue.Enqueue
-// — one log write on a durable queue — per group. Compiles of a group
-// start while the next one is still being keyed. It stops early when
-// the job's context ends; units keyed but not yet queued then never
-// reach the queue.
-func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout time.Duration, noCache bool) {
-	// Units are keyed by the job ID so that durable queue state written
-	// under one process re-attaches to the same job resource in the
-	// next.
+// resume gives a job that durable recovery re-registered a batch of its
+// pending units, the indices of jobList that done leaves false, and
+// queues them through enqueue, the path a submit takes, before any
+// puller starts. When the units could not be rebuilt (err), each
+// pending unit settles as an error record instead, so the job still
+// reaches a terminal state. It returns the number of units queued.
+func (d *dispatcher) resume(j *jobs.Job, jobList []driver.Job, done []bool, pending int, err error, timeout time.Duration, noCache bool) int {
+	b := newBatch(j, pending)
+	j.OnCancel(func() { d.cancelBatch(b) })
+	if err != nil {
+		var failed []outcome
+		for i, ok := range done {
+			if !ok {
+				failed = append(failed, outcome{rec: api.JobResult{Index: i, ErrorCode: api.CodeInternal,
+					Error: fmt.Sprintf("recovered unit unusable: %v", err)}})
+			}
+		}
+		d.settle(b, failed...)
+		return 0
+	}
+	d.enqueue(b, jobList, done, timeout, noCache)
+	return len(b.units)
+}
+
+// enqueue keys the batch's units — every index of jobList that done
+// (nil for a new batch) leaves false — and queues each one as soon as
+// it is keyed, so the first compile starts while the rest are still
+// being keyed. Unit IDs derive from the job ID, so a unit rebuilt after
+// a restart has the ID it had before. It stops early when the job's
+// context ends; units not yet keyed then never reach the queue.
+func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, done []bool, timeout time.Duration, noCache bool) {
 	batchID := b.job.ID()
 	// Content-hash routing steers identical units to a remote worker's
 	// warm cache; in-process pullers share one cache, so their units go
 	// unrouted, in plain FIFO order.
 	route := d.pullers == 0
 	keys := newKeyer()
-	group := make([]*unit, 0, min(len(jobList), DefaultLeaseChunkMax))
 	for i, job := range jobList {
+		if done != nil && done[i] {
+			continue
+		}
 		if b.ctx.Err() != nil {
 			return // canceled: cancelBatch withdraws what was queued
 		}
@@ -427,7 +430,7 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout tim
 				continue
 			}
 		}
-		group = append(group, &unit{
+		u := &unit{
 			id:      batchID + "/" + strconv.Itoa(i),
 			key:     key,
 			job:     job,
@@ -435,58 +438,41 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, timeout tim
 			noCache: noCache,
 			batch:   b,
 			index:   i,
-		})
-		if len(group) == cap(group) {
-			d.queueUnits(b, group, route)
-			group = group[:0]
 		}
-	}
-	if len(group) > 0 {
-		d.queueUnits(b, group, route)
-	}
-}
-
-// queueUnits puts one group of a batch's units on the queue with one
-// Enqueue. The units are registered first, so a puller or worker can
-// claim one the moment it is queued, and counted dispatched once the
-// Enqueue has returned: on a durable queue, once they are logged.
-func (d *dispatcher) queueUnits(b *dispatchBatch, group []*unit, route bool) {
-	tasks := make([]jobs.Task, len(group))
-	d.mu.Lock()
-	for i, u := range group {
-		d.units[u.id] = u
-		tasks[i] = jobs.Task{ID: u.id, Payload: u}
+		t := jobs.Task{ID: u.id, Payload: u}
 		if route {
-			tasks[i].Hash = u.key
+			t.Hash = u.key
 		}
+		b.units = append(b.units, u)
+		// The unit is registered before it is queued, so it can be
+		// claimed the moment it is. The unit queue is unbounded —
+		// admission control already happened at the engine — and unit
+		// IDs are unique, so Enqueue cannot fail.
+		d.mu.Lock()
+		d.units[u.id] = u
+		if err := d.q.Enqueue(t); err != nil {
+			panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
+		}
+		d.dispatched++
+		d.mu.Unlock()
 	}
-	d.mu.Unlock()
-	b.units = append(b.units, group...)
-	// The unit queue is unbounded — admission control already happened
-	// at the engine — and unit IDs are unique, so Enqueue cannot fail.
-	if err := d.q.Enqueue(tasks...); err != nil {
-		panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
-	}
-	d.mu.Lock()
-	d.dispatched += uint64(len(group))
-	d.mu.Unlock()
 }
 
 // cancelBatch is the job's OnCancel hook: it runs inside the engine's
 // Cancel, after the job's context is canceled and before the job turns
 // terminal. It waits for the batch's enqueue to stop, closes the batch
 // (discarding any later results) and withdraws its still-pending units
-// from the queue — on a durable queue, before the client is told the
-// job is canceled, so a restart does not resume them. Units a worker
-// or puller already holds are released when their results arrive — discarded, acked off
-// the queue — or by lease expiry; the worker learns they are moot from
-// the Canceled list of its next results post.
+// from the queue. A durable server then appends the job's terminal
+// record to its segment, before the client is told the job is
+// canceled, so a restart does not resume it. Units a worker or puller
+// already holds are released when their results arrive — discarded,
+// acked off the queue — or by lease expiry; the worker learns they are
+// moot from the Canceled list of its next results post.
 //
-// During process shutdown the withdraw is skipped: a synchronous
-// request cut short by the exit cancels its job, but those units are
-// not abandoned work — on a durable queue they are exactly the state
-// the next process must recover, and withdrawing would erase them from
-// the WAL.
+// During process shutdown, and for a batch that already ended, nothing
+// is withdrawn or recorded: a synchronous request cut short by the exit
+// cancels its job, but its units are not abandoned work — they are
+// exactly the state the next process must recover.
 func (d *dispatcher) cancelBatch(b *dispatchBatch) {
 	if b.enqueued != nil {
 		<-b.enqueued
@@ -499,12 +485,15 @@ func (d *dispatcher) cancelBatch(b *dispatchBatch) {
 		return
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	for _, u := range b.units {
 		if d.q.Withdraw(u.id) {
 			delete(d.units, u.id)
 			d.resolved++
 		}
+	}
+	d.mu.Unlock()
+	if d.durable != nil {
+		d.durable.recordCanceled(b.job)
 	}
 }
 
@@ -557,7 +546,7 @@ func (d *dispatcher) noteWorker(req api.LeaseRequest, granted int) func(jobs.Tas
 		return nil // wildcard worker: plain unfiltered lease
 	}
 	return func(t jobs.Task) bool {
-		s := taskScheduler(t.Payload)
+		s := t.Payload.(*unit).job.Scheduler
 		if s == "" || adv[s] {
 			return true
 		}
@@ -565,20 +554,6 @@ func (d *dispatcher) noteWorker(req api.LeaseRequest, granted int) func(jobs.Tas
 		// strand its units — anyone may take them.
 		return !covered[s]
 	}
-}
-
-// taskScheduler extracts the scheduler name of a queued unit without
-// taking any lock: a live task's payload is the *unit the dispatcher
-// enqueued; a task replayed from the durable queue carries its wire
-// form until adoption swaps the payload back.
-func taskScheduler(payload any) string {
-	switch p := payload.(type) {
-	case *unit:
-		return p.job.Scheduler
-	case api.WorkUnit:
-		return p.Scheduler
-	}
-	return ""
 }
 
 // lease hands the calling worker a chunk of units, long-polling up to
@@ -607,10 +582,7 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 		ch := d.q.Changed()
 		id, tasks := d.q.LeaseFiltered(req.Worker, max, d.ttl, eligible)
 		if len(tasks) > 0 {
-			claimed := d.claim(id, tasks)
-			if len(claimed) == 0 {
-				continue
-			}
+			claimed := claim(tasks)
 			units := make([]api.WorkUnit, len(claimed))
 			ids := make([]string, len(claimed))
 			for i, u := range claimed {
@@ -653,10 +625,9 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 // first result posted for a live unit resolves it (exactly once: the
 // claim is removing the unit from d.units, so a result raced by expiry
 // and a re-lease is discarded, never double-emitted), and only then
-// are the units acked off the queue, in one batch (one WAL frame on a
-// durable queue): a crash between the two leaves a result whose unit
-// is still logged, which recovery settles, rather than a logged ack
-// whose result was never stored. It returns errLeaseExpired when the
+// are the units acked off the queue, in one batch. A unit's result
+// record in its segment is what makes it resolved across a restart;
+// the ack only frees the queue. It returns errLeaseExpired when the
 // lease itself is no longer honored. The response lists the lease's
 // still-outstanding units whose batch has been canceled, so the worker
 // skips them. stored reports that CompileRecord already stored the
@@ -810,55 +781,6 @@ func (d *dispatcher) observe(rec api.JobResult, scheduler string) {
 	if scheduler == "portfolio" && rec.Error == "" && rec.Stats != nil {
 		d.portfolio.record(rec.Stats)
 	}
-}
-
-// adoptedUnit is one compile unit reconstructed from the durable queue
-// during recovery: its queue identity, its index within the original
-// batch, and the wire form the previous process logged.
-type adoptedUnit struct {
-	ID    string
-	Index int
-	Wire  api.WorkUnit
-}
-
-// adopt binds recovered units to j, the live job engine recovery
-// returned for them. Their tasks are already on the replayed queue, so
-// a worker or puller may lease one as soon as it is registered. A unit
-// whose wire form no longer parses is withdrawn and resolved as an
-// error record, so the job still reaches a terminal state.
-func (d *dispatcher) adopt(j *jobs.Job, unitList []adoptedUnit) {
-	b := newBatch(j, len(unitList))
-	for _, au := range unitList {
-		job, err := UnitJob(au.Wire)
-		if err != nil {
-			d.q.Withdraw(au.ID)
-			d.settle(b, outcome{api.JobResult{
-				Index:     au.Index,
-				Error:     fmt.Sprintf("recovered unit unusable: %v", err),
-				ErrorCode: api.CodeInternal,
-			}, au.Wire.Scheduler})
-			continue
-		}
-		u := &unit{
-			id:      au.ID,
-			key:     au.Wire.Hash,
-			job:     job,
-			timeout: time.Duration(au.Wire.TimeoutMS) * time.Millisecond,
-			noCache: au.Wire.NoCache,
-			batch:   b,
-			index:   au.Index,
-		}
-		u.wireOnce.Do(func() { u.wire = au.Wire })
-		b.units = append(b.units, u)
-	}
-	d.mu.Lock()
-	for _, u := range b.units {
-		d.units[u.id] = u
-	}
-	d.dispatched += uint64(len(unitList))
-	d.resolved += uint64(len(unitList) - len(b.units))
-	d.mu.Unlock()
-	j.OnCancel(func() { d.cancelBatch(b) })
 }
 
 // Metrics snapshots the dispatcher in its wire form, including the

@@ -1,165 +1,207 @@
 package server
 
 // Durable control-plane state: a server opened with Options.DataDir
-// keeps its unit queue in a write-ahead log and its job result buffers
-// in disk segments (internal/jobs), and on startup reconciles the two
-// into resumed, completed, or abandoned jobs. Leases are deliberately
-// not durable — a restart forgets who held what, and every logged,
-// unacked unit replays as pending in its original FIFO order.
+// keeps one log per batch, the job's result segment (internal/jobs
+// DiskStore). The segment's first metadata frame is the batch record —
+// the batch's request — written before the submit answers; each result
+// appends a record frame, and a client cancel appends a terminal
+// metadata frame. A unit is pending while its index has no record, so
+// on startup recovery rebuilds every unfinished batch's pending units
+// from its request and queues them again, through the path a submit
+// takes. The unit queue itself lives in memory, and leases are
+// deliberately not durable: a restart forgets who held what.
 
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	api "repro/api/v1"
+	"repro/internal/driver"
 	"repro/internal/jobs"
 )
 
-// durableState bundles the disk-backed store and queue with the
-// recovery counters the metrics endpoint reports.
+// durableState bundles the disk-backed result store with the recovery
+// counters the metrics endpoint reports.
 type durableState struct {
 	store *jobs.DiskStore
-	wal   *jobs.WALQueue
 
-	recoveredTasks   int // queue tasks replayed from the WAL
+	recoveredTasks   int // units queued from batch records, plus units read from queue/
 	recoveredBuffers int // result buffers rebuilt from segments
 }
 
-// openDurable opens (or creates) the durable state under dir. The
-// result segments and the queue WAL live in separate subdirectories so
-// neither scan has to classify the other's files.
-func openDurable(dir string, fsync bool) (*durableState, error) {
-	store, err := jobs.NewDiskStore(filepath.Join(dir, "results"), fsync)
-	if err != nil {
-		return nil, fmt.Errorf("server: open result store: %w", err)
-	}
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{
-		Sync:   fsync,
-		Encode: encodeUnitPayload,
-		Decode: decodeUnitPayload,
-	})
-	if err != nil {
-		store.Close()
-		return nil, fmt.Errorf("server: open queue wal: %w", err)
-	}
-	return &durableState{store: store, wal: wal}, nil
+// batchRecord is a segment's metadata frame. The record written at
+// submit carries the request; the terminal one a cancel appends
+// carries the state. A record with neither (only n) was written by the
+// format whose units lived in queue/.
+type batchRecord struct {
+	N       int                 `json:"n"`
+	Request *api.CompileRequest `json:"request,omitempty"`
+	State   api.JobState        `json:"state,omitempty"`
 }
 
-func (d *durableState) close() {
-	d.wal.Close()
-	d.store.Close()
+// encodeBatchRecord renders the record of a batch of n units for its
+// segment: the validated request with its effective timeout. A record
+// past one frame is refused, so no batch is admitted that could not be
+// recovered.
+func encodeBatchRecord(req api.CompileRequest, n int, timeout time.Duration) ([]byte, error) {
+	req.TimeoutMS = int(timeout / time.Millisecond)
+	rec, err := json.Marshal(batchRecord{N: n, Request: &req})
+	if err != nil {
+		return nil, err
+	}
+	if len(rec) > jobs.MaxMetaBytes {
+		return nil, fmt.Errorf("batch record of %d bytes exceeds the durable limit of %d", len(rec), jobs.MaxMetaBytes)
+	}
+	return rec, nil
 }
 
-// recoverDurable reconciles the replayed queue with the recovered
-// result buffers, job by job:
+// recordCanceled appends a canceled job's terminal record, synced
+// under the store's policy; a job whose segment is gone needs none.
+func (d *durableState) recordCanceled(j *jobs.Job) {
+	rec, _ := json.Marshal(batchRecord{N: j.N(), State: api.JobCanceled})
+	d.store.SetMeta(j.ID(), rec)
+}
+
+// recoverDurable re-registers every job a previous process left in the
+// data dir, each from its segment's last record:
 //
-//   - every result index already covered by the buffer is settled — a
-//     queued unit for it (an ack whose log frame was lost) is withdrawn;
-//   - a job whose buffer covers all n indices re-registers as done;
-//   - a job whose queued units cover exactly the missing indices is
-//     re-registered through engine.Recover and its units adopted by the
-//     dispatcher, so pullers or workers finish it and clients keep
-//     polling the same job ID;
-//   - anything else — missing units, a buffer without its size metadata,
-//     units whose job left no buffer — cannot be resumed faithfully and
-//     is registered as canceled (or dropped) with an explanatory failure.
+//   - a job canceled by its client re-registers as canceled;
+//   - a job whose records cover all n indices re-registers as done;
+//   - any other job re-registers through engine.Recover, and its pending
+//     units — the indices with no record — are rebuilt from the request
+//     and queued;
+//   - a segment with no record describes a batch of unknowable size and
+//     is dropped.
 //
-// It runs before the HTTP surface is serving and the pullers start, so
-// nothing can race the classification.
-func (s *Server) recoverDurable() {
+// The segments live under results/. A data dir of the previous format
+// also holds queue/, the unit queue's write-ahead log: its units are
+// read once for the jobs whose record carries no request, and the
+// directory is removed. Recovery runs before the HTTP surface serves
+// and the pullers start, and every recovered unit is queued before it
+// returns.
+func (s *Server) recoverDurable(dir string) error {
 	d := s.durable
-	tasks := d.wal.Recovered()
-	d.recoveredTasks = len(tasks)
-	d.recoveredBuffers = len(d.store.RecoveredIDs())
-
-	byJob := make(map[string][]adoptedUnit)
-	for _, t := range tasks {
-		jobID, index, ok := splitUnitID(t.ID)
-		wire, isWire := t.Payload.(api.WorkUnit)
-		if !ok || !isWire {
-			d.wal.Withdraw(t.ID) // not a unit this server wrote
+	ids := d.store.RecoveredIDs()
+	slices.Sort(ids)
+	d.recoveredBuffers = len(ids)
+	queueDir := filepath.Join(dir, "queue")
+	parentUnits, read, err := readParentQueue(queueDir)
+	if err != nil {
+		return err
+	}
+	d.recoveredTasks = read
+	for _, id := range ids {
+		var rec batchRecord
+		if meta, ok := d.store.Meta(id); !ok || json.Unmarshal(meta, &rec) != nil || rec.N <= 0 {
+			d.store.Drop(id)
 			continue
 		}
-		byJob[jobID] = append(byJob[jobID], adoptedUnit{ID: t.ID, Index: index, Wire: wire})
+		s.recoverJob(id, rec, parentUnits[id])
 	}
-
-	for _, jobID := range d.store.RecoveredIDs() {
-		units := byJob[jobID]
-		delete(byJob, jobID)
-		n := 0
-		if meta, ok := d.store.Meta(jobID); ok {
-			var bm jobs.BufferMeta
-			if json.Unmarshal(meta, &bm) == nil {
-				n = bm.N
-			}
-		}
-		if n <= 0 {
-			// A crash between buffer creation and the size record: the
-			// batch size is unknowable, so nothing can be promised about
-			// completeness. Drop the fragment.
-			for _, u := range units {
-				d.wal.Withdraw(u.ID)
-			}
-			d.store.Drop(jobID)
-			continue
-		}
-		s.recoverJob(jobID, n, units)
-	}
-
-	// Units whose job left no buffer at all (the segment never synced):
-	// without the buffer there is no job resource to resume.
-	//dms:orderok withdraw-only sweep: each leftover unit is dropped independently
-	for _, units := range byJob {
-		for _, u := range units {
-			d.wal.Withdraw(u.ID)
-		}
-	}
+	return os.RemoveAll(queueDir)
 }
 
-// recoverJob classifies one job with a known batch size n against its
-// recovered buffer and queued units.
-func (s *Server) recoverJob(jobID string, n int, units []adoptedUnit) {
-	covered := make(map[int]bool)
-	if buf, ok := s.durable.store.Get(jobID); ok {
-		for _, rec := range buf.Results(0) {
-			covered[rec.Index] = true
-		}
-	}
-	missing := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		if !covered[i] {
-			missing[i] = true
-		}
-	}
-	var adopt []adoptedUnit
-	for _, u := range units {
-		if missing[u.Index] {
-			adopt = append(adopt, u)
-			delete(missing, u.Index) // a duplicate for the index is redundant
-		} else {
-			s.durable.wal.Withdraw(u.ID) // already resolved (or out of range)
+// recoverJob classifies one job against its record and its recovered
+// result records. units are the job's queued units by index from a
+// previous-format queue/, used only when the record carries no request.
+func (s *Server) recoverJob(id string, rec batchRecord, units map[int]api.WorkUnit) {
+	done := make([]bool, rec.N)
+	pending := rec.N
+	if buf, ok := s.durable.store.Get(id); ok {
+		for _, r := range buf.Results(0) {
+			if r.Index >= 0 && r.Index < rec.N && !done[r.Index] {
+				done[r.Index] = true
+				pending--
+			}
 		}
 	}
 	switch {
-	case len(covered) >= n:
-		s.engine.RecoverFinished(jobID, n, api.JobDone, "")
-	case len(missing) == 0:
-		// Recover fails only for an ID registered twice, which the
-		// store's one buffer per job rules out; units left without a
-		// job would be acked off the queue when leased.
-		if j, err := s.engine.Recover(jobID, n); err == nil {
-			s.dispatch.adopt(j, adopt)
-		}
-	default:
-		for _, u := range adopt {
-			s.durable.wal.Withdraw(u.ID)
-		}
-		s.engine.RecoverFinished(jobID, n, api.JobCanceled,
-			"batch incomplete after coordinator restart: queued units lost")
+	case rec.State == api.JobCanceled:
+		s.engine.RecoverFinished(id, rec.N, api.JobCanceled, "")
+		return
+	case pending == 0:
+		s.engine.RecoverFinished(id, rec.N, api.JobDone, "")
+		return
 	}
+	var jobList []driver.Job
+	var timeout time.Duration
+	var noCache bool
+	var err error
+	if rec.Request != nil {
+		jobList, err = s.buildJobs(rec.Request)
+		if err == nil && len(jobList) != rec.N {
+			err = fmt.Errorf("request builds %d units, record says %d", len(jobList), rec.N)
+		}
+		timeout, noCache = s.timeoutFor(rec.Request), rec.Request.NoCache
+	} else if jobList, timeout, noCache, err = parentJobs(units, done); jobList == nil {
+		s.engine.RecoverFinished(id, rec.N, api.JobCanceled,
+			"batch incomplete after coordinator restart: queued units lost")
+		return
+	}
+	// Recover fails only for an ID registered twice, which the store's
+	// one segment per job rules out.
+	j, rerr := s.engine.Recover(id, rec.N)
+	if rerr != nil {
+		return
+	}
+	queued := s.dispatch.resume(j, jobList, done, pending, err, timeout, noCache)
+	if rec.Request != nil {
+		s.durable.recoveredTasks += queued // queue/ units were counted as read
+	}
+}
+
+// parentJobs rebuilds a previous-format job's pending units, the
+// indices done leaves false, from their wire forms in queue/. It
+// returns a nil jobList when a pending index has no queued unit.
+func parentJobs(units map[int]api.WorkUnit, done []bool) (jobList []driver.Job, timeout time.Duration, noCache bool, err error) {
+	jobList = make([]driver.Job, len(done))
+	for i, ok := range done {
+		if ok {
+			continue
+		}
+		wire, queued := units[i]
+		if !queued {
+			return nil, 0, false, nil
+		}
+		if jobList[i], err = UnitJob(wire); err != nil {
+			return jobList, 0, false, err
+		}
+		timeout, noCache = time.Duration(wire.TimeoutMS)*time.Millisecond, wire.NoCache
+	}
+	return jobList, timeout, noCache, nil
+}
+
+// readParentQueue reads the unit queue of a previous-format data dir,
+// if dir exists, and returns its units by job ID and index (nil when
+// there is no such directory) and how many it read.
+func readParentQueue(dir string) (map[string]map[int]api.WorkUnit, int, error) {
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		return nil, 0, nil
+	}
+	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), dir, jobs.WALOptions{Decode: decodeUnitPayload})
+	if err != nil {
+		return nil, 0, fmt.Errorf("server: read queue wal: %w", err)
+	}
+	defer wal.Close()
+	byJob := make(map[string]map[int]api.WorkUnit)
+	tasks := wal.Recovered()
+	for _, t := range tasks {
+		jobID, index, ok := splitUnitID(t.ID)
+		if !ok {
+			continue // not a unit this server wrote
+		}
+		if byJob[jobID] == nil {
+			byJob[jobID] = make(map[int]api.WorkUnit)
+		}
+		byJob[jobID][index] = t.Payload.(api.WorkUnit)
+	}
+	return byJob, len(tasks), nil
 }
 
 // splitUnitID splits a dispatched unit ID "<jobID>/<index>" back into
@@ -176,21 +218,7 @@ func splitUnitID(id string) (jobID string, index int, ok bool) {
 	return id[:i], n, true
 }
 
-// encodeUnitPayload renders a queued unit for the WAL as its wire form
-// — exactly what a worker would receive, so a recovered task is
-// self-contained.
-func encodeUnitPayload(payload any) ([]byte, error) {
-	switch v := payload.(type) {
-	case *unit:
-		return json.Marshal(v.wireForm())
-	case api.WorkUnit:
-		return json.Marshal(v)
-	}
-	return nil, fmt.Errorf("server: unloggable queue payload %T", payload)
-}
-
-// decodeUnitPayload is the inverse: replayed tasks carry api.WorkUnit
-// values, which dispatcher adoption rebinds to live units.
+// decodeUnitPayload rebuilds a unit logged to queue/ as its wire form.
 func decodeUnitPayload(data []byte) (any, error) {
 	var u api.WorkUnit
 	if err := json.Unmarshal(data, &u); err != nil {

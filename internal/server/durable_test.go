@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -96,9 +99,9 @@ func TestDurableStandaloneRestart(t *testing.T) {
 }
 
 // TestDurableStandaloneResumesInterruptedBatch: a standalone server's
-// units reach the WAL like a coordinator's. Closed while its in-process
+// batches are durable like a coordinator's. Closed while its in-process
 // pullers hold some units — the rest already resolved — it leaves the
-// held units queued, and reopened standalone over the same directory it
+// held units pending, and reopened standalone over the same directory it
 // resumes the job under its original ID to results byte-identical to
 // driver.CompileAll.
 func TestDurableStandaloneResumesInterruptedBatch(t *testing.T) {
@@ -162,11 +165,11 @@ func TestDurableStandaloneResumesInterruptedBatch(t *testing.T) {
 
 // TestDurableKillAfterDispatchedKeepsEveryUnit is the standalone
 // kill -9 leg of CI in Go. Once dispatch.dispatched reaches the batch
-// size, every unit is in the WAL: a copy of the live data directory,
-// taken without closing the server (a kill, to the files), recovers
-// all of them, and the job resumes to done from the copy. The batch
-// is larger than one enqueue group, and its one puller is gated, so
-// no unit resolves before the copy.
+// size, every unit is queued, and none has a result record: a copy of
+// the live data directory, taken without closing the server (a kill,
+// to the files), rebuilds all of them from the batch record, and the
+// job resumes to done from the copy. Its one puller is gated, so no
+// unit resolves before the copy.
 func TestDurableKillAfterDispatchedKeepsEveryUnit(t *testing.T) {
 	gated, err := drivertest.NewGated("dms")
 	if err != nil {
@@ -191,9 +194,6 @@ func TestDurableKillAfterDispatchedKeepsEveryUnit(t *testing.T) {
 		NoCache:    true,
 	}
 	njobs := req.Jobs()
-	if njobs <= DefaultLeaseChunkMax {
-		t.Fatalf("batch of %d units fits one enqueue group of %d", njobs, DefaultLeaseChunkMax)
-	}
 	job := submitJob(t, ts1.URL, req)
 	eventually(t, "every unit dispatched", func() bool {
 		return svc1.Snapshot().Dispatch.Dispatched == uint64(njobs)
@@ -210,6 +210,189 @@ func TestDurableKillAfterDispatchedKeepsEveryUnit(t *testing.T) {
 	done := waitJob(t, ts2.URL, job.ID)
 	if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
 		t.Fatalf("resumed job = %+v", done)
+	}
+	noQueueDir(t, dir)
+	noQueueDir(t, killed)
+}
+
+// TestDurableCopyAt202RecoversEveryUnit: a batch is durable the moment
+// its 202 answers. A copy of the data directory taken right then — a
+// kill -9 before any unit is keyed, queued or compiled — recovers every
+// unit from the batch record, and the copy runs the job to done with
+// results byte-identical to driver.CompileAll. Standalone, the one
+// puller is gated; the coordinator has no workers.
+func TestDurableCopyAt202RecoversEveryUnit(t *testing.T) {
+	gated, err := drivertest.NewGated("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gatedReg := driver.NewRegistry()
+	gatedReg.MustRegister(gated)
+	// Enough units that keying them all takes milliseconds: the copy
+	// lands before most of them are queued.
+	var loops []string
+	for len(loops) < 150 {
+		loops = append(loops, goldenLoops(t)...)
+	}
+	loops = loops[:150]
+	want := directRecords(t, api.CompileRequest{Loops: loops, Schedulers: []string{"dms"}},
+		[]*machine.Machine{machine.Clustered(2), machine.Clustered(4)})
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"standalone", Options{Registry: gatedReg, Parallelism: 1}},
+		{"coordinator", Options{Distribute: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := tc.opt
+			opt.DataDir = dir
+			svc1, ts1 := openDurableServer(t, opt)
+			t.Cleanup(svc1.Close)
+			t.Cleanup(ts1.Close)
+			req := api.CompileRequest{
+				Protocol:   api.Version,
+				Loops:      loops,
+				Machines:   []api.MachineSpec{{Clusters: 2}, {Clusters: 4}},
+				Schedulers: []string{"dms"},
+			}
+			njobs := req.Jobs()
+			job := submitJob(t, ts1.URL, req)
+			crashed := t.TempDir()
+			copyDir(t, dir, crashed)
+
+			svc2, ts2 := openDurableServer(t, Options{DataDir: crashed})
+			t.Cleanup(ts2.Close)
+			t.Cleanup(svc2.Close)
+			if m := svc2.Snapshot().Durability; m == nil || m.RecoveredTasks != njobs || m.RecoveredBuffers != 1 {
+				t.Fatalf("durability of the copy = %+v, want %d tasks, 1 buffer", m, njobs)
+			}
+			done := waitJob(t, ts2.URL, job.ID)
+			if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
+				t.Fatalf("resumed job = %+v", done)
+			}
+			recs, sum := readResults(t, ts2.URL, job.ID, 0, 0)
+			if sum == nil || sum.Jobs != njobs || len(recs) != njobs {
+				t.Fatalf("resumed stream = %d records, summary %+v", len(recs), sum)
+			}
+			sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
+			for i, rec := range recs {
+				rec.Cached = false
+				if g := marshal(t, rec); g != want[i] {
+					t.Errorf("resumed record %d diverges:\n got %s\nwant %s", i, g, want[i])
+				}
+			}
+		})
+	}
+}
+
+// noQueueDir fails the test when dir holds a queue/ directory: a
+// server writes no unit queue log.
+func noQueueDir(t *testing.T, dir string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, "queue")); !os.IsNotExist(err) {
+		t.Fatalf("%s holds a queue/ directory (stat: %v)", dir, err)
+	}
+}
+
+// TestSubmitPersistsMeta: a durable server records each batch in its
+// job's segment before the 202 answers: n, and the validated request
+// with its effective timeout. The engine writes no metadata of its own.
+func TestSubmitPersistsMeta(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := openDurableServer(t, Options{DataDir: dir, Distribute: true, Timeout: 2 * time.Second})
+	t.Cleanup(svc.Close)
+	t.Cleanup(ts.Close)
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:2],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms", "twophase"},
+		Options:    api.Options{MaxII: 40},
+		NoCache:    true,
+	}
+	job := submitJob(t, ts.URL, req)
+	copied := t.TempDir()
+	copyDir(t, dir, copied)
+	ds, err := jobs.NewDiskStore(filepath.Join(copied, "results"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	meta, ok := ds.Meta(job.ID)
+	if !ok {
+		t.Fatal("no batch record in the segment at the 202")
+	}
+	var rec batchRecord
+	if err := json.Unmarshal(meta, &rec); err != nil {
+		t.Fatalf("batch record %q: %v", meta, err)
+	}
+	want := req
+	want.TimeoutMS = 2000
+	if rec.N != req.Jobs() || rec.Request == nil || rec.State != "" {
+		t.Fatalf("batch record = %s, want n=%d with the request", meta, req.Jobs())
+	}
+	if got, wantJSON := marshalAny(t, *rec.Request), marshalAny(t, want); got != wantJSON {
+		t.Fatalf("recorded request:\n got %s\nwant %s", got, wantJSON)
+	}
+}
+
+// marshalAny renders v as JSON for comparison.
+func marshalAny(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDurableRefusesUnrecoverableBatch: a request whose batch record
+// would not fit one segment frame is refused as invalid_request before
+// admission; the same request is accepted without a data dir.
+func TestDurableRefusesUnrecoverableBatch(t *testing.T) {
+	// The body, sent unescaped, is a few MiB; the record escapes every
+	// '<' to the six-byte \u003c and outgrows the frame limit.
+	line := "# " + strings.Repeat("<", 4096) + "\n"
+	text := goldenLoops(t)[0] + strings.Repeat(line, jobs.MaxMetaBytes/5/4096)
+	req := api.CompileRequest{
+		Loops:      []string{text},
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+	}
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	if body.Len() > maxRequestBody {
+		t.Fatalf("request body %d bytes exceeds the body limit", body.Len())
+	}
+	svc, ts := openDurableServer(t, Options{DataDir: t.TempDir(), Distribute: true})
+	t.Cleanup(svc.Close)
+	t.Cleanup(ts.Close)
+	post := func(url string) (int, api.ErrorResponse) {
+		t.Helper()
+		resp, err := http.Post(url+api.PathJobs, "application/json", bytes.NewReader(body.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e api.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e
+	}
+	if code, e := post(ts.URL); code != http.StatusBadRequest || !strings.Contains(e.Error.Message, "batch record") {
+		t.Fatalf("oversized batch record answered %d %+v, want 400 invalid_request", code, e.Error)
+	}
+	if m := svc.Snapshot().Queue; m.Admitted != 0 {
+		t.Fatalf("refused batch admitted: %+v", m)
+	}
+
+	_, mem := newTestServer(t, Options{Distribute: true})
+	if code, e := post(mem.URL); code != http.StatusAccepted {
+		t.Fatalf("in-memory server answered %d %+v, want 202", code, e.Error)
 	}
 }
 
@@ -241,9 +424,10 @@ func copyDir(t *testing.T, src, dst string) {
 
 // TestDurableCoordinatorGracefulRestartKeepsUnits: a distributing
 // coordinator closed with queued units (no workers attached) must NOT
-// treat its own shutdown as batch cancellation — the units stay in the
-// WAL, and the restarted coordinator re-admits the job with every unit
-// queued again. Canceling the recovered job then releases them.
+// treat its own shutdown as batch cancellation — it writes no terminal
+// record, and the restarted coordinator re-admits the job with every
+// unit rebuilt from the batch record and queued again. Canceling the
+// recovered job then releases them.
 func TestDurableCoordinatorGracefulRestartKeepsUnits(t *testing.T) {
 	opt := Options{DataDir: t.TempDir(), Distribute: true}
 	svc1, ts1 := openDurableServer(t, opt)
@@ -278,6 +462,7 @@ func TestDurableCoordinatorGracefulRestartKeepsUnits(t *testing.T) {
 	if after := getJob(t, ts2.URL, job.ID); after.State.Terminal() {
 		t.Fatalf("recovered job already terminal: %+v", after)
 	}
+	noQueueDir(t, opt.DataDir)
 
 	// A client cancel of the recovered job withdraws its units for good.
 	if _, ok := svc2.engine.Cancel(job.ID); !ok {
@@ -303,10 +488,11 @@ func TestDurableCoordinatorGracefulRestartKeepsUnits(t *testing.T) {
 }
 
 // TestDurableCancelWithdrawsBeforeAnswer: a DELETE withdraws the job's
-// queued units from the WAL before it answers "canceled". A crash
-// right after the answer — simulated by opening a copy of the data
-// directory taken at that instant — recovers the job as canceled, never
-// resuming it to done.
+// queued units and appends the job's terminal record to its segment
+// before it answers "canceled". A crash right after the answer —
+// simulated by opening a copy of the data directory taken at that
+// instant — recovers the job as canceled with no units, never resuming
+// it to done.
 func TestDurableCancelWithdrawsBeforeAnswer(t *testing.T) {
 	dir := t.TempDir()
 	svc1, ts1 := openDurableServer(t, Options{DataDir: dir, Distribute: true})
@@ -343,16 +529,16 @@ func TestDurableCancelWithdrawsBeforeAnswer(t *testing.T) {
 	if m := svc2.Snapshot(); m.Durability == nil || m.Durability.RecoveredTasks != 0 || m.Dispatch.PendingUnits != 0 {
 		t.Fatalf("after the crash: durability %+v, dispatch %+v; want no units", m.Durability, m.Dispatch)
 	}
-	if after := getJob(t, ts2.URL, job.ID); after.State != api.JobCanceled {
-		t.Fatalf("job after the crash = %+v, want canceled", after)
+	if after := getJob(t, ts2.URL, job.ID); after.State != api.JobCanceled || after.Error != "" {
+		t.Fatalf("job after the crash = %+v, want canceled by its client", after)
 	}
 }
 
-// TestDurableRecoveryIncompleteBatchCanceled: a job whose buffer is
-// missing results AND whose units are gone from the WAL (the fsync-off
-// crash case) cannot be resumed faithfully — recovery settles it as
-// canceled with an explanatory failure, keeping the partial results
-// streamable.
+// TestDurableRecoveryIncompleteBatchCanceled: a job of the previous
+// format (its record holds only n) whose buffer is missing results AND
+// whose units are gone from the queue log (the fsync-off crash case)
+// cannot be resumed faithfully — recovery settles it as canceled with
+// an explanatory failure, keeping the partial results streamable.
 func TestDurableRecoveryIncompleteBatchCanceled(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
@@ -383,10 +569,10 @@ func TestDurableRecoveryIncompleteBatchCanceled(t *testing.T) {
 	}
 }
 
-// TestDurableRecoveryCompletedJobSettles: a buffer covering all n
-// indices re-registers as done even when the WAL still holds a unit
-// for it (a result whose ack frame was lost) — the stale unit is
-// withdrawn, not re-dispatched.
+// TestDurableRecoveryCompletedJobSettles: a previous-format buffer
+// covering all n indices re-registers as done even when the queue log
+// still holds a unit for it (a result whose ack frame was lost) — the
+// stale unit is dropped, not re-dispatched.
 func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
@@ -398,10 +584,7 @@ func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Close()
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{
-		Encode: encodeUnitPayload,
-		Decode: decodeUnitPayload,
-	})
+	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,5 +635,114 @@ func TestDurableRecoverySegmentWithoutMeta(t *testing.T) {
 	}
 	if _, ok := svc.durable.store.Get("orphan"); ok {
 		t.Fatal("metaless segment kept in the store")
+	}
+}
+
+// TestDurableParentFormatResumes: a data dir written by the previous
+// format — a segment whose record holds only n, and the batch's
+// unresolved units in a queue/ write-ahead log — still recovers. The
+// units are read once and queued through the submit path, the batch
+// resumes to results byte-identical to driver.CompileAll, and queue/
+// is removed.
+func TestDurableParentFormatResumes(t *testing.T) {
+	dir := t.TempDir()
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:3],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+	}
+	njobs := req.Jobs()
+	want := directRecords(t, req, []*machine.Machine{machine.Clustered(2)})
+	jobList, err := New(Options{}).buildJobs(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "parentjob"
+
+	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := ds.Create(id)
+	if err := ds.SetMeta(id, []byte(`{"n":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	var first api.JobResult
+	if err := json.Unmarshal([]byte(want[0]), &first); err != nil {
+		t.Fatal(err)
+	}
+	buf.Append(first)
+	ds.Close()
+	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := newKeyer()
+	for i := 1; i < njobs; i++ {
+		u := &unit{id: id + "/" + strconv.Itoa(i), key: keys.key(jobList[i]), job: jobList[i], index: i}
+		if err := wal.Enqueue(jobs.Task{ID: u.id, Payload: u.wireForm()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal.Close()
+
+	svc, ts := openDurableServer(t, Options{DataDir: dir})
+	t.Cleanup(ts.Close)
+	t.Cleanup(svc.Close)
+	noQueueDir(t, dir)
+	if m := svc.Snapshot().Durability; m == nil || m.RecoveredTasks != njobs-1 || m.RecoveredBuffers != 1 {
+		t.Fatalf("durability = %+v, want %d tasks, 1 buffer", m, njobs-1)
+	}
+	done := waitJob(t, ts.URL, id)
+	if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
+		t.Fatalf("resumed job = %+v", done)
+	}
+	recs, _ := readResults(t, ts.URL, id, 0, 0)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
+	for i, rec := range recs {
+		rec.Cached = false
+		if g := marshal(t, rec); g != want[i] {
+			t.Errorf("resumed record %d diverges:\n got %s\nwant %s", i, g, want[i])
+		}
+	}
+}
+
+// TestDurableRecoveryUnbuildableRecord: a batch record whose request no
+// longer builds (its scheduler is not registered in this process)
+// cannot be re-queued; its pending units settle as error records, so
+// the job still reaches done instead of hanging.
+func TestDurableRecoveryUnbuildableRecord(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Create("gone")
+	rec := fmt.Sprintf(`{"n":2,"request":{"loops":[%q],"machines":[{"clusters":2}],"schedulers":["retired"],"options":{}}}`, goldenLoops(t)[0])
+	if err := ds.SetMeta("gone", []byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	ds.Close()
+
+	svc, err := Open(Options{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	j, ok := svc.engine.Get("gone")
+	if !ok {
+		t.Fatal("job with an unbuildable record not recovered")
+	}
+	recs, state := j.Results(0)
+	if state != api.JobDone || len(recs) != 2 {
+		t.Fatalf("job = %s with %d records, want done with 2", state, len(recs))
+	}
+	for _, r := range recs {
+		if !strings.Contains(r.Error, "recovered unit unusable") || r.ErrorCode != api.CodeInternal {
+			t.Fatalf("record %+v, want a recovered-unit-unusable error", r)
+		}
+	}
+	if m := svc.Snapshot().Durability; m.RecoveredTasks != 0 {
+		t.Fatalf("durability = %+v, want no units queued", m)
 	}
 }

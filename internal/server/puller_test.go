@@ -156,7 +156,7 @@ func TestPullerCompilesUnderJobID(t *testing.T) {
 	job := submitJob(t, ts1.URL, oneLoopReq(t, 0))
 	eventually(t, "the puller to reach the scheduler", func() bool { return gated.Calls.Load() == 1 })
 	ts1.Close()
-	svc1.Close() // the held unit stays on the WAL
+	svc1.Close() // the held unit stays pending: it has no result record
 
 	close(gated.Gate)
 	svc2, ts2 := openDurableServer(t, Options{DataDir: dir, Registry: reg, Parallelism: 1})

@@ -26,8 +26,9 @@
 // and the dispatcher splits it into compile units on its unit queue.
 // In-process pullers (standalone) or worker processes
 // (Options.Distribute) lease the units and resolve each through the
-// same queue Ack; with Options.DataDir the queue is write-ahead logged,
-// so any interrupted batch resumes after a restart. /v1/compile is a
+// same queue Ack. With Options.DataDir each batch's result segment
+// records its request before the submit answers, so any interrupted
+// batch resumes after a restart (see durable.go). /v1/compile is a
 // thin wrapper that submits a job and streams its buffer until the
 // terminal state. The engine bounds the jobs queued — admitted, with no
 // unit claimed yet; past that bound both surfaces reject with a
@@ -58,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -128,16 +130,16 @@ type Options struct {
 	// posts nothing for this long has its unresolved units requeued
 	// (0 = DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// DataDir roots the durable control-plane state: the unit queue's
-	// write-ahead log and the job result segments live under it, and a
-	// server opened over a previous process's DataDir recovers that
-	// state (see Open and recoverDurable). "" keeps queue and results
-	// in memory — exactly the pre-durability behavior.
+	// DataDir roots the durable control-plane state: one segment per
+	// job holding its request, results and any cancellation. A server
+	// opened over a previous process's DataDir recovers that state (see
+	// Open and recoverDurable). "" keeps results in memory — exactly
+	// the pre-durability behavior. The unit queue is always in memory.
 	DataDir string
-	// Fsync syncs every WAL and segment append to stable storage
-	// before acknowledging it; off, appends ride the OS page cache
-	// (surviving process crashes but not machine crashes). Meaningful
-	// only with DataDir.
+	// Fsync syncs every segment append (a batch's request before its
+	// 202) to stable storage before acknowledging it; off, appends ride
+	// the OS page cache (surviving process crashes but not machine
+	// crashes). Meaningful only with DataDir.
 	Fsync bool
 }
 
@@ -268,21 +270,19 @@ func New(opt Options) *Server {
 
 // Open is New with the durable-state error surfaced: with
 // Options.DataDir set it opens (or creates) the disk-backed result
-// store and queue WAL under that directory and recovers whatever a
-// previous process left there — interrupted batches resume under their
-// original job IDs — before any request can be served.
+// store under that directory and recovers whatever a previous process
+// left there — interrupted batches resume under their original job
+// IDs — before any request can be served.
 func Open(opt Options) (*Server, error) {
 	cache := NewCache(opt.CacheSize)
 	var store jobs.ResultStore // nil = the engine's in-memory store
-	var q jobs.Queue           // nil = the dispatcher's own in-memory queue
 	var durable *durableState
 	if opt.DataDir != "" {
-		var err error
-		if durable, err = openDurable(opt.DataDir, opt.Fsync); err != nil {
-			return nil, err
+		ds, err := jobs.NewDiskStore(filepath.Join(opt.DataDir, "results"), opt.Fsync)
+		if err != nil {
+			return nil, fmt.Errorf("server: open result store: %w", err)
 		}
-		store = durable.store
-		q = durable.wal
+		durable, store = &durableState{store: ds}, ds
 	}
 	s := &Server{
 		opt:     opt,
@@ -295,9 +295,12 @@ func Open(opt Options) (*Server, error) {
 			Store:            store,
 		}),
 	}
-	s.dispatch = newDispatcher(cache, q, opt)
+	s.dispatch = newDispatcher(cache, durable, opt)
 	if durable != nil {
-		s.recoverDurable()
+		if err := s.recoverDurable(opt.DataDir); err != nil {
+			s.Close()
+			return nil, err
+		}
 	}
 	s.dispatch.startPullers()
 	return s, nil
@@ -308,14 +311,14 @@ func Open(opt Options) (*Server, error) {
 // dispatcher's janitor, pullers and batches still being queued stop
 // with it. The dispatcher is marked shutting down first, so neither
 // the engine canceling its jobs nor the pullers resolve or withdraw
-// units — on a durable queue they are the state the next process
-// recovers — and the durable files close last.
+// units — they are the state the next process recovers — and the
+// durable files close last.
 func (s *Server) Close() {
 	s.dispatch.shutdown.Store(true)
 	s.engine.Close()
 	s.dispatch.Close()
 	if s.durable != nil {
-		s.durable.close()
+		s.durable.store.Close()
 	}
 }
 
@@ -503,32 +506,54 @@ func RenderSchedule(s *schedule.Schedule) string {
 	return string(buf)
 }
 
-// parseRequest decodes and validates a compile/submit body, returning
-// the assembled driver jobs and the effective per-job timeout. On
-// failure it writes the structured error itself and returns ok=false.
-func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (req api.CompileRequest, jobList []driver.Job, timeout time.Duration, ok bool) {
+// batch is one validated compile/submit request, ready to admit.
+type batch struct {
+	jobs    []driver.Job
+	timeout time.Duration // effective per-job timeout
+	noCache bool
+	record  []byte // the durable batch record; nil without DataDir
+}
+
+// parseRequest decodes and validates a compile/submit body into a
+// batch. On failure it writes the structured error itself and returns
+// ok=false.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (b batch, ok bool) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
+	var req api.CompileRequest
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, api.CodeInvalidRequest, "bad request body: %v", err)
-		return req, nil, 0, false
+		return b, false
 	}
 	if req.Protocol != "" && req.Protocol != api.Version {
 		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", req.Protocol, api.Version)
-		return req, nil, 0, false
+		return b, false
 	}
 	jobList, err := s.buildJobs(&req)
 	if err != nil {
 		writeError(w, errorCode4xx(err), "%v", err)
-		return req, nil, 0, false
+		return b, false
 	}
-	timeout = s.opt.Timeout
+	b = batch{jobs: jobList, timeout: s.timeoutFor(&req), noCache: req.NoCache}
+	if s.durable != nil {
+		if b.record, err = encodeBatchRecord(req, len(jobList), b.timeout); err != nil {
+			writeError(w, api.CodeInvalidRequest, "%v", err)
+			return b, false
+		}
+	}
+	return b, true
+}
+
+// timeoutFor returns a request's effective per-job timeout: the
+// server's, tightened by the request's own.
+func (s *Server) timeoutFor(req *api.CompileRequest) time.Duration {
+	timeout := s.opt.Timeout
 	if req.TimeoutMS > 0 {
 		if t := time.Duration(req.TimeoutMS) * time.Millisecond; timeout <= 0 || t < timeout {
 			timeout = t
 		}
 	}
-	return req, jobList, timeout, true
+	return timeout
 }
 
 // submit admits a batch to the job engine and hands it to the
@@ -536,14 +561,23 @@ func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (req api.C
 // asynchronous surfaces share: its units queue for the in-process
 // pullers or remote workers, and wire records land in the job's buffer
 // in completion order with Index set, so the client cannot tell where
-// the batch was compiled.
-func (s *Server) submit(jobList []driver.Job, timeout time.Duration, noCache bool) (*jobs.Job, error) {
-	j, err := s.engine.Submit(len(jobList))
+// the batch was compiled. A durable server writes the batch record to
+// the job's segment first: a batch is recoverable before it is queued
+// or answered, and one whose record cannot be written is refused.
+func (s *Server) submit(b batch) (*jobs.Job, error) {
+	j, err := s.engine.Submit(len(b.jobs))
 	if err != nil {
 		return nil, err
 	}
-	s.jobs.Add(int64(len(jobList)))
-	s.dispatch.submit(j, jobList, timeout, noCache)
+	if b.record != nil {
+		if err := s.durable.store.SetMeta(j.ID(), b.record); err != nil {
+			s.engine.Release(j.ID())
+			s.engine.Cancel(j.ID())
+			return nil, fmt.Errorf("batch record not written: %w", err)
+		}
+	}
+	s.jobs.Add(int64(len(b.jobs)))
+	s.dispatch.submit(j, b.jobs, b.timeout, b.noCache)
 	return j, nil
 }
 
@@ -598,21 +632,27 @@ func (s *Server) writeQueueFull(w http.ResponseWriter) {
 // handleJobSubmit is POST /v1/jobs: validate, admit, and answer 202
 // with the job resource — the batch compiles in the background.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
+	if j, ok := s.admit(w, r); ok {
+		writeJSONStatus(w, http.StatusAccepted, j.Snapshot())
+	}
+}
+
+// admit parses a compile/submit body and submits its batch, writing
+// the structured error itself when either fails.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (*jobs.Job, bool) {
 	s.requests.Add(1)
-	req, jobList, timeout, ok := s.parseRequest(w, r)
+	b, ok := s.parseRequest(w, r)
 	if !ok {
-		return
+		return nil, false
 	}
-	j, err := s.submit(jobList, timeout, req.NoCache)
-	if err != nil {
-		if errors.Is(err, jobs.ErrQueueFull) {
-			s.writeQueueFull(w)
-			return
-		}
+	j, err := s.submit(b)
+	switch {
+	case errors.Is(err, jobs.ErrQueueFull):
+		s.writeQueueFull(w)
+	case err != nil:
 		writeError(w, api.CodeInternal, "%v", err)
-		return
 	}
-	writeJSONStatus(w, http.StatusAccepted, j.Snapshot())
+	return j, err == nil
 }
 
 // writeJobNotFound answers an unknown (or expired) job ID with the
@@ -778,18 +818,8 @@ func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 // job's buffer on the open connection. The client hanging up cancels
 // the job, so abandoned synchronous work stops burning pullers.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	req, jobList, timeout, ok := s.parseRequest(w, r)
+	j, ok := s.admit(w, r)
 	if !ok {
-		return
-	}
-	j, err := s.submit(jobList, timeout, req.NoCache)
-	if err != nil {
-		if errors.Is(err, jobs.ErrQueueFull) {
-			s.writeQueueFull(w)
-			return
-		}
-		writeError(w, api.CodeInternal, "%v", err)
 		return
 	}
 	// The stream ending for any reason — completion, disconnect
@@ -911,7 +941,7 @@ func (s *Server) Snapshot() api.ServerMetrics {
 		m.Durability = &api.DurabilityMetrics{
 			RecoveredTasks:   s.durable.recoveredTasks,
 			RecoveredBuffers: s.durable.recoveredBuffers,
-			WALBytes:         s.durable.wal.WALBytes(),
+			WALBytes:         s.durable.store.SegmentBytes(),
 		}
 	}
 	return m

@@ -30,7 +30,7 @@ func TestCoordinatorKillAndRestart(t *testing.T) {
 	}
 
 	// Process one: deliberately never svc1.Close()d — the kill leaves
-	// whatever the WAL and segments already hold, like SIGKILL would.
+	// whatever the segments already hold, like SIGKILL would.
 	svc1, err := server.Open(opt)
 	if err != nil {
 		t.Fatal(err)
