@@ -501,8 +501,8 @@ type CacheMetrics struct {
 type QueueMetrics struct {
 	// Depth is the number of jobs queued right now (admitted, no unit
 	// claimed yet); Running the number with units compiling; Retained the finished jobs still held for
-	// their result TTL, whose results total approximately
-	// RetainedBytes.
+	// their result TTL, whose results' encoded NDJSON lines total
+	// exactly RetainedBytes.
 	Depth         int   `json:"depth"`
 	Running       int   `json:"running"`
 	Retained      int   `json:"retained"`

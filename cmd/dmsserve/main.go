@@ -99,7 +99,7 @@ func main() {
 		par        = flag.Int("par", 0, "compile parallelism: size of the in-process puller pool, of which one batch holds at most half (standalone; 0 = 2 × GOMAXPROCS), or concurrent units (worker; 0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", jobs.DefaultCapacity, "queued-job capacity: jobs admitted with no unit claimed yet (submissions past it answer 429)")
 		jobTTL     = flag.Duration("job-ttl", jobs.DefaultTTL, "retention of finished jobs' results for polling/resume")
-		jobBytes   = flag.Int64("job-bytes", jobs.DefaultMaxRetainedBytes, "approximate cap on retained results' total size")
+		jobBytes   = flag.Int64("job-bytes", jobs.DefaultMaxRetainedBytes, "cap on the total encoded size of retained results' NDJSON lines")
 		retryAfter = flag.Duration("retry-after", server.DefaultRetryAfter, "429 backoff hint until batch service times are observed (then adaptive)")
 		dataDir    = flag.String("data-dir", "", "durable state directory: one result segment per job, holding its request and results, recovered on restart (empty = in-memory)")
 		fsync      = flag.Bool("fsync", true, "fsync every durable append (with -data-dir; off rides the OS page cache)")

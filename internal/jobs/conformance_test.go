@@ -460,7 +460,7 @@ func testStoreConformance(t *testing.T, mk func() ResultStore) {
 		for i := 0; i < 5; i++ {
 			b.Append(api.JobResult{Index: i})
 		}
-		recs := b.Results(0)
+		recs := decode(t, b.Results(0))
 		if len(recs) != 5 {
 			t.Fatalf("Results(0) = %d recs", len(recs))
 		}
@@ -469,7 +469,7 @@ func testStoreConformance(t *testing.T, mk func() ResultStore) {
 				t.Errorf("rec %d has index %d (order lost)", i, rec.Index)
 			}
 		}
-		if recs := b.Results(3); len(recs) != 2 || recs[0].Index != 3 {
+		if recs := decode(t, b.Results(3)); len(recs) != 2 || recs[0].Index != 3 {
 			t.Errorf("Results(3) = %+v", recs)
 		}
 		if recs := b.Results(99); recs != nil {
@@ -483,15 +483,27 @@ func testStoreConformance(t *testing.T, mk func() ResultStore) {
 	t.Run("StatsCount", func(t *testing.T) {
 		s := mk()
 		b := s.Create("j")
-		b.Append(api.JobResult{Job: "ok", Schedule: "t=0 c=0 mem x\n"})
-		b.Append(api.JobResult{Job: "bad", Error: "boom"})
-		b.Append(api.JobResult{Job: "hit", Cached: true})
+		recs := []api.JobResult{
+			{Job: "ok", Schedule: "t=0 c=0 mem x\n"},
+			{Job: "bad", Error: "boom"},
+			{Job: "hit", Cached: true},
+		}
+		var want int64
+		for _, rec := range recs {
+			b.Append(rec)
+			want += int64(len(mustJSON(rec)) + 1)
+		}
 		st := b.Stats()
 		if st.Results != 3 || st.Errors != 1 || st.Cached != 1 {
 			t.Errorf("Stats = %+v", st)
 		}
-		if st.Bytes <= 0 {
-			t.Errorf("Bytes = %d, want > 0", st.Bytes)
+		if st.Bytes != want {
+			t.Errorf("Bytes = %d, want the %d bytes of the encoded lines", st.Bytes, want)
+		}
+		for i, line := range b.Results(0) {
+			if wantLine := string(mustJSON(recs[i])) + "\n"; string(line) != wantLine {
+				t.Errorf("line %d = %q, want %q", i, line, wantLine)
+			}
 		}
 	})
 
@@ -512,13 +524,13 @@ func testStoreConformance(t *testing.T, mk func() ResultStore) {
 		for j := 0; j < jobs; j++ {
 			b := s.Create(fmt.Sprintf("j%d", j))
 			wg.Add(2)
-			go func(b Buffer) {
+			go func(b *Buffer) {
 				defer wg.Done()
 				for i := 0; i < per; i++ {
 					b.Append(api.JobResult{Index: i})
 				}
 			}(b)
-			go func(b Buffer) {
+			go func(b *Buffer) {
 				defer wg.Done()
 				for b.Stats().Results < per {
 					b.Results(0)

@@ -10,20 +10,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	api "repro/api/v1"
 )
 
 // DiskStore is the durable ResultStore: one append-only segment file
 // per job, each a sequence of checksummed frames (segment.go), plus
-// the full in-memory index and record set of the in-process store. The
-// disk side exists purely for durability — reads are always served
-// from memory, so streaming stays as fast as the in-memory store and a
-// read never blocks on I/O.
+// the full in-memory index and line set of the in-process store. A
+// record frame's payload is the record's line without its newline, so
+// a record is encoded once for memory, segment and stream. The disk
+// side exists purely for durability — reads are always served from
+// memory, so streaming stays as fast as the in-memory store and a read
+// never blocks on I/O.
 //
 // Opening a directory recovers it: every segment is scanned, torn
 // tails (a crash mid-append) are truncated away, and the buffers come
-// back with their records, counters and metadata intact. The engine
+// back with their lines, counters and metadata intact. The engine
 // re-registers recovered jobs via Engine.RecoverFinished /
 // Engine.Recover.
 //
@@ -36,7 +36,7 @@ type DiskStore struct {
 	sync bool // fsync after every append
 
 	mu        sync.Mutex
-	byID      map[string]*diskBuffer
+	byID      map[string]*Buffer
 	recovered []string // job IDs restored by Open, in no particular order
 	ioErrs    uint64   // failed disk appends (memory stays authoritative)
 
@@ -49,7 +49,7 @@ const segExt = ".seg"
 
 // Segment frame ops.
 const (
-	opRecord = 'R' // payload: JSON api.JobResult
+	opRecord = 'R' // payload: a record's line without its newline
 	opMeta   = 'M' // payload: opaque job metadata (see SetMeta)
 )
 
@@ -68,7 +68,7 @@ func NewDiskStore(dir string, syncEachAppend bool) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &DiskStore{dir: dir, sync: syncEachAppend, byID: make(map[string]*diskBuffer)}
+	s := &DiskStore{dir: dir, sync: syncEachAppend, byID: make(map[string]*Buffer)}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -94,23 +94,28 @@ func NewDiskStore(dir string, syncEachAppend bool) (*DiskStore, error) {
 }
 
 // recoverSegment replays one segment file, truncates its torn tail,
-// and returns the rebuilt buffer with the file open for appends.
-func (s *DiskStore) recoverSegment(path string) (*diskBuffer, error) {
+// and returns the rebuilt buffer with the file open for appends. Each
+// record frame's payload becomes the record's line again; only the
+// fields the counters need are decoded.
+func (s *DiskStore) recoverSegment(path string) (*Buffer, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	b := &diskBuffer{store: s, f: f}
+	b := &Buffer{store: s, f: f}
 	valid, err := scanFrames(f, func(op byte, payload []byte) error {
 		switch op {
 		case opRecord:
-			var rec api.JobResult
+			var rec struct {
+				Error  string `json:"error"`
+				Cached bool   `json:"cached"`
+			}
 			if err := json.Unmarshal(payload, &rec); err != nil {
 				return fmt.Errorf("record frame: %w", err)
 			}
-			b.applyLocked(rec)
+			b.addLocked(append(payload, '\n'), rec.Error != "", rec.Cached)
 		case opMeta:
-			b.meta = append([]byte(nil), payload...)
+			b.meta = payload
 		}
 		return nil
 	})
@@ -132,8 +137,8 @@ func (s *DiskStore) segPath(id string) string {
 }
 
 //dms:ctxok synchronous local-disk store: Create does one bounded open, no remote I/O
-func (s *DiskStore) Create(id string) Buffer {
-	b := &diskBuffer{store: s}
+func (s *DiskStore) Create(id string) *Buffer {
+	b := &Buffer{store: s}
 	f, err := os.OpenFile(s.segPath(id), os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
 	if err == nil {
 		b.f = f
@@ -152,7 +157,7 @@ func (s *DiskStore) Create(id string) Buffer {
 	return b
 }
 
-func (s *DiskStore) Get(id string) (Buffer, bool) {
+func (s *DiskStore) Get(id string) (*Buffer, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.byID[id]
@@ -237,7 +242,7 @@ func (s *DiskStore) noteIOErr() {
 // readable from memory; further appends lose durability only.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
-	bufs := make([]*diskBuffer, 0, len(s.byID))
+	bufs := make([]*Buffer, 0, len(s.byID))
 	//dms:orderok close sweep: detach is idempotent per buffer, no cross-buffer state
 	for _, b := range s.byID {
 		bufs = append(bufs, b)
@@ -249,48 +254,7 @@ func (s *DiskStore) Close() error {
 	return nil
 }
 
-// diskBuffer is a memBuffer whose appends also land in the job's
-// segment file. The embedded buffer's mutex guards every field and is
-// held across each segment write (and fsync), so frames never
-// interleave and a Results call after Append sees the records.
-type diskBuffer struct {
-	memBuffer
-	store *DiskStore
-	f     *os.File // nil once detached (dropped/closed): memory-only
-	size  int64    // bytes of the segment file, recovered plus written
-	meta  []byte   // last metadata frame recovered from the segment
-}
-
-// Append encodes the group's record frames before taking the lock and
-// writes them back to back in one write. A crash mid-write leaves a
-// prefix of the group in the segment; recovery keeps that prefix.
-func (b *diskBuffer) Append(recs ...api.JobResult) {
-	if len(recs) == 0 {
-		return
-	}
-	var frames []byte
-	oversized := false // a record past the frame limit stays in memory only
-	for _, rec := range recs {
-		var err error
-		if frames, err = appendFrame(frames, opRecord, mustJSON(rec)); err != nil {
-			oversized = true
-		}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, rec := range recs {
-		b.applyLocked(rec)
-	}
-	if b.f == nil {
-		return
-	}
-	//dms:lockok b.mu is the segment's append serialization point; frames must not interleave
-	if err := b.appendFramesLocked(frames); err != nil || oversized {
-		b.store.noteIOErr()
-	}
-}
-
-func (b *diskBuffer) setMeta(meta []byte) error {
+func (b *Buffer) setMeta(meta []byte) error {
 	frame, err := appendFrame(nil, opMeta, meta)
 	if err != nil {
 		return err
@@ -305,7 +269,7 @@ func (b *diskBuffer) setMeta(meta []byte) error {
 
 // appendFramesLocked writes pre-encoded frames to the segment in one
 // write, fsyncing once under the store's sync policy. Requires b.mu.
-func (b *diskBuffer) appendFramesLocked(frames []byte) error {
+func (b *Buffer) appendFramesLocked(frames []byte) error {
 	n, err := b.f.Write(frames)
 	b.size += int64(n)
 	b.store.bytes.Add(int64(n))
@@ -320,7 +284,7 @@ func (b *diskBuffer) appendFramesLocked(frames []byte) error {
 
 // detach closes the segment file and returns its size; the buffer
 // lives on in memory.
-func (b *diskBuffer) detach() int64 {
+func (b *Buffer) detach() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.f != nil {

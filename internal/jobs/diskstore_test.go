@@ -1,7 +1,14 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	api "repro/api/v1"
@@ -15,6 +22,18 @@ func openDiskStore(t *testing.T, dir string) *DiskStore {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// decode parses buffered lines back into records.
+func decode(t testing.TB, lines [][]byte) []api.JobResult {
+	t.Helper()
+	recs := make([]api.JobResult, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal(line, &recs[i]); err != nil {
+			t.Errorf("line %q: %v", line, err)
+		}
+	}
+	return recs
 }
 
 // TestDiskStoreRecovery is the point of the disk store: records, the
@@ -42,7 +61,7 @@ func TestDiskStoreRecovery(t *testing.T) {
 	if !ok {
 		t.Fatal("job-a not recovered")
 	}
-	recs := got.Results(0)
+	recs := decode(t, got.Results(0))
 	if len(recs) != 3 || recs[0].Job != "ok" || recs[1].Error != "boom" || !recs[2].Cached {
 		t.Fatalf("job-a records corrupted: %+v", recs)
 	}
@@ -63,7 +82,7 @@ func TestDiskStoreRecovery(t *testing.T) {
 	s2.Close()
 	s3 := openDiskStore(t, dir)
 	b3, _ := s3.Get("job-a")
-	if recs := b3.Results(0); len(recs) != 4 || recs[3].Job != "late" {
+	if recs := decode(t, b3.Results(0)); len(recs) != 4 || recs[3].Job != "late" {
 		t.Fatalf("post-recovery append lost: %+v", recs)
 	}
 }
@@ -95,14 +114,14 @@ func TestDiskStoreTornTail(t *testing.T) {
 	if !ok {
 		t.Fatal("segment with torn tail not recovered")
 	}
-	if recs := bb.Results(0); len(recs) != 2 || recs[1].Job != "keep too" {
+	if recs := decode(t, bb.Results(0)); len(recs) != 2 || recs[1].Job != "keep too" {
 		t.Fatalf("intact prefix lost: %+v", recs)
 	}
 	bb.Append(api.JobResult{Index: 2, Job: "after"})
 	s2.Close()
 	s3 := openDiskStore(t, dir)
 	b3, _ := s3.Get("job")
-	if recs := b3.Results(0); len(recs) != 3 || recs[2].Job != "after" {
+	if recs := decode(t, b3.Results(0)); len(recs) != 3 || recs[2].Job != "after" {
 		t.Fatalf("append after torn-tail truncation lost: %+v", recs)
 	}
 }
@@ -156,7 +175,7 @@ func TestDiskStoreGroupAppend(t *testing.T) {
 
 	s2 := openDiskStore(t, dir)
 	got, _ := s2.Get("job")
-	recs := got.Results(0)
+	recs := decode(t, got.Results(0))
 	if len(recs) != 4 || recs[1].Job != "a" || recs[2].Error != "boom" || !recs[3].Cached {
 		t.Fatalf("group append recovered as %+v", recs)
 	}
@@ -191,7 +210,7 @@ func TestDiskStoreGroupAppend(t *testing.T) {
 		}
 		s := openDiskStore(t, dir)
 		b, _ := s.Get("job")
-		recs := b.Results(0)
+		recs := decode(t, b.Results(0))
 		if len(recs) != 1+whole {
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, len(recs), 1+whole)
 		}
@@ -204,7 +223,7 @@ func TestDiskStoreGroupAppend(t *testing.T) {
 		s.Close()
 		s = openDiskStore(t, dir)
 		b, _ = s.Get("job")
-		if recs := b.Results(0); len(recs) != 2+whole || recs[len(recs)-1].Job != "after" {
+		if recs := decode(t, b.Results(0)); len(recs) != 2+whole || recs[len(recs)-1].Job != "after" {
 			t.Fatalf("cut %d: append after truncation lost: %+v", cut, recs)
 		}
 		s.Close()
@@ -284,4 +303,120 @@ func TestDiskStoreCutMetaFrames(t *testing.T) {
 		check(cut, request, 1)
 	}
 	check(len(full), terminal, 1)
+}
+
+// FuzzSegmentRecovery writes a segment of intact record and metadata
+// frames with arbitrary payloads, followed by an arbitrary torn tail,
+// and opens it twice. An open never panics: it fails on a record frame
+// that does not decode, or it recovers exactly the intact frames — the
+// lines are the record payloads plus a newline, in order, and the
+// metadata is the last metadata payload — and both opens agree.
+func FuzzSegmentRecovery(f *testing.F) {
+	rec := func(r api.JobResult) []byte {
+		line := mustJSON(r)
+		return append([]byte{byte(len(line)<<1) | 1}, line...)
+	}
+	meta := []byte(`{"n":2}`)
+	valid := append(append(append([]byte{byte(len(meta) << 1)}, meta...),
+		rec(api.JobResult{Index: 0, Job: "a", II: 3})...),
+		rec(api.JobResult{Index: 1, Error: "boom", Cached: true})...)
+	f.Add(valid, []byte{40, 0, 0, 0, 'R', 0xde, 0xad})
+	f.Add(valid, []byte(nil))
+	f.Add([]byte{7, 'n', 'u', 'l', 'l'}, []byte{0})
+	f.Add([]byte{3, '{', '}', 5, '[', ']'}, []byte("junk"))
+	f.Fuzz(func(t *testing.T, spec, tail []byte) {
+		// Each frame is one control byte (bit 0: record, else metadata;
+		// the rest: payload length) and its payload.
+		var seg []byte
+		var wantLines [][]byte
+		var wantMeta []byte
+		for len(spec) > 0 {
+			ctl := spec[0]
+			n := min(int(ctl>>1), len(spec)-1)
+			payload := spec[1 : 1+n]
+			spec = spec[1+n:]
+			op := byte(opMeta)
+			if ctl&1 == 1 {
+				op = opRecord
+				wantLines = append(wantLines, append(append([]byte(nil), payload...), '\n'))
+			} else {
+				wantMeta = append([]byte{}, payload...)
+			}
+			seg, _ = appendFrame(seg, op, payload)
+		}
+		intact := len(seg)
+		// A tail that happens to hold a whole checksummed frame is not
+		// torn: flip a checksum bit so it is.
+		if len(tail) >= frameHeaderLen {
+			if n := int(binary.LittleEndian.Uint32(tail[:4])); n <= len(tail)-frameHeaderLen {
+				if whole, _ := appendFrame(nil, tail[4], tail[frameHeaderLen:frameHeaderLen+n]); bytes.Equal(whole, tail[:frameHeaderLen+n]) {
+					tail = append([]byte(nil), tail...)
+					tail[5] ^= 1
+				}
+			}
+		}
+		seg = append(seg, tail...)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, hex.EncodeToString([]byte("job"))+segExt), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		type state struct {
+			lines   [][]byte
+			stats   BufferStats
+			meta    []byte
+			hasMeta bool
+			bytes   int64
+		}
+		open := func() (state, error) {
+			s, err := NewDiskStore(dir, false)
+			if err != nil {
+				return state{}, err
+			}
+			defer s.Close()
+			b, ok := s.Get("job")
+			if !ok {
+				t.Fatal("segment not recovered")
+			}
+			st := state{lines: b.Results(0), stats: b.Stats(), bytes: s.SegmentBytes()}
+			st.meta, st.hasMeta = s.Meta("job")
+			return st, nil
+		}
+		first, err := open()
+		if err != nil {
+			if !strings.Contains(err.Error(), "record frame") {
+				t.Fatalf("open failed for a reason other than an undecodable record: %v", err)
+			}
+			if _, again := open(); again == nil || again.Error() != err.Error() {
+				t.Fatalf("second open: %v, first: %v", again, err)
+			}
+			return
+		}
+		if len(first.lines) != len(wantLines) {
+			t.Fatalf("recovered %d lines, want %d", len(first.lines), len(wantLines))
+		}
+		var wantBytes int64
+		for i, line := range wantLines {
+			if !bytes.Equal(first.lines[i], line) {
+				t.Fatalf("line %d = %q, want %q", i, first.lines[i], line)
+			}
+			wantBytes += int64(len(line))
+		}
+		if first.stats.Results != len(wantLines) || first.stats.Bytes != wantBytes {
+			t.Fatalf("stats = %+v, want %d results of %d bytes", first.stats, len(wantLines), wantBytes)
+		}
+		if first.hasMeta != (wantMeta != nil) || !bytes.Equal(first.meta, wantMeta) {
+			t.Fatalf("meta = %q (present %v), want %q", first.meta, first.hasMeta, wantMeta)
+		}
+		if first.bytes != int64(intact) {
+			t.Fatalf("segment bytes = %d, want the %d intact bytes", first.bytes, intact)
+		}
+		second, err := open()
+		if err != nil {
+			t.Fatalf("second open failed: %v", err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("second open = %+v, first %+v", second, first)
+		}
+	})
 }

@@ -13,7 +13,10 @@
 //     internal/server and internal/worker).
 //   - ResultStore — the per-job append-only result buffers: an
 //     in-process table (NewMemStore, the default) or the durable
-//     DiskStore, which also writes each buffer to a segment file.
+//     DiskStore, which also writes each buffer to a segment file. A
+//     Buffer keeps each record as its encoded NDJSON line, encoded
+//     once at Append: memory, segment and every stream share the
+//     bytes.
 //
 // Each admitted submission becomes a Job resource that moves strictly
 // forward through
@@ -83,7 +86,7 @@ type Options struct {
 	// MaxFinished bounds the finished jobs retained at once; beyond
 	// it the oldest are collected before their TTL (0 = DefaultMaxFinished).
 	MaxFinished int
-	// MaxRetainedBytes bounds the approximate total size of retained
+	// MaxRetainedBytes bounds the total encoded size of retained
 	// results across finished jobs; above it the oldest are collected
 	// before their TTL, so large unfetched batches cannot pin the heap
 	// (0 = DefaultMaxRetainedBytes).
@@ -141,10 +144,11 @@ type Engine struct {
 
 	mu            sync.Mutex
 	byID          map[string]*Job
-	queued        []*Job // queued jobs in admission order
-	reserved      int    // Submits past the capacity check, creating their buffer
-	finished      []*Job // terminal jobs in finish order, awaiting GC
-	retainedBytes int64  // approximate result bytes across e.finished
+	queued        []*Job   // queued jobs in admission order
+	reserved      int      // Submits past the capacity check, creating their buffer
+	finished      []*Job   // terminal jobs in finish order, awaiting GC
+	retainedBytes int64    // encoded result bytes across e.finished
+	drops         []string // IDs evicted under mu, for unlock to drop
 	running       int
 	closed        bool
 	ewma          time.Duration // smoothed service time of completed batches
@@ -189,7 +193,7 @@ func (e *Engine) janitor() {
 		case <-t.C:
 			e.mu.Lock()
 			e.gcLocked(time.Now())
-			e.mu.Unlock()
+			e.unlock()
 		case <-e.stop:
 			return
 		}
@@ -245,11 +249,11 @@ func (e *Engine) Submit(n int) (*Job, error) {
 	e.gcLocked(now)
 	if len(e.queued)+e.reserved >= e.opt.capacity() {
 		e.rejected++
-		e.mu.Unlock()
+		e.unlock()
 		return nil, ErrQueueFull
 	}
 	e.reserved++
-	e.mu.Unlock()
+	e.unlock()
 
 	id := newID()
 	buf := e.store.Create(id)
@@ -331,7 +335,7 @@ func (e *Engine) recoveredJobLocked(id string, n int, now time.Time) (*Job, erro
 }
 
 // newJobLocked builds a queued job around buf. Requires e.mu.
-func (e *Engine) newJobLocked(id string, n int, buf Buffer, now time.Time) *Job {
+func (e *Engine) newJobLocked(id string, n int, buf *Buffer, now time.Time) *Job {
 	//dms:ctxok server-side job root: a job outlives the request that submitted it by design
 	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), jobIDKey{}, id))
 	return &Job{
@@ -358,7 +362,7 @@ func (e *Engine) admitLocked(j *Job) {
 // running, or finished within its retention window).
 func (e *Engine) Get(id string) (*Job, bool) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	e.gcLocked(time.Now())
 	j, ok := e.byID[id]
 	return j, ok
@@ -392,7 +396,7 @@ func (e *Engine) Cancel(id string) (*Job, bool) {
 // the caller's to report.
 func (e *Engine) Metrics() api.QueueMetrics {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	e.gcLocked(time.Now())
 	return api.QueueMetrics{
 		Depth:         len(e.queued),
@@ -425,7 +429,7 @@ func (e *Engine) retireLocked(j *Job, now time.Time) {
 	j.mu.Unlock()
 	if released {
 		delete(e.byID, j.id)
-		e.store.Drop(j.id)
+		e.drops = append(e.drops, j.id)
 	} else {
 		e.finished = append(e.finished, j)
 		e.retainedBytes += j.buf.Stats().Bytes
@@ -442,7 +446,7 @@ func (e *Engine) retireLocked(j *Job, now time.Time) {
 // reading it; only the ID lookup is gone.
 func (e *Engine) Release(id string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	j, ok := e.byID[id]
 	if !ok {
 		return
@@ -455,7 +459,7 @@ func (e *Engine) Release(id string) {
 		return // the terminal transition's retire will drop it
 	}
 	delete(e.byID, id)
-	e.store.Drop(id)
+	e.drops = append(e.drops, id)
 	for i, f := range e.finished {
 		if f == j {
 			e.finished = append(e.finished[:i], e.finished[i+1:]...)
@@ -465,8 +469,9 @@ func (e *Engine) Release(id string) {
 	}
 }
 
-// gcLocked drops finished jobs past their TTL or beyond the retained
-// count/byte bounds (oldest first). Requires e.mu.
+// gcLocked evicts finished jobs past their TTL or beyond the retained
+// count/byte bounds (oldest first); unlock drops their buffers.
+// Requires e.mu.
 func (e *Engine) gcLocked(now time.Time) {
 	ttl := e.opt.ttl()
 	maxKeep := e.opt.maxFinished()
@@ -481,12 +486,24 @@ func (e *Engine) gcLocked(now time.Time) {
 		if expired || overflow || overweight {
 			e.retainedBytes -= j.buf.Stats().Bytes
 			delete(e.byID, j.id)
-			e.store.Drop(j.id)
+			e.drops = append(e.drops, j.id)
 			continue
 		}
 		keep = append(keep, j)
 	}
 	e.finished = keep
+}
+
+// unlock releases e.mu, then drops the buffers of the jobs evicted
+// under it: on a durable store a Drop closes and removes a segment
+// file, and a slow disk must not stall every engine call behind it.
+func (e *Engine) unlock() {
+	drops := e.drops
+	e.drops = nil
+	e.mu.Unlock()
+	for _, id := range drops {
+		e.store.Drop(id)
+	}
 }
 
 // Job is one admitted batch: its lifecycle state, its context, and its
@@ -496,7 +513,7 @@ type Job struct {
 	id     string
 	engine *Engine
 	n      int
-	buf    Buffer
+	buf    *Buffer
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -588,6 +605,7 @@ func (j *Job) Append(recs ...api.JobResult) {
 	if terminal {
 		return
 	}
+	//dms:lockok appendMu orders appends with the terminal transition; see its comment
 	j.buf.Append(recs...)
 	j.mu.Lock() //dms:lockok appendMu is taken before mu; see its comment
 	j.broadcastLocked()
@@ -608,7 +626,7 @@ func (j *Job) finish(state api.JobState) bool {
 	defer j.appendMu.Unlock()
 	now := time.Now()
 	e.mu.Lock() //dms:lockok appendMu is taken before engine.mu; see its comment
-	defer e.mu.Unlock()
+	defer e.unlock()
 	j.mu.Lock() //dms:lockok established lock order: engine.mu before job.mu
 	prev := j.state
 	if prev.Terminal() {
@@ -692,12 +710,13 @@ func (j *Job) Snapshot() api.Job {
 	return job
 }
 
-// Results copies the buffered results from offset from (in completion
-// order) and reports the job's state at that instant. A from beyond
-// the buffer yields an empty slice. The state is read before the
-// buffer, so a terminal state guarantees the returned slice covers the
-// job's full result set.
-func (j *Job) Results(from int) ([]api.JobResult, api.JobState) {
+// Results returns the buffered results' encoded NDJSON lines from
+// offset from (in completion order) and reports the job's state at
+// that instant. The lines are shared and must not be modified. A from
+// beyond the buffer yields an empty slice. The state is read before
+// the buffer, so a terminal state guarantees the returned slice covers
+// the job's full result set.
+func (j *Job) Results(from int) ([][]byte, api.JobState) {
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()

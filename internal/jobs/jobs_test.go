@@ -48,7 +48,8 @@ func TestEngineLifecycle(t *testing.T) {
 	if state, err := j.Wait(context.Background()); err != nil || state != api.JobDone {
 		t.Fatalf("Wait = %v, %v; want done", state, err)
 	}
-	recs, state := j.Results(0)
+	lines, state := j.Results(0)
+	recs := decode(t, lines)
 	if len(recs) != 3 || state != api.JobDone {
 		t.Fatalf("Results = %d recs, state %v", len(recs), state)
 	}
@@ -58,8 +59,8 @@ func TestEngineLifecycle(t *testing.T) {
 		}
 	}
 	// Offsets resume mid-buffer; past-the-end is empty, not a panic.
-	if recs, _ := j.Results(2); len(recs) != 1 || recs[0].Index != 2 {
-		t.Errorf("Results(2) = %+v", recs)
+	if lines, _ := j.Results(2); len(lines) != 1 || decode(t, lines)[0].Index != 2 {
+		t.Errorf("Results(2) = %q", lines)
 	}
 	if recs, _ := j.Results(17); len(recs) != 0 {
 		t.Errorf("Results(17) = %+v", recs)
@@ -347,9 +348,9 @@ func TestEngineStreamingFollowsLiveBuffer(t *testing.T) {
 		from := 0
 		for {
 			ch := j.Changed()
-			recs, state := j.Results(from)
-			got = append(got, recs...)
-			from += len(recs)
+			lines, state := j.Results(from)
+			got = append(got, decode(t, lines)...)
+			from += len(lines)
 			if state.Terminal() {
 				return
 			}
@@ -536,7 +537,8 @@ func TestJobGroupAppend(t *testing.T) {
 		t.Fatal("empty Append woke the waiters")
 	default:
 	}
-	recs, _ := j.Results(0)
+	lines, _ := j.Results(0)
+	recs := decode(t, lines)
 	if len(recs) != 3 || recs[0].Index != 2 || recs[1].Index != 0 || recs[2].Index != 1 {
 		t.Fatalf("results after the group = %+v, want indices 2 0 1", recs)
 	}
@@ -620,7 +622,7 @@ type gatedStore struct {
 	once    sync.Once
 }
 
-func (s *gatedStore) Create(id string) Buffer {
+func (s *gatedStore) Create(id string) *Buffer {
 	first := false
 	s.once.Do(func() { first = true })
 	if first {
@@ -678,6 +680,75 @@ func TestSubmitCreatesBufferOffLock(t *testing.T) {
 	}
 	if m := e.Metrics(); m.Depth != 2 || m.Admitted != 2 || m.Rejected != 1 {
 		t.Fatalf("metrics = %+v, want 2 queued, 2 admitted, 1 rejected", m)
+	}
+}
+
+// dropGatedStore is a ResultStore whose Drop blocks until gate
+// closes: a disk stalled removing an evicted job's segment.
+type dropGatedStore struct {
+	ResultStore
+	gate    chan struct{}
+	entered chan string
+}
+
+func (s *dropGatedStore) Drop(id string) {
+	s.entered <- id
+	<-s.gate
+	s.ResultStore.Drop(id)
+}
+
+// TestRetentionDropsOffLock: a job evicted by retention has its buffer
+// dropped after the engine lock is released. While the store stalls
+// in that Drop, Metrics, Get and Submit all return.
+func TestRetentionDropsOffLock(t *testing.T) {
+	st := &dropGatedStore{ResultStore: NewMemStore(), gate: make(chan struct{}), entered: make(chan string, 1)}
+	var release sync.Once
+	open := func() { release.Do(func() { close(st.gate) }) }
+	e := New(Options{Store: st, MaxFinished: 1})
+	t.Cleanup(e.Close)
+	t.Cleanup(open)
+	first := submitN(t, e, 1)
+	second := submit(t, e, 1)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		runN(second, 1) // the second finish evicts the first job
+	}()
+	select {
+	case id := <-st.entered:
+		if id != first.ID() {
+			t.Fatalf("Drop(%s), want the evicted first job %s", id, first.ID())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second finish evicted nothing")
+	}
+
+	returned := make(chan struct{})
+	var m api.QueueMetrics
+	var gotFirst bool
+	var third *Job
+	var thirdErr error
+	go func() {
+		defer close(returned)
+		m = e.Metrics()
+		_, gotFirst = e.Get(first.ID())
+		third, thirdErr = e.Submit(1)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Metrics, Get or Submit blocked behind a stalled Drop")
+	}
+	if m.Retained != 1 || gotFirst {
+		t.Fatalf("while the drop stalls: retained %d, first job addressable %v; want 1, false", m.Retained, gotFirst)
+	}
+	if thirdErr != nil || third == nil {
+		t.Fatalf("Submit = %v, %v", third, thirdErr)
+	}
+	open()
+	<-finished
+	if _, ok := st.Get(first.ID()); ok {
+		t.Fatal("evicted buffer still in the store")
 	}
 }
 
@@ -771,7 +842,8 @@ func TestEngineRecoverResumes(t *testing.T) {
 	if state, err := j.Wait(context.Background()); err != nil || state != api.JobDone {
 		t.Fatalf("Wait = %v, %v", state, err)
 	}
-	recs, _ := j.Results(0)
+	lines, _ := j.Results(0)
+	recs := decode(t, lines)
 	if len(recs) != 3 || recs[0].Job != "persisted" || recs[2].Job != "fresh" {
 		t.Fatalf("resumed job results = %+v", recs)
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"os"
 	"sync"
 
 	api "repro/api/v1"
@@ -13,23 +14,8 @@ type BufferStats struct {
 	Results int
 	Errors  int
 	Cached  int
-	// Bytes approximates the buffer's heap footprint.
+	// Bytes is the total size of the buffered records' encoded lines.
 	Bytes int64
-}
-
-// Buffer is one job's append-only result buffer: records accumulate
-// in completion order and stay readable from any offset until the
-// store drops the buffer. Implementations must be safe for concurrent
-// use; Append must be ordered with respect to Results (a Results call
-// after Append returns observes the appended records).
-type Buffer interface {
-	// Append adds a group of records, in order, as one step: a durable
-	// buffer writes the group in one write with one fsync.
-	Append(recs ...api.JobResult)
-	// Results copies the buffered records from offset from; an offset
-	// beyond the buffer yields nil.
-	Results(from int) []api.JobResult
-	Stats() BufferStats
 }
 
 // ResultStore owns the per-job result buffers behind the engine: one
@@ -39,91 +25,128 @@ type Buffer interface {
 // keep reading it. Implementations must be safe for concurrent use.
 type ResultStore interface {
 	// Create makes (and indexes) the buffer for a new job ID.
-	Create(id string) Buffer
+	Create(id string) *Buffer
 	// Get returns the buffer for id, if the store still indexes it.
-	Get(id string) (Buffer, bool)
+	Get(id string) (*Buffer, bool)
 	// Drop removes id from the index (a no-op for unknown IDs).
 	Drop(id string)
 	// Len returns the number of indexed buffers.
 	Len() int
 }
 
-// memBuffer is the in-process Buffer.
-type memBuffer struct {
+// Buffer is one job's append-only result buffer. It keeps each record
+// as its encoded NDJSON line, in completion order, readable from any
+// offset until the store drops the buffer: the bytes every stream
+// writes and, in a DiskStore, the record frames' payload. It is safe
+// for concurrent use, and a Results call after Append returns observes
+// the appended records.
+type Buffer struct {
+	// mu guards every field and is held across each segment write (and
+	// fsync), so frames never interleave.
 	mu     sync.Mutex
-	recs   []api.JobResult
+	lines  [][]byte
 	errors int
 	cached int
 	bytes  int64
+
+	store *DiskStore // nil for the in-process store
+	f     *os.File   // nil when memory-only: in-process, dropped or closed
+	size  int64      // bytes of the segment file, recovered plus written
+	meta  []byte     // last metadata frame recovered from the segment
 }
 
-func (b *memBuffer) Append(recs ...api.JobResult) {
+// encodeLine renders one record as its NDJSON line: the bytes
+// json.Encoder.Encode writes for it.
+func encodeLine(rec api.JobResult) []byte { return append(mustJSON(rec), '\n') }
+
+// Append adds a group of records, in order, as one step. Each record
+// is encoded once, before the lock is taken; a durable buffer then
+// writes the group's record frames back to back in one write with one
+// fsync. A crash mid-write leaves a prefix of the group in the
+// segment, and recovery keeps that prefix.
+func (b *Buffer) Append(recs ...api.JobResult) {
+	if len(recs) == 0 {
+		return
+	}
+	lines := make([][]byte, len(recs))
+	var frames []byte
+	oversized := false // a record past the frame limit stays in memory only
+	for i, rec := range recs {
+		lines[i] = encodeLine(rec)
+		if b.store != nil {
+			var err error
+			if frames, err = appendFrame(frames, opRecord, lines[i][:len(lines[i])-1]); err != nil {
+				oversized = true
+			}
+		}
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, rec := range recs {
-		b.applyLocked(rec)
+	for i, rec := range recs {
+		b.addLocked(lines[i], rec.Error != "", rec.Cached)
+	}
+	if b.f == nil {
+		return
+	}
+	//dms:lockok b.mu is the segment's append serialization point; frames must not interleave
+	if err := b.appendFramesLocked(frames); err != nil || oversized {
+		b.store.noteIOErr()
 	}
 }
 
-// applyLocked accounts one record in memory. Callers hold b.mu or are
+// addLocked accounts one encoded record. Callers hold b.mu or are
 // single-threaded (recovery).
-func (b *memBuffer) applyLocked(rec api.JobResult) {
-	b.recs = append(b.recs, rec)
-	b.bytes += recSize(rec)
-	if rec.Error != "" {
+func (b *Buffer) addLocked(line []byte, failed, cached bool) {
+	b.lines = append(b.lines, line)
+	b.bytes += int64(len(line))
+	if failed {
 		b.errors++
 	}
-	if rec.Cached {
+	if cached {
 		b.cached++
 	}
 }
 
-// recSize approximates one result's heap footprint: the variable-size
-// strings plus a flat allowance for the fixed fields.
-func recSize(rec api.JobResult) int64 {
-	return int64(192 + len(rec.Job) + len(rec.Schedule) + len(rec.Error))
-}
-
-func (b *memBuffer) Results(from int) []api.JobResult {
+// Results returns the buffered lines from offset from; an offset
+// beyond the buffer yields nil. The lines are shared: callers must not
+// modify them.
+func (b *Buffer) Results(from int) [][]byte {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(b.recs) {
+	from = max(from, 0)
+	if from >= len(b.lines) {
 		return nil
 	}
-	out := make([]api.JobResult, len(b.recs)-from)
-	copy(out, b.recs[from:])
-	return out
+	return append([][]byte(nil), b.lines[from:]...)
 }
 
-func (b *memBuffer) Stats() BufferStats {
+// Stats snapshots the buffer's counters.
+func (b *Buffer) Stats() BufferStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return BufferStats{Results: len(b.recs), Errors: b.errors, Cached: b.cached, Bytes: b.bytes}
+	return BufferStats{Results: len(b.lines), Errors: b.errors, Cached: b.cached, Bytes: b.bytes}
 }
 
 // memStore is the in-process ResultStore: one map, one lock.
 type memStore struct {
 	mu   sync.Mutex
-	byID map[string]*memBuffer
+	byID map[string]*Buffer
 }
 
 // NewMemStore returns the in-process ResultStore implementation.
 func NewMemStore() ResultStore {
-	return &memStore{byID: make(map[string]*memBuffer)}
+	return &memStore{byID: make(map[string]*Buffer)}
 }
 
-func (s *memStore) Create(id string) Buffer {
-	b := &memBuffer{}
+func (s *memStore) Create(id string) *Buffer {
+	b := &Buffer{}
 	s.mu.Lock()
 	s.byID[id] = b
 	s.mu.Unlock()
 	return b
 }
 
-func (s *memStore) Get(id string) (Buffer, bool) {
+func (s *memStore) Get(id string) (*Buffer, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.byID[id]

@@ -12,6 +12,7 @@ package server
 // deliberately not durable: a restart forgets who held what.
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -36,22 +37,24 @@ type durableState struct {
 }
 
 // batchRecord is a segment's metadata frame. The record written at
-// submit carries the request; the terminal one a cancel appends
-// carries the state. A record with neither (only n) was written by the
-// format whose units lived in queue/.
+// submit carries the request and the admission time recovery orders
+// batches by; the terminal one a cancel appends carries the state. A
+// record with neither (only n) was written by the format whose units
+// lived in queue/.
 type batchRecord struct {
-	N       int                 `json:"n"`
-	Request *api.CompileRequest `json:"request,omitempty"`
-	State   api.JobState        `json:"state,omitempty"`
+	N              int                 `json:"n"`
+	Request        *api.CompileRequest `json:"request,omitempty"`
+	AdmittedUnixNS int64               `json:"admitted_unix_ns,omitempty"`
+	State          api.JobState        `json:"state,omitempty"`
 }
 
 // encodeBatchRecord renders the record of a batch of n units for its
-// segment: the validated request with its effective timeout. A record
-// past one frame is refused, so no batch is admitted that could not be
-// recovered.
+// segment: the validated request with its effective timeout, stamped
+// with the current time. A record past one frame is refused, so no
+// batch is admitted that could not be recovered.
 func encodeBatchRecord(req api.CompileRequest, n int, timeout time.Duration) ([]byte, error) {
 	req.TimeoutMS = int(timeout / time.Millisecond)
-	rec, err := json.Marshal(batchRecord{N: n, Request: &req})
+	rec, err := json.Marshal(batchRecord{N: n, Request: &req, AdmittedUnixNS: time.Now().UnixNano()})
 	if err != nil {
 		return nil, err
 	}
@@ -79,16 +82,17 @@ func (d *durableState) recordCanceled(j *jobs.Job) {
 //   - a segment with no record describes a batch of unknowable size and
 //     is dropped.
 //
-// The segments live under results/. A data dir of the previous format
-// also holds queue/, the unit queue's write-ahead log: its units are
-// read once for the jobs whose record carries no request, and the
-// directory is removed. Recovery runs before the HTTP surface serves
-// and the pullers start, and every recovered unit is queued before it
-// returns.
+// Jobs are recovered in admission order, so an older interrupted batch
+// queues ahead of a newer one; records without an admission time go
+// first, in ID order. The segments live under results/. A data dir of
+// the previous format also holds queue/, the unit queue's write-ahead
+// log: its units are read once for the jobs whose record carries no
+// request, and the directory is removed. Recovery runs before the HTTP
+// surface serves and the pullers start, and every recovered unit is
+// queued before it returns.
 func (s *Server) recoverDurable(dir string) error {
 	d := s.durable
 	ids := d.store.RecoveredIDs()
-	slices.Sort(ids)
 	d.recoveredBuffers = len(ids)
 	queueDir := filepath.Join(dir, "queue")
 	parentUnits, read, err := readParentQueue(queueDir)
@@ -96,13 +100,24 @@ func (s *Server) recoverDurable(dir string) error {
 		return err
 	}
 	d.recoveredTasks = read
+	type recovered struct {
+		id  string
+		rec batchRecord
+	}
+	var found []recovered
 	for _, id := range ids {
 		var rec batchRecord
 		if meta, ok := d.store.Meta(id); !ok || json.Unmarshal(meta, &rec) != nil || rec.N <= 0 {
 			d.store.Drop(id)
 			continue
 		}
-		s.recoverJob(id, rec, parentUnits[id])
+		found = append(found, recovered{id, rec})
+	}
+	slices.SortFunc(found, func(a, b recovered) int {
+		return cmp.Or(cmp.Compare(a.rec.AdmittedUnixNS, b.rec.AdmittedUnixNS), strings.Compare(a.id, b.id))
+	})
+	for _, r := range found {
+		s.recoverJob(r.id, r.rec, parentUnits[r.id])
 	}
 	return os.RemoveAll(queueDir)
 }
@@ -114,8 +129,11 @@ func (s *Server) recoverJob(id string, rec batchRecord, units map[int]api.WorkUn
 	done := make([]bool, rec.N)
 	pending := rec.N
 	if buf, ok := s.durable.store.Get(id); ok {
-		for _, r := range buf.Results(0) {
-			if r.Index >= 0 && r.Index < rec.N && !done[r.Index] {
+		for _, line := range buf.Results(0) {
+			var r struct {
+				Index int `json:"index"`
+			}
+			if json.Unmarshal(line, &r) == nil && r.Index >= 0 && r.Index < rec.N && !done[r.Index] {
 				done[r.Index] = true
 				pending--
 			}

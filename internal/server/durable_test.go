@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -733,16 +736,164 @@ func TestDurableRecoveryUnbuildableRecord(t *testing.T) {
 	if !ok {
 		t.Fatal("job with an unbuildable record not recovered")
 	}
-	recs, state := j.Results(0)
-	if state != api.JobDone || len(recs) != 2 {
-		t.Fatalf("job = %s with %d records, want done with 2", state, len(recs))
+	lines, state := j.Results(0)
+	if state != api.JobDone || len(lines) != 2 {
+		t.Fatalf("job = %s with %d records, want done with 2", state, len(lines))
 	}
-	for _, r := range recs {
+	for _, line := range lines {
+		var r api.JobResult
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatal(err)
+		}
 		if !strings.Contains(r.Error, "recovered unit unusable") || r.ErrorCode != api.CodeInternal {
 			t.Fatalf("record %+v, want a recovered-unit-unusable error", r)
 		}
 	}
 	if m := svc.Snapshot().Durability; m.RecoveredTasks != 0 {
 		t.Fatalf("durability = %+v, want no units queued", m)
+	}
+}
+
+// TestDurableRecoveryQueuesInAdmissionOrder: a restarted coordinator
+// queues the units of the batches it recovers in the order the batches
+// were admitted, so an older interrupted batch never waits behind a
+// newer one. One lease takes every unit; its units come grouped by
+// batch, in submission order.
+func TestDurableRecoveryQueuesInAdmissionOrder(t *testing.T) {
+	opt := Options{DataDir: t.TempDir(), Distribute: true}
+	svc1, ts1 := openDurableServer(t, opt)
+	const batches, per = 6, 3
+	var order []string
+	for b := 0; b < batches; b++ {
+		loops := make([]string, per)
+		for i := range loops {
+			loops[i] = fmt.Sprintf("loop b%du%d trip %d\nx = load\ny = load\nm = mul x, y\nacc = add m, acc@1\nout = store acc\n", b, i, 10+b*per+i)
+		}
+		job := submitJob(t, ts1.URL, api.CompileRequest{
+			Loops:      loops,
+			Machines:   []api.MachineSpec{{Clusters: 2}},
+			Schedulers: []string{"dms"},
+			NoCache:    true,
+		})
+		order = append(order, job.ID)
+	}
+	ts1.Close()
+	svc1.Close()
+
+	svc2, ts2 := openDurableServer(t, opt)
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	resp, err := http.Post(ts2.URL+api.PathWorkersLease, "application/json",
+		strings.NewReader(`{"worker":"w","max_units":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lease api.Lease
+	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+		t.Fatal(err)
+	}
+	if len(lease.Units) != batches*per {
+		t.Fatalf("lease holds %d units, want %d", len(lease.Units), batches*per)
+	}
+	var got []string
+	for _, u := range lease.Units {
+		jobID, _, ok := splitUnitID(u.ID)
+		if !ok {
+			t.Fatalf("unit ID %q", u.ID)
+		}
+		if len(got) == 0 || got[len(got)-1] != jobID {
+			got = append(got, jobID)
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(order, " ") {
+		t.Fatalf("units leased in batch order\n %v\nwant submission order\n %v", got, order)
+	}
+}
+
+// segmentRecordLines reads a job's segment file and returns each
+// record frame's payload followed by a newline, in file order.
+func segmentRecordLines(t *testing.T, dataDir, id string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dataDir, "results", hex.EncodeToString([]byte(id))+".seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines [][]byte
+	for len(data) > 0 {
+		if len(data) < 9 {
+			t.Fatalf("segment ends in a partial frame header")
+		}
+		n := int(binary.LittleEndian.Uint32(data[:4]))
+		if len(data) < 9+n {
+			t.Fatalf("segment ends in a partial frame")
+		}
+		if data[4] == 'R' {
+			lines = append(lines, append(append([]byte(nil), data[9:9+n]...), '\n'))
+		}
+		data = data[9+n:]
+	}
+	return lines
+}
+
+// streamBytes reads a finished job's whole results stream.
+func streamBytes(t *testing.T, url, id string) []byte {
+	t.Helper()
+	resp, err := http.Get(url + api.JobResultsPath(id, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestDurableSegmentHoldsStreamLines: a result is encoded once. For a
+// finished job, each record frame's payload plus a newline is exactly
+// the line GET /v1/jobs/{id}/results writes for it, in the same order,
+// and the reopened store streams the same bytes.
+func TestDurableSegmentHoldsStreamLines(t *testing.T) {
+	opt := Options{DataDir: t.TempDir()}
+	svc1, ts1 := openDurableServer(t, opt)
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:3],
+		Machines:   []api.MachineSpec{{Clusters: 2}, {Clusters: 4}},
+		Schedulers: []string{"dms", "twophase"},
+	}
+	job := submitJob(t, ts1.URL, req)
+	if j := waitJob(t, ts1.URL, job.ID); j.State != api.JobDone {
+		t.Fatalf("job = %+v", j)
+	}
+	check := func(url string) []byte {
+		t.Helper()
+		raw := streamBytes(t, url, job.ID)
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		if len(lines) != req.Jobs()+2 || len(lines[len(lines)-1]) != 0 {
+			t.Fatalf("stream holds %d lines, want %d results and a summary", len(lines)-1, req.Jobs())
+		}
+		lines = lines[:req.Jobs()]
+		seg := segmentRecordLines(t, opt.DataDir, job.ID)
+		if len(seg) != len(lines) {
+			t.Fatalf("segment holds %d records, the stream %d", len(seg), len(lines))
+		}
+		for i := range lines {
+			if !bytes.Equal(seg[i], lines[i]) {
+				t.Fatalf("record %d:\nsegment %q\nstream  %q", i, seg[i], lines[i])
+			}
+		}
+		return raw
+	}
+	before := check(ts1.URL)
+	ts1.Close()
+	svc1.Close()
+
+	svc2, ts2 := openDurableServer(t, opt)
+	t.Cleanup(ts2.Close)
+	t.Cleanup(svc2.Close)
+	if after := check(ts2.URL); !bytes.Equal(after, before) {
+		t.Fatalf("reopened store streams different bytes:\n%s\nwant\n%s", after, before)
 	}
 }

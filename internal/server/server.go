@@ -111,7 +111,7 @@ type Options struct {
 	// JobTTL is how long a finished job's results are retained for
 	// polling and resumed streams (0 = jobs.DefaultTTL).
 	JobTTL time.Duration
-	// MaxRetainedBytes bounds the approximate total size of retained
+	// MaxRetainedBytes bounds the total encoded size of retained
 	// results; above it the oldest finished jobs are collected before
 	// their TTL (0 = jobs.DefaultMaxRetainedBytes).
 	MaxRetainedBytes int64
@@ -730,20 +730,19 @@ func streamJob(ctx context.Context, w http.ResponseWriter, j *jobs.Job, from int
 	if flusher != nil {
 		flusher.Flush()
 	}
-	enc := json.NewEncoder(w)
 	for {
 		// Grab the change channel before the snapshot: a mutation landing
 		// between the two closes the channel we hold, so the next wait
 		// returns immediately instead of missing the final transition.
 		ch := j.Changed()
-		recs, state := j.Results(from)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
+		lines, state := j.Results(from)
+		for _, line := range lines {
+			if _, err := w.Write(line); err != nil {
 				return
 			}
 		}
-		from += len(recs)
-		if len(recs) > 0 && flusher != nil {
+		from += len(lines)
+		if len(lines) > 0 && flusher != nil {
 			flusher.Flush()
 		}
 		if state.Terminal() {
