@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	api "repro/api/v1"
 	"repro/internal/core"
 	"repro/internal/ddg"
 	"repro/internal/driver"
@@ -19,11 +20,12 @@ import (
 // scheduleAllocBudget is the checked-in allocation baseline for one
 // full DMS compile (graph build + copy insertion + core.Schedule) on
 // the 8-cluster benchmark configuration. PR 6's raw-speed pass
-// measured ~207 allocs/op (BENCH_PR6.json); the budget leaves ~50%
+// measured ~207 allocs/op (BENCH_PR6.json); building the graph into
+// presized arrays brought that to 181. The budget leaves ~50%
 // headroom for corpus drift while still catching any regression that
-// reintroduces per-candidate-II cloning or per-call scratch (the
-// pre-PR 6 code sat at ~1631).
-const scheduleAllocBudget = 320
+// reintroduces per-candidate-II cloning, per-call scratch (the
+// pre-PR 6 code sat at ~1631) or slice growth in ddg.FromLoop.
+const scheduleAllocBudget = 272
 
 // TestScheduleAllocBudget fails when core.Schedule's allocation rate
 // regresses above the checked-in baseline — the guard behind the CI
@@ -117,6 +119,73 @@ func TestServePathAllocBudget(t *testing.T) {
 	if bytesPerOp > servePathBytesBudget {
 		t.Fatalf("serve path allocates %d B/op, above the checked-in budget of %d — "+
 			"loop.Parse, JobKey or server.Record has regressed", bytesPerOp, servePathBytesBudget)
+	}
+}
+
+// streamLineAllocBudget and streamLineBytesBudget are the checked-in
+// allocation baselines for one NDJSON result line's round trip through
+// the api/v1 codec: AppendResultLine into a reused buffer, then
+// DecodeStreamLine, on the pinned corpus's dms records (537-byte
+// lines on average). Measured at 14 allocs and 798 B per op; the
+// budgets leave ~50% headroom. encoding/json (json.Marshal, then the
+// two json.Unmarshal passes the decoder used to make) sat at 51 allocs
+// and ~2.5 KiB.
+const (
+	streamLineAllocBudget = 21
+	streamLineBytesBudget = 1200
+)
+
+// TestStreamLineAllocBudget fails when the result-line codec's
+// allocation rate regresses above the checked-in baselines.
+func TestStreamLineAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	sample := perfect.CorpusN(perfect.DefaultSeed, 32)
+	jobs := make([]driver.Job, len(sample))
+	for i, l := range sample {
+		jobs[i] = driver.Job{Loop: l, Machine: machine.Clustered(4), Scheduler: "dms"}
+	}
+	recs := make([]api.JobResult, len(jobs))
+	for i, r := range driver.CompileAll(context.Background(), jobs, driver.BatchOptions{}) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Job, r.Err)
+		}
+		recs[i] = server.Record(r)
+		recs[i].Index = i
+	}
+	var buf []byte
+	i := 0
+	roundTrip := func() {
+		rec := &recs[i%len(recs)]
+		i++
+		var err error
+		if buf, err = api.AppendResultLine(buf[:0], rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := api.DecodeStreamLine(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // size the reused buffer
+	const runs = 64
+	avg := testing.AllocsPerRun(runs, roundTrip)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("stream line (encode + decode): %.1f allocs/op, %d B/op (budgets %d, %d)",
+		avg, bytesPerOp, streamLineAllocBudget, streamLineBytesBudget)
+	if avg > streamLineAllocBudget {
+		t.Fatalf("stream line codec allocates %.1f/op, above the checked-in budget of %d — "+
+			"AppendResultLine or DecodeStreamLine has regressed", avg, streamLineAllocBudget)
+	}
+	if bytesPerOp > streamLineBytesBudget {
+		t.Fatalf("stream line codec allocates %d B/op, above the checked-in budget of %d — "+
+			"AppendResultLine or DecodeStreamLine has regressed", bytesPerOp, streamLineBytesBudget)
 	}
 }
 

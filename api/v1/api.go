@@ -58,8 +58,14 @@
 //
 //	{"summary":{"jobs":N,"errors":E,"cached":C}}
 //
-// distinguished from result lines by its single "summary" key; use
-// DecodeStreamLine to classify lines.
+// distinguished from result lines by its single "summary" key.
+//
+// AppendResultLine writes a result line: the bytes json.Marshal
+// produces for the JobResult, plus '\n'. DecodeStreamLine reads any
+// stream line in one pass, classifying it as it decodes. It skips
+// unknown fields of any JSON type and matches keys byte-exactly
+// against the field tags; encoding/json would also accept case-folded
+// keys such as "INDEX", which no v1 server writes.
 //
 // A results stream accepts ?from=<index> to skip the first <index>
 // result lines — the resume offset after a dropped connection. The
@@ -396,24 +402,6 @@ type summaryLine struct {
 // (without a trailing newline).
 func EncodeSummaryLine(s Summary) ([]byte, error) {
 	return json.Marshal(summaryLine{Summary: &s})
-}
-
-// DecodeStreamLine classifies and decodes one NDJSON line of a
-// /v1/compile response: exactly one of the returned result and summary
-// is non-nil. Unknown fields are ignored for forward compatibility.
-func DecodeStreamLine(line []byte) (*JobResult, *Summary, error) {
-	var probe summaryLine
-	if err := json.Unmarshal(line, &probe); err != nil {
-		return nil, nil, fmt.Errorf("api: bad stream line: %w", err)
-	}
-	if probe.Summary != nil {
-		return nil, probe.Summary, nil
-	}
-	var rec JobResult
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, nil, fmt.Errorf("api: bad stream line: %w", err)
-	}
-	return &rec, nil, nil
 }
 
 // JobState is the lifecycle state of an asynchronous job resource.

@@ -189,6 +189,10 @@ func TestDecodeStreamLine(t *testing.T) {
 	if _, _, err := DecodeStreamLine([]byte(`not json`)); err == nil {
 		t.Error("garbage line decoded")
 	}
+
+	for _, c := range streamLineCases {
+		t.Run(c.name, func(t *testing.T) { checkStreamLine(t, c.line, c.ok) })
+	}
 }
 
 func TestJobAxes(t *testing.T) {

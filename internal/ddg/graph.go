@@ -97,10 +97,35 @@ type Graph struct {
 // FromLoop builds the dependence graph of a validated loop: one node
 // per operation, one edge per dependence. Flow edges get the producer's
 // latency as delay; memory edges get MemDelay.
+//
+// Every array is sized for the loop up front, and the nodes' adjacency
+// lists are carved out of one shared array by degree, so building the
+// graph does not grow a slice. (Each list is capped at its carved
+// length: a later AddEdge past it moves that list to its own array.)
 func FromLoop(l *loop.Loop, lat machine.Latencies) *Graph {
-	g := &Graph{name: l.Name, lat: lat}
+	n, m := len(l.Ops), len(l.Deps)
+	g := &Graph{
+		name:      l.Name,
+		lat:       lat,
+		nodes:     make([]Node, 0, n),
+		nodeAlive: make([]bool, 0, n),
+		edges:     make([]Edge, 0, m),
+		edgeAlive: make([]bool, 0, m),
+		out:       make([][]int, 0, n),
+		in:        make([][]int, 0, n),
+	}
 	for _, op := range l.Ops {
 		g.addNode(Node{Class: op.Class, Name: op.Name, Kind: Original, Orig: op.ID})
+	}
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	for _, d := range l.Deps {
+		deg[d.From]++
+		deg[n+int(d.To)]++
+	}
+	adj := make([]int, 2*m)
+	for i := range n {
+		g.out[i], adj = adj[:0:deg[i]], adj[deg[i]:]
+		g.in[i], adj = adj[:0:deg[n+i]], adj[deg[n+i]:]
 	}
 	for _, d := range l.Deps {
 		switch d.Kind {

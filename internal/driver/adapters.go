@@ -34,6 +34,7 @@ type dmsScheduler struct{}
 
 func (dmsScheduler) Name() string    { return "dms" }
 func (dmsScheduler) Clustered() bool { return true }
+func (dmsScheduler) cooperative()    {}
 
 func (dmsScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	s, st, err := core.ScheduleCtx(ctx, g, m, core.Options{
@@ -66,6 +67,7 @@ type twophaseScheduler struct{}
 
 func (twophaseScheduler) Name() string    { return "twophase" }
 func (twophaseScheduler) Clustered() bool { return true }
+func (twophaseScheduler) cooperative()    {}
 
 func (twophaseScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	s, st, err := twophase.ScheduleCtx(ctx, g, m, twophase.Options{
@@ -94,6 +96,7 @@ type imsScheduler struct{}
 
 func (imsScheduler) Name() string    { return "ims" }
 func (imsScheduler) Clustered() bool { return false }
+func (imsScheduler) cooperative()    {}
 
 func (imsScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	s, st, err := ims.ScheduleCtx(ctx, g, m, ims.Options{
@@ -116,6 +119,7 @@ type smsScheduler struct{}
 
 func (smsScheduler) Name() string    { return "sms" }
 func (smsScheduler) Clustered() bool { return false }
+func (smsScheduler) cooperative()    {}
 
 func (smsScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	s, st, err := sms.ScheduleCtx(ctx, g, m, sms.Options{MaxII: opt.MaxII})
@@ -156,6 +160,7 @@ type exactScheduler struct{}
 
 func (exactScheduler) Name() string    { return "exact" }
 func (exactScheduler) Clustered() bool { return false }
+func (exactScheduler) cooperative()    {}
 
 func (exactScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	ratio := opt.BudgetRatio
@@ -209,6 +214,7 @@ type portfolioScheduler struct{}
 
 func (portfolioScheduler) Name() string    { return "portfolio" }
 func (portfolioScheduler) Clustered() bool { return true }
+func (portfolioScheduler) cooperative()    {}
 
 func (portfolioScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	pm := pooledFor(m)

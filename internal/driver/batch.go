@@ -125,11 +125,12 @@ func Compile(ctx context.Context, job Job, opt BatchOptions) Result {
 }
 
 // compileTimed compiles one job under ctx, narrowed by the per-job
-// timeout. With a plain background context it runs inline; with a
-// cancelable context it runs the job on a goroutine and a watchdog
-// select converts ctx expiry into an error Result even if the back-end
-// ignores its context (the goroutine then drains in the background —
-// the built-in back-ends are cooperative and exit promptly).
+// timeout. The built-in back-ends check their context inside the II
+// search, so they run inline on the caller's goroutine, as does every
+// job under a context that can never expire. Any other back-end runs
+// on a goroutine under a watchdog select that converts ctx expiry into
+// an error Result even if the back-end ignores its context (the
+// goroutine then drains in the background).
 func compileTimed(ctx context.Context, job Job, lat machine.Latencies, reg *Registry, timeout time.Duration) Result {
 	ownDeadline := false
 	if timeout > 0 {
@@ -146,24 +147,36 @@ func compileTimed(ctx context.Context, job Job, lat machine.Latencies, reg *Regi
 	if ctx.Err() != nil {
 		return ctxResult(ctx, job, timeout, ownDeadline)
 	}
-	if ctx.Done() == nil {
-		return compileOne(ctx, job, lat, reg)
+	sched, err := reg.Get(job.Scheduler)
+	if err != nil {
+		return Result{Job: job, Err: err}
 	}
-	done := make(chan Result, 1)
-	go func() {
-		done <- compileOne(ctx, job, lat, reg)
-	}()
-	select {
-	case r := <-done:
-		if r.Err != nil && ctx.Err() != nil &&
-			(errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)) {
+	var r Result
+	if _, ok := sched.(cooperative); ok || ctx.Done() == nil {
+		r = compileOne(ctx, job, sched, lat)
+	} else {
+		done := make(chan Result, 1)
+		go func() {
+			done <- compileOne(ctx, job, sched, lat)
+		}()
+		select {
+		case r = <-done:
+		case <-ctx.Done():
 			return ctxResult(ctx, job, timeout, ownDeadline)
 		}
-		return r
-	case <-ctx.Done():
+	}
+	if r.Err != nil && ctx.Err() != nil &&
+		(errors.Is(r.Err, context.Canceled) || errors.Is(r.Err, context.DeadlineExceeded)) {
 		return ctxResult(ctx, job, timeout, ownDeadline)
 	}
+	return r
 }
+
+// cooperative marks the built-in back-ends (adapters.go): each returns
+// promptly once its context is done, so it needs no watchdog. The
+// method is unexported, so a back-end from outside the package always
+// gets one.
+type cooperative interface{ cooperative() }
 
 // ctxResult normalizes an expired context into the Result the batch
 // reports, so cooperative and watchdog-detected expiries read the
@@ -177,7 +190,7 @@ func ctxResult(ctx context.Context, job Job, timeout time.Duration, ownDeadline 
 	return Result{Job: job, Err: fmt.Errorf("driver: %s: %w", job, context.Cause(ctx))}
 }
 
-func compileOne(ctx context.Context, job Job, lat machine.Latencies, reg *Registry) (r Result) {
+func compileOne(ctx context.Context, job Job, sched Scheduler, lat machine.Latencies) (r Result) {
 	r = Result{Job: job}
 	// A registered back-end may come from outside the repo; keep its
 	// panics inside this job's Result so they cannot take down a
@@ -187,11 +200,6 @@ func compileOne(ctx context.Context, job Job, lat machine.Latencies, reg *Regist
 			r = Result{Job: job, Err: fmt.Errorf("driver: %s panicked: %v", job, p)}
 		}
 	}()
-	sched, err := reg.Get(job.Scheduler)
-	if err != nil {
-		r.Err = err
-		return r
-	}
 	if job.Loop == nil || job.Machine == nil {
 		r.Err = fmt.Errorf("driver: %s: job needs a loop and a machine", job)
 		return r

@@ -2,6 +2,8 @@ package driver
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,6 +147,67 @@ func TestCompileAllTimeout(t *testing.T) {
 	for _, r := range results[1:] {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Job, r.Err)
+		}
+	}
+}
+
+// goroutineID returns the ID runtime.Stack prints for the calling
+// goroutine.
+func goroutineID() string {
+	var buf [64]byte
+	n := runtime.Stack(buf[:], false)
+	return strings.Fields(string(buf[:n]))[1]
+}
+
+// probeScheduler records the goroutine its Schedule ran on.
+type probeScheduler struct{ ran *string }
+
+func (probeScheduler) Name() string    { return "probe" }
+func (probeScheduler) Clustered() bool { return false }
+func (p probeScheduler) Schedule(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
+	*p.ran = goroutineID()
+	return nil, Stats{}, errors.New("probe")
+}
+
+// cooperativeProbe is a probeScheduler carrying the built-in marker.
+type cooperativeProbe struct{ probeScheduler }
+
+func (cooperativeProbe) cooperative() {}
+
+// TestCompileRunsBuiltinsInline: under a cancelable context, a back-end
+// carrying the built-in marker compiles on the caller's goroutine and
+// an unmarked one on a goroutine of its own, under the watchdog. Every
+// registered built-in carries the marker.
+func TestCompileRunsBuiltinsInline(t *testing.T) {
+	for _, name := range Names() {
+		s, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.(cooperative); !ok {
+			t.Errorf("built-in %s lacks the cooperative marker", name)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	caller := goroutineID()
+	var ran string
+	probe := probeScheduler{ran: &ran}
+	for _, tc := range []struct {
+		s      Scheduler
+		inline bool
+	}{{cooperativeProbe{probe}, true}, {probe, false}} {
+		reg := NewRegistry()
+		if err := reg.Register(tc.s); err != nil {
+			t.Fatal(err)
+		}
+		job := Job{Loop: perfect.KernelDot(), Machine: machine.Unclustered(2), Scheduler: "probe"}
+		r := Compile(ctx, job, BatchOptions{Registry: reg, Timeout: time.Minute})
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "probe") {
+			t.Errorf("want the probe's error, got %v", r.Err)
+		}
+		if (ran == caller) != tc.inline {
+			t.Errorf("%T ran on goroutine %s, caller is %s; want inline=%v", tc.s, ran, caller, tc.inline)
 		}
 	}
 }

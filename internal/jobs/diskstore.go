@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	api "repro/api/v1"
 )
 
 // DiskStore is the durable ResultStore: one append-only segment file
@@ -106,14 +108,12 @@ func (s *DiskStore) recoverSegment(path string) (*Buffer, error) {
 	valid, err := scanFrames(f, func(op byte, payload []byte) error {
 		switch op {
 		case opRecord:
-			var rec struct {
-				Error  string `json:"error"`
-				Cached bool   `json:"cached"`
-			}
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			rec, _, err := api.DecodeStreamLine(payload)
+			if err != nil {
 				return fmt.Errorf("record frame: %w", err)
 			}
-			b.addLocked(append(payload, '\n'), rec.Error != "", rec.Cached)
+			// rec is nil for a summary line, which no buffer holds.
+			b.addLocked(append(payload, '\n'), rec != nil && rec.Error != "", rec != nil && rec.Cached)
 		case opMeta:
 			b.meta = payload
 		}

@@ -56,8 +56,18 @@ type Buffer struct {
 }
 
 // encodeLine renders one record as its NDJSON line: the bytes
-// json.Encoder.Encode writes for it.
-func encodeLine(rec api.JobResult) []byte { return append(mustJSON(rec), '\n') }
+// json.Encoder.Encode writes for it. The line is built in stack
+// scratch and copied out once, so the buffer keeps an exactly sized
+// line. A record encodes without error by construction: its only
+// float, the IPC, divides by a schedule's positive cycle count.
+func encodeLine(rec *api.JobResult) []byte {
+	var scratch [1024]byte
+	line, err := api.AppendResultLine(scratch[:0], rec)
+	if err != nil {
+		panic(err)
+	}
+	return append([]byte(nil), line...)
+}
 
 // Append adds a group of records, in order, as one step. Each record
 // is encoded once, before the lock is taken; a durable buffer then
@@ -71,8 +81,8 @@ func (b *Buffer) Append(recs ...api.JobResult) {
 	lines := make([][]byte, len(recs))
 	var frames []byte
 	oversized := false // a record past the frame limit stays in memory only
-	for i, rec := range recs {
-		lines[i] = encodeLine(rec)
+	for i := range recs {
+		lines[i] = encodeLine(&recs[i])
 		if b.store != nil {
 			var err error
 			if frames, err = appendFrame(frames, opRecord, lines[i][:len(lines[i])-1]); err != nil {

@@ -130,10 +130,8 @@ func (s *Server) recoverJob(id string, rec batchRecord, units map[int]api.WorkUn
 	pending := rec.N
 	if buf, ok := s.durable.store.Get(id); ok {
 		for _, line := range buf.Results(0) {
-			var r struct {
-				Index int `json:"index"`
-			}
-			if json.Unmarshal(line, &r) == nil && r.Index >= 0 && r.Index < rec.N && !done[r.Index] {
+			r, _, err := api.DecodeStreamLine(line)
+			if err == nil && r != nil && r.Index >= 0 && r.Index < rec.N && !done[r.Index] {
 				done[r.Index] = true
 				pending--
 			}
