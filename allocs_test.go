@@ -18,7 +18,7 @@ import (
 )
 
 // scheduleAllocBudget is the checked-in allocation baseline for one
-// full DMS compile (graph build + copy insertion + core.Schedule) on
+// full DMS compile (graph build + copy insertion + core.ScheduleCtx) on
 // the 8-cluster benchmark configuration. PR 6's raw-speed pass
 // measured ~207 allocs/op (BENCH_PR6.json); building the graph into
 // presized arrays brought that to 181. The budget leaves ~50%
@@ -27,7 +27,7 @@ import (
 // pre-PR 6 code sat at ~1631) or slice growth in ddg.FromLoop.
 const scheduleAllocBudget = 272
 
-// TestScheduleAllocBudget fails when core.Schedule's allocation rate
+// TestScheduleAllocBudget fails when core.ScheduleCtx's allocation rate
 // regresses above the checked-in baseline — the guard behind the CI
 // benchmark smoke job.
 func TestScheduleAllocBudget(t *testing.T) {
@@ -42,13 +42,13 @@ func TestScheduleAllocBudget(t *testing.T) {
 		g := ddg.FromLoop(sample[i%len(sample)], lat)
 		i++
 		ddg.InsertCopies(g, ddg.MaxUses)
-		if _, _, err := core.Schedule(g, m, core.Options{}); err != nil {
+		if _, _, err := core.ScheduleCtx(context.Background(), g, m, core.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("core.Schedule pipeline: %.1f allocs/op (budget %d)", avg, scheduleAllocBudget)
+	t.Logf("core.ScheduleCtx pipeline: %.1f allocs/op (budget %d)", avg, scheduleAllocBudget)
 	if avg > scheduleAllocBudget {
-		t.Fatalf("core.Schedule pipeline allocates %.1f/op, above the checked-in budget of %d — "+
+		t.Fatalf("core.ScheduleCtx pipeline allocates %.1f/op, above the checked-in budget of %d — "+
 			"the scheduling inner loop has regressed (see BENCH_PR6.json)", avg, scheduleAllocBudget)
 	}
 }

@@ -567,8 +567,7 @@ type WorkerMetrics struct {
 type DurabilityMetrics struct {
 	// RecoveredTasks counts the units recovery queued again when this
 	// process started: the pending units rebuilt from the batch
-	// records, plus any units read from a queue log of the previous
-	// format. RecoveredBuffers counts the result buffers rebuilt from
+	// records. RecoveredBuffers counts the result buffers rebuilt from
 	// disk segments.
 	RecoveredTasks   int `json:"recovered_tasks"`
 	RecoveredBuffers int `json:"recovered_buffers"`
@@ -717,7 +716,8 @@ type WorkResultsRequest struct {
 type WorkResultsResponse struct {
 	// Acked counts results accepted as the authoritative resolution of
 	// their unit. A posted result not counted here raced a lease expiry
-	// — another worker owns that unit now — and was discarded.
+	// — another worker owns that unit now — or named a unit its lease
+	// does not hold, and was discarded.
 	Acked int `json:"acked"`
 	// Canceled lists still-leased units whose batch has been canceled;
 	// the worker should skip compiling them and post a canceled result

@@ -89,7 +89,7 @@ func BenchmarkIMSSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l := sample[i%len(sample)]
-		if _, _, err := ims.Schedule(ddg.FromLoop(l, lat), m, ims.Options{}); err != nil {
+		if _, _, err := ims.ScheduleCtx(context.Background(), ddg.FromLoop(l, lat), m, ims.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkDMSSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := ddg.FromLoop(sample[i%len(sample)], lat)
 		ddg.InsertCopies(g, ddg.MaxUses)
-		if _, _, err := core.Schedule(g, m, core.Options{}); err != nil {
+		if _, _, err := core.ScheduleCtx(context.Background(), g, m, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func BenchmarkSMSSchedule(b *testing.B) {
 	m := machine.Unclustered(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sms.Schedule(ddg.FromLoop(sample[i%len(sample)], lat), m, sms.Options{}); err != nil {
+		if _, _, err := sms.ScheduleCtx(context.Background(), ddg.FromLoop(sample[i%len(sample)], lat), m, sms.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func BenchmarkTwoPhaseSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := ddg.FromLoop(sample[i%len(sample)], lat)
 		ddg.InsertCopies(g, ddg.MaxUses)
-		if _, _, err := twophase.Schedule(g, m, twophase.Options{}); err != nil {
+		if _, _, err := twophase.ScheduleCtx(context.Background(), g, m, twophase.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -275,7 +275,7 @@ func ablationRun(b *testing.B, m *machine.Machine, opt core.Options, copyLimit i
 		increased, failed := 0, 0
 		for _, l := range sample {
 			ug := ddg.FromLoop(l, lat)
-			_, ust, err := ims.Schedule(ug, um, ims.Options{})
+			_, ust, err := ims.ScheduleCtx(context.Background(), ug, um, ims.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func ablationRun(b *testing.B, m *machine.Machine, opt core.Options, copyLimit i
 			if copyLimit > 0 {
 				ddg.InsertCopies(g, copyLimit)
 			}
-			_, cst, err := core.Schedule(g, m, opt)
+			_, cst, err := core.ScheduleCtx(context.Background(), g, m, opt)
 			if err != nil {
 				failed++
 				continue

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,11 +35,11 @@ func main() {
 	for _, l := range loops {
 		um := machine.Unclustered(8)
 		g := ddg.FromLoop(l, lat)
-		sIMS, stIMS, err := ims.Schedule(g, um, ims.Options{})
+		sIMS, stIMS, err := ims.ScheduleCtx(context.Background(), g, um, ims.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sSMS, stSMS, err := sms.Schedule(g, um, sms.Options{})
+		sSMS, stSMS, err := sms.ScheduleCtx(context.Background(), g, um, sms.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,20 +50,20 @@ func main() {
 
 		gc := ddg.FromLoop(l, lat)
 		ddg.InsertCopies(gc, ddg.MaxUses)
-		sDMS, _, err := core.Schedule(gc, machine.Clustered(8), core.Options{})
+		sDMS, _, err := core.ScheduleCtx(context.Background(), gc, machine.Clustered(8), core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		worstCluster += regpress.Analyze(sDMS).MaxPerCluster()
 	}
 
-	sampleU, _, err := ims.Schedule(ddg.FromLoop(loops[0], lat), machine.Unclustered(8), ims.Options{})
+	sampleU, _, err := ims.ScheduleCtx(context.Background(), ddg.FromLoop(loops[0], lat), machine.Unclustered(8), ims.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	gc := ddg.FromLoop(loops[0], lat)
 	ddg.InsertCopies(gc, ddg.MaxUses)
-	sampleC, _, err := core.Schedule(gc, machine.Clustered(8), core.Options{})
+	sampleC, _, err := core.ScheduleCtx(context.Background(), gc, machine.Clustered(8), core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func dotSchedule(t testing.TB) *schedule.Schedule {
 	t.Helper()
 	g := ddg.FromLoop(perfect.KernelDot(), machine.DefaultLatencies())
-	s, _, err := ims.Schedule(g, machine.Unclustered(1), ims.Options{})
+	s, _, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(1), ims.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestEmitIdentitiesAcrossCorpus(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 40) {
 		g := ddg.FromLoop(l, machine.DefaultLatencies())
 		ddg.InsertCopies(g, ddg.MaxUses)
-		s, _, err := core.Schedule(g, machine.Clustered(4), core.Options{})
+		s, _, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(4), core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}

@@ -78,20 +78,17 @@ type Stats struct {
 	MovesInserted   int
 }
 
-// Schedule runs DMS for the graph on a clustered machine. The input
+// ScheduleCtx runs DMS for the graph on a clustered machine. The input
 // graph is treated as immutable: the search works on a single internal
 // clone, rolled back between candidate IIs, and the returned schedule
 // references that clone in its successful state (whose extra move
 // nodes are part of the final code). Run the copy-insertion prepass
 // (ddg.InsertCopies) first for machines with ≥ 2 clusters.
-func Schedule(g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
-	return ScheduleCtx(context.Background(), g, m, opt) //dms:ctxok documented ctx-less compatibility wrapper around ScheduleCtx
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the II search
-// checks ctx between candidate IIs and periodically inside each
-// attempt's budget loop, so a canceled context aborts within one
-// candidate II. The returned error wraps ctx.Err().
+//
+// Cancellation is cooperative: the II search checks ctx between
+// candidate IIs and periodically inside each attempt's budget loop, so
+// a canceled context aborts within one candidate II. The returned
+// error wraps ctx.Err().
 //
 // The II search clones the input graph once and reuses one worker
 // across candidate IIs: graph mutations of a failed attempt are undone

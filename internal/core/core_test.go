@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,11 +28,11 @@ func clusteredGraph(l *loop.Loop, clusters int) *ddg.Graph {
 func TestDMSOneClusterMatchesIMS(t *testing.T) {
 	for _, k := range perfect.Kernels() {
 		g := ddg.FromLoop(k, lat())
-		_, imsStats, err := ims.Schedule(g, machine.Unclustered(1), ims.Options{})
+		_, imsStats, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(1), ims.Options{})
 		if err != nil {
 			t.Fatalf("%s ims: %v", k.Name, err)
 		}
-		s, dmsStats, err := Schedule(clusteredGraph(k, 1), machine.Clustered(1), Options{})
+		s, dmsStats, err := ScheduleCtx(context.Background(), clusteredGraph(k, 1), machine.Clustered(1), Options{})
 		if err != nil {
 			t.Fatalf("%s dms: %v", k.Name, err)
 		}
@@ -50,7 +51,7 @@ func TestDMSAllKernelsAllClusterCounts(t *testing.T) {
 		for c := 1; c <= 10; c++ {
 			g := clusteredGraph(k, c)
 			m := machine.Clustered(c)
-			s, st, err := Schedule(g, m, Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 			if err != nil {
 				t.Fatalf("%s on %d clusters: %v", k.Name, c, err)
 			}
@@ -71,7 +72,7 @@ func TestDMSCorpusSample(t *testing.T) {
 		for _, c := range []int{2, 4, 8} {
 			g := clusteredGraph(l, c)
 			m := machine.Clustered(c)
-			s, st, err := Schedule(g, m, Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 			if err != nil {
 				t.Fatalf("%s on %d clusters: %v", l.Name, c, err)
 			}
@@ -97,7 +98,7 @@ func TestDMSBuildsChainsOnWideRings(t *testing.T) {
 	chains := 0
 	for _, l := range loops {
 		g := clusteredGraph(l, 8)
-		_, st, err := Schedule(g, machine.Clustered(8), Options{})
+		_, st, err := ScheduleCtx(context.Background(), g, machine.Clustered(8), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -113,7 +114,7 @@ func TestDMSFinalGraphMovesAreWellFormed(t *testing.T) {
 	movesSeen := 0
 	for _, l := range loops {
 		g := clusteredGraph(l, 6)
-		s, _, err := Schedule(g, machine.Clustered(6), Options{})
+		s, _, err := ScheduleCtx(context.Background(), g, machine.Clustered(6), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -147,7 +148,7 @@ func TestDMSDeterministic(t *testing.T) {
 	l := perfect.CorpusN(perfect.DefaultSeed, 30)[29]
 	run := func() string {
 		g := clusteredGraph(l, 6)
-		s, st, err := Schedule(g, machine.Clustered(6), Options{})
+		s, st, err := ScheduleCtx(context.Background(), g, machine.Clustered(6), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,14 +176,14 @@ func TestDMSDisableChainsDegradesGracefully(t *testing.T) {
 	worse, failed := 0, 0
 	for _, l := range loops {
 		m := machine.Clustered(6)
-		sChains, stChains, err := Schedule(clusteredGraph(l, 6), m, Options{})
+		sChains, stChains, err := ScheduleCtx(context.Background(), clusteredGraph(l, 6), m, Options{})
 		if err != nil {
 			t.Fatalf("%s: full DMS failed: %v", l.Name, err)
 		}
 		if err := schedule.Verify(sChains); err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		sNo, stNo, err := Schedule(clusteredGraph(l, 6), m, Options{DisableChains: true})
+		sNo, stNo, err := ScheduleCtx(context.Background(), clusteredGraph(l, 6), m, Options{DisableChains: true})
 		if err != nil {
 			failed++
 			continue
@@ -202,7 +203,7 @@ func TestDMSDisableChainsDegradesGracefully(t *testing.T) {
 
 func TestDMSOneDirectionStillValid(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 30) {
-		s, _, err := Schedule(clusteredGraph(l, 8), machine.Clustered(8), Options{OneDirectionOnly: true})
+		s, _, err := ScheduleCtx(context.Background(), clusteredGraph(l, 8), machine.Clustered(8), Options{OneDirectionOnly: true})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -219,7 +220,7 @@ func TestDMSUnrolledLoops(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range []int{4, 8} {
-			s, st, err := Schedule(clusteredGraph(u, c), machine.Clustered(c), Options{})
+			s, st, err := ScheduleCtx(context.Background(), clusteredGraph(u, c), machine.Clustered(c), Options{})
 			if err != nil {
 				t.Fatalf("%s x4 on %d clusters: %v", k.Name, c, err)
 			}
@@ -242,11 +243,11 @@ func TestDMSOverheadVersusUnclusteredIsBounded(t *testing.T) {
 	matched, total := 0, 0
 	for _, l := range loops {
 		g := ddg.FromLoop(l, lat())
-		_, imsStats, err := ims.Schedule(g, machine.Unclustered(4), ims.Options{})
+		_, imsStats, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(4), ims.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
-		_, dmsStats, err := Schedule(clusteredGraph(l, 4), machine.Clustered(4), Options{})
+		_, dmsStats, err := ScheduleCtx(context.Background(), clusteredGraph(l, 4), machine.Clustered(4), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -263,7 +264,7 @@ func TestDMSOverheadVersusUnclusteredIsBounded(t *testing.T) {
 
 func TestDMSTightBudget(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 30) {
-		s, _, err := Schedule(clusteredGraph(l, 5), machine.Clustered(5), Options{BudgetRatio: 1})
+		s, _, err := ScheduleCtx(context.Background(), clusteredGraph(l, 5), machine.Clustered(5), Options{BudgetRatio: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -276,7 +277,7 @@ func TestDMSTightBudget(t *testing.T) {
 func TestDMSRejectsInvalidMachine(t *testing.T) {
 	g := clusteredGraph(perfect.KernelDot(), 2)
 	bad := &machine.Machine{Name: "bad", Clusters: 0, Lat: lat()}
-	if _, _, err := Schedule(g, bad, Options{}); err == nil {
+	if _, _, err := ScheduleCtx(context.Background(), g, bad, Options{}); err == nil {
 		t.Fatal("invalid machine accepted")
 	}
 }
@@ -289,7 +290,7 @@ func TestDMSCopyOpsNeedCopyUnits(t *testing.T) {
 	if n := ddg.InsertCopies(g, 2); n == 0 {
 		t.Fatal("test loop needs copies")
 	}
-	if _, _, err := Schedule(g, machine.Unclustered(2), Options{}); err == nil {
+	if _, _, err := ScheduleCtx(context.Background(), g, machine.Unclustered(2), Options{}); err == nil {
 		t.Fatal("copy ops scheduled on a machine without copy units")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestDMSPropertyRandomMachines(t *testing.T) {
 		if clusters >= 2 {
 			ddg.InsertCopies(g, ddg.MaxUses)
 		}
-		s, st, err := Schedule(g, m, Options{})
+		s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 		if err != nil {
 			t.Fatalf("trial %d (%d clusters, %d copy units): %v", trial, clusters, copyFUs, err)
 		}
@@ -64,7 +65,7 @@ func TestDMSSingleOpLoop(t *testing.T) {
 	b.Load("x")
 	l := b.MustBuild()
 	for _, c := range []int{1, 4} {
-		s, st, err := Schedule(ddg.FromLoop(l, lat()), machine.Clustered(c), Options{})
+		s, st, err := ScheduleCtx(context.Background(), ddg.FromLoop(l, lat()), machine.Clustered(c), Options{})
 		if err != nil {
 			t.Fatalf("%d clusters: %v", c, err)
 		}
@@ -83,13 +84,13 @@ func TestExtraCopyUnitsNeverHurt(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 40) {
 		g1 := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g1, ddg.MaxUses)
-		_, st1, err := Schedule(g1, machine.Clustered(8), Options{})
+		_, st1, err := ScheduleCtx(context.Background(), g1, machine.Clustered(8), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		g2 := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g2, ddg.MaxUses)
-		_, st2, err := Schedule(g2, machine.ClusteredWithCopyFUs(8, 2), Options{})
+		_, st2, err := ScheduleCtx(context.Background(), g2, machine.ClusteredWithCopyFUs(8, 2), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -21,13 +22,13 @@ func TestFigure4CopyAttribution(t *testing.T) {
 	for _, clusters := range []int{2, 3} {
 		increased, explained := 0, 0
 		for _, l := range loops {
-			_, ust, err := ims.Schedule(ddg.FromLoop(l, lat), machine.Unclustered(clusters), ims.Options{})
+			_, ust, err := ims.ScheduleCtx(context.Background(), ddg.FromLoop(l, lat), machine.Unclustered(clusters), ims.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			gCopies := ddg.FromLoop(l, lat)
 			ddg.InsertCopies(gCopies, ddg.MaxUses)
-			_, cst, err := core.Schedule(gCopies, machine.Clustered(clusters), core.Options{})
+			_, cst, err := core.ScheduleCtx(context.Background(), gCopies, machine.Clustered(clusters), core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,7 +37,7 @@ func TestFigure4CopyAttribution(t *testing.T) {
 			}
 			increased++
 			// Same machine, no copy prepass: the overhead must vanish.
-			_, nst, err := core.Schedule(ddg.FromLoop(l, lat), machine.Clustered(clusters), core.Options{})
+			_, nst, err := core.ScheduleCtx(context.Background(), ddg.FromLoop(l, lat), machine.Clustered(clusters), core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestCommunicationConflictsAppearAtFourClusters(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 150) {
 		g := ddg.FromLoop(l, lat)
 		ddg.InsertCopies(g, ddg.MaxUses)
-		_, st, err := core.Schedule(g, machine.Clustered(4), core.Options{})
+		_, st, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(4), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,18 +63,15 @@ func MaxIIBound(g *ddg.Graph) int {
 	return sum
 }
 
-// Schedule modulo-schedules the graph on an unclustered machine
+// ScheduleCtx modulo-schedules the graph on an unclustered machine
 // (m.Clusters must be 1; clustered machines need DMS). The graph is
 // not modified.
-func Schedule(g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
-	return ScheduleCtx(context.Background(), g, m, opt) //dms:ctxok documented ctx-less compatibility wrapper around ScheduleCtx
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the II search
-// checks ctx between candidate IIs and periodically inside each
-// attempt's budget loop, so a canceled context aborts within one
-// candidate II. The returned error wraps ctx.Err() so callers can
-// distinguish cancellation from scheduling failure with errors.Is.
+//
+// Cancellation is cooperative: the II search checks ctx between
+// candidate IIs and periodically inside each attempt's budget loop, so
+// a canceled context aborts within one candidate II. The returned
+// error wraps ctx.Err() so callers can distinguish cancellation from
+// scheduling failure with errors.Is.
 func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	var st Stats
 	if m.Clusters != 1 {

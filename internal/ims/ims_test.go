@@ -1,6 +1,7 @@
 package ims
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ddg"
@@ -15,7 +16,7 @@ func lat() machine.Latencies { return machine.DefaultLatencies() }
 func TestScheduleDotNarrow(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelDot(), lat())
 	m := machine.Unclustered(1)
-	s, st, err := Schedule(g, m, Options{})
+	s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestScheduleDotNarrow(t *testing.T) {
 func TestScheduleDotWide(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelDot(), lat())
 	m := machine.Unclustered(3)
-	s, st, err := Schedule(g, m, Options{})
+	s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestScheduleRecurrenceBound(t *testing.T) {
 	// lk5 tridiag: x = z*(y - x@1): cycle delay mul+add = 4.
 	g := ddg.FromLoop(perfect.KernelLivermoreTridiag(), lat())
 	m := machine.Unclustered(10)
-	s, st, err := Schedule(g, m, Options{})
+	s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestScheduleRecurrenceBound(t *testing.T) {
 
 func TestScheduleRejectsClusteredMachine(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelDot(), lat())
-	if _, _, err := Schedule(g, machine.Clustered(4), Options{}); err == nil {
+	if _, _, err := ScheduleCtx(context.Background(), g, machine.Clustered(4), Options{}); err == nil {
 		t.Fatal("IMS accepted a clustered machine")
 	}
 }
@@ -75,7 +76,7 @@ func TestScheduleAllKernels(t *testing.T) {
 		for _, width := range []int{1, 2, 4, 8} {
 			g := ddg.FromLoop(k, lat())
 			m := machine.Unclustered(width)
-			s, st, err := Schedule(g, m, Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", k.Name, width, err)
 			}
@@ -96,7 +97,7 @@ func TestScheduleCorpusSample(t *testing.T) {
 		for _, width := range []int{1, 3, 7} {
 			g := ddg.FromLoop(l, lat())
 			m := machine.Unclustered(width)
-			s, st, err := Schedule(g, m, Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", l.Name, width, err)
 			}
@@ -117,7 +118,7 @@ func TestWiderMachineNeverHurtsII(t *testing.T) {
 		g := ddg.FromLoop(l, lat())
 		prev := -1
 		for _, width := range []int{1, 2, 4, 8} {
-			_, st, err := Schedule(g, machine.Unclustered(width), Options{})
+			_, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(width), Options{})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", l.Name, width, err)
 			}
@@ -132,7 +133,7 @@ func TestWiderMachineNeverHurtsII(t *testing.T) {
 func TestTightBudgetStillSchedules(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 40) {
 		g := ddg.FromLoop(l, lat())
-		s, _, err := Schedule(g, machine.Unclustered(2), Options{BudgetRatio: 1})
+		s, _, err := ScheduleCtx(context.Background(), g, machine.Unclustered(2), Options{BudgetRatio: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -149,7 +150,7 @@ func TestUnrolledLoopsSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := ddg.FromLoop(u, lat())
-		s, _, err := Schedule(g, machine.Unclustered(4), Options{})
+		s, _, err := ScheduleCtx(context.Background(), g, machine.Unclustered(4), Options{})
 		if err != nil {
 			t.Fatalf("%s x4: %v", k.Name, err)
 		}
@@ -166,7 +167,7 @@ func TestMaxIIBound(t *testing.T) {
 	}
 	// The bound must actually be schedulable: force it as the only
 	// candidate.
-	s, _, err := Schedule(g, machine.Unclustered(1), Options{MaxII: MaxIIBound(g)})
+	s, _, err := ScheduleCtx(context.Background(), g, machine.Unclustered(1), Options{MaxII: MaxIIBound(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestMaxIIBound(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelFIR4(), lat())
-	_, st, err := Schedule(g, machine.Unclustered(1), Options{})
+	_, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -324,6 +324,58 @@ func testQueueConformance(t *testing.T, mk func() Queue) {
 		}
 	})
 
+	t.Run("HeldReportsLease", func(t *testing.T) {
+		// Held names the lease's owner and its unacked tasks in
+		// admission order, shrinks as tasks are acked, and reports
+		// nothing once the lease is completed, overdue or swept.
+		q := mk()
+		var want []string
+		for i := 0; i < 12; i++ {
+			id := fmt.Sprintf("t%02d", i)
+			q.Enqueue(Task{ID: id, Hash: fmt.Sprintf("h%d", i)})
+			want = append(want, id)
+		}
+		lease, tasks := q.Lease("w1", len(want), time.Minute)
+		if len(tasks) != len(want) {
+			t.Fatalf("leased %d tasks, want %d", len(tasks), len(want))
+		}
+		held := func() []string {
+			t.Helper()
+			owner, tasks := q.Held(lease)
+			if len(tasks) > 0 && owner != "w1" {
+				t.Fatalf("Held owner = %q, want w1", owner)
+			}
+			return ids(tasks)
+		}
+		if got := held(); !slices.Equal(got, want) {
+			t.Fatalf("Held = %v, want %v", got, want)
+		}
+		q.AckBatch(lease, []string{"t03", "t07"})
+		q.Ack(lease, "t11")
+		want = slices.DeleteFunc(want, func(id string) bool { return id == "t03" || id == "t07" || id == "t11" })
+		if got := held(); !slices.Equal(got, want) {
+			t.Fatalf("Held after acks = %v, want %v", got, want)
+		}
+		q.AckBatch(lease, want)
+		if owner, tasks := q.Held(lease); owner != "" || tasks != nil {
+			t.Fatalf("completed lease holds %q %v", owner, tasks)
+		}
+
+		q.Enqueue(Task{ID: "x"}, Task{ID: "y"})
+		short, _ := q.Lease("w2", 2, time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
+		if owner, tasks := q.Held(short); owner != "" || tasks != nil {
+			t.Fatalf("overdue lease holds %q %v", owner, tasks)
+		}
+		q.Expire(time.Now())
+		if owner, tasks := q.Held(short); owner != "" || tasks != nil {
+			t.Fatalf("expired lease holds %q %v", owner, tasks)
+		}
+		if owner, tasks := q.Held("no-such-lease"); owner != "" || tasks != nil {
+			t.Fatalf("unknown lease holds %q %v", owner, tasks)
+		}
+	})
+
 	t.Run("LeaseFilteredSkipsIneligible", func(t *testing.T) {
 		q := mk()
 		q.Enqueue(Task{ID: "a", Payload: "exact"})

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -86,6 +87,11 @@ type Queue interface {
 	// result path claims a whole posted results[] frame at once. Any
 	// true entry implies a heartbeat.
 	AckBatch(lease string, taskIDs []string) []bool
+	// Held reports what a live lease holds: its owner and its tasks not
+	// yet acked, in admission order. An unknown, completed or overdue
+	// lease holds nothing ("", nil). It reads the queue and changes
+	// nothing, so it neither heartbeats the lease nor expires it.
+	Held(lease string) (owner string, tasks []Task)
 	// Withdraw removes a pending (not leased) task, reporting whether
 	// it was found. Leased tasks cannot be withdrawn — their consumer
 	// resolves them via Ack or loses them to expiry.
@@ -334,6 +340,27 @@ func (q *memQueue) Heartbeat(lease string) bool {
 		l.deadline = now.Add(l.ttl)
 	}
 	return true
+}
+
+func (q *memQueue) Held(lease string) (string, []Task) {
+	now := time.Now()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	l, ok := q.leases[lease]
+	if !ok || (!l.deadline.IsZero() && !now.Before(l.deadline)) {
+		return "", nil
+	}
+	held := make([]*qtask, 0, len(l.tasks))
+	//dms:orderok collected tasks are sorted by admission seq below
+	for _, qt := range l.tasks {
+		held = append(held, qt)
+	}
+	slices.SortFunc(held, func(a, b *qtask) int { return cmp.Compare(a.seq, b.seq) })
+	tasks := make([]Task, len(held))
+	for i, qt := range held {
+		tasks[i] = qt.task
+	}
+	return l.owner, tasks
 }
 
 func (q *memQueue) Ack(lease, taskID string) bool {

@@ -398,6 +398,8 @@ func (w *WALQueue) LeaseFiltered(owner string, max int, ttl time.Duration, eligi
 
 func (w *WALQueue) Heartbeat(lease string) bool { return w.inner.Heartbeat(lease) }
 
+func (w *WALQueue) Held(lease string) (string, []Task) { return w.inner.Held(lease) }
+
 func (w *WALQueue) Expire(now time.Time) int { return w.inner.Expire(now) }
 
 func (w *WALQueue) Changed() <-chan struct{} { return w.inner.Changed() }

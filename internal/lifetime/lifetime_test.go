@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -22,7 +23,7 @@ func scheduleKernel(t testing.TB, name string, clusters int) *schedule.Schedule 
 	if clusters >= 2 {
 		ddg.InsertCopies(g, ddg.MaxUses)
 	}
-	s, _, err := core.Schedule(g, machine.Clustered(clusters), core.Options{})
+	s, _, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(clusters), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestLifetimesWithinQueueAreFIFO(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 50) {
 		g := ddg.FromLoop(l, machine.DefaultLatencies())
 		ddg.InsertCopies(g, ddg.MaxUses)
-		s, _, err := core.Schedule(g, machine.Clustered(4), core.Options{})
+		s, _, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(4), core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -208,7 +209,7 @@ func TestAllocationStatsAcrossMachines(t *testing.T) {
 
 func TestIMSAllocationWorksToo(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelSAXPY(), machine.DefaultLatencies())
-	s, _, err := ims.Schedule(g, machine.Unclustered(2), ims.Options{})
+	s, _, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(2), ims.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,3 +68,41 @@ func TestConfigErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadConfig feeds arbitrary bytes to ReadConfig, the decoder of
+// the machine descriptions a compile request carries. It must never
+// panic; every config it accepts must pass Validate, bounds included;
+// and every accepted config must round-trip through WriteConfig and
+// ReadConfig to an equal Machine.
+func FuzzReadConfig(f *testing.F) {
+	for _, m := range []*Machine{Clustered(4), Unclustered(7), ClusteredWithCopyFUs(8, 2)} {
+		var buf bytes.Buffer
+		if err := WriteConfig(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"clusters":64,"units_per_cluster":{"mem":64},"latencies":{"div":64}}`))
+	f.Add([]byte(`{"clusters":100000,"units_per_cluster":{"mem":1}}`))
+	f.Add([]byte(`{"name":"x","clusters":2,"units_per_cluster":{"mem":1,"mem":2},"latencies":{"load":0}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadConfig(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if verr := m.Validate(); verr != nil {
+			t.Fatalf("ReadConfig(%q) accepted an invalid machine: %v", data, verr)
+		}
+		var buf bytes.Buffer
+		if err := WriteConfig(&buf, m); err != nil {
+			t.Fatalf("WriteConfig(%+v): %v", m, err)
+		}
+		back, err := ReadConfig(&buf)
+		if err != nil {
+			t.Fatalf("ReadConfig refused its own output %q: %v", buf.Bytes(), err)
+		}
+		if *back != *m {
+			t.Fatalf("round trip changed the machine:\n%+v\n%+v", m, back)
+		}
+	})
+}

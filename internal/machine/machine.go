@@ -150,11 +150,29 @@ func DefaultLatencies() Latencies {
 // Of returns the latency of the class.
 func (l Latencies) Of(c OpClass) int { return l[c] }
 
-// Validate checks that every class has a positive latency.
+// Upper bounds on a machine description. A compile request describes
+// its own machine, and the schedulers size their tables by it — DMS
+// keeps chain paths for every ordered pair of clusters — so Validate
+// refuses a machine past these bounds before anything is allocated for
+// it. They sit far above the paper's evaluation, which stops at 10
+// clusters of one unit of each kind.
+const (
+	// MaxClusters bounds Machine.Clusters.
+	MaxClusters = 64
+	// MaxUnitsPerKind bounds each per-cluster functional unit count.
+	MaxUnitsPerKind = 64
+	// MaxLatency bounds the latency of every operation class.
+	MaxLatency = 64
+)
+
+// Validate checks that every class has a latency in [1, MaxLatency].
 func (l Latencies) Validate() error {
 	for c := OpClass(0); c < NumOpClasses; c++ {
 		if l[c] <= 0 {
 			return fmt.Errorf("machine: class %v has non-positive latency %d", c, l[c])
+		}
+		if l[c] > MaxLatency {
+			return fmt.Errorf("machine: class %v has latency %d, above the limit of %d", c, l[c], MaxLatency)
 		}
 	}
 	return nil
@@ -224,14 +242,21 @@ func New(name string, clusters int, perCluster [NumFUKinds]int, lat Latencies) *
 	return &Machine{Name: name, Clusters: clusters, PerCluster: perCluster, Lat: lat}
 }
 
-// Validate checks the structural invariants of the configuration.
+// Validate checks the structural invariants of the configuration and
+// the bounds MaxClusters, MaxUnitsPerKind and MaxLatency.
 func (m *Machine) Validate() error {
 	if m.Clusters < 1 {
 		return fmt.Errorf("machine %s: must have at least one cluster, got %d", m.Name, m.Clusters)
 	}
+	if m.Clusters > MaxClusters {
+		return fmt.Errorf("machine %s: %d clusters, above the limit of %d", m.Name, m.Clusters, MaxClusters)
+	}
 	for k := FUKind(0); int(k) < NumFUKinds; k++ {
 		if m.PerCluster[k] < 0 {
 			return fmt.Errorf("machine %s: negative %v unit count", m.Name, k)
+		}
+		if m.PerCluster[k] > MaxUnitsPerKind {
+			return fmt.Errorf("machine %s: %d %v units per cluster, above the limit of %d", m.Name, m.PerCluster[k], k, MaxUnitsPerKind)
 		}
 	}
 	if m.PerCluster[FUMem]+m.PerCluster[FUAdd]+m.PerCluster[FUMul] == 0 {

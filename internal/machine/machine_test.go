@@ -143,6 +143,23 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := neg.Validate(); err == nil {
 		t.Error("Validate() accepted negative unit count")
 	}
+
+	// The bounds: a machine at each limit passes, one past it fails.
+	atLimit := Clustered(MaxClusters)
+	atLimit.PerCluster[FUMem] = MaxUnitsPerKind
+	atLimit.Lat[Div] = MaxLatency
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("Validate() refused a machine at the limits: %v", err)
+	}
+	units := Clustered(2)
+	units.PerCluster[FUCopy] = MaxUnitsPerKind + 1
+	lat := Clustered(2)
+	lat.Lat[Mul] = MaxLatency + 1
+	for _, m := range []*Machine{Clustered(MaxClusters + 1), Clustered(100000), Unclustered(MaxUnitsPerKind + 1), units, lat} {
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: Validate() accepted a machine past the limits", m)
+		}
+	}
 }
 
 func TestCapacityBounds(t *testing.T) {

@@ -1,6 +1,7 @@
 package regpress
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ func TestAnalyzeSimpleChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := ddg.FromLoop(k, lat())
-	s, _, err := ims.Schedule(g, machine.Unclustered(1), ims.Options{})
+	s, _, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(1), ims.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestAnalyzeSimpleChain(t *testing.T) {
 
 func TestPortCounts(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelSAXPY(), lat())
-	s, _, err := ims.Schedule(g, machine.Unclustered(4), ims.Options{})
+	s, _, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(4), ims.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestClusteringDividesPressure(t *testing.T) {
 	clusters := 4
 	for _, l := range loops {
 		gU := ddg.FromLoop(l, lat())
-		sU, _, err := ims.Schedule(gU, machine.Unclustered(clusters), ims.Options{})
+		sU, _, err := ims.ScheduleCtx(context.Background(), gU, machine.Unclustered(clusters), ims.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestClusteringDividesPressure(t *testing.T) {
 
 		gC := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(gC, ddg.MaxUses)
-		sC, _, err := core.Schedule(gC, machine.Clustered(clusters), core.Options{})
+		sC, _, err := core.ScheduleCtx(context.Background(), gC, machine.Clustered(clusters), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestClusteringDividesPressure(t *testing.T) {
 
 	gC := ddg.FromLoop(loops[0], lat())
 	ddg.InsertCopies(gC, ddg.MaxUses)
-	sC, _, err := core.Schedule(gC, machine.Clustered(clusters), core.Options{})
+	sC, _, err := core.ScheduleCtx(context.Background(), gC, machine.Clustered(clusters), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestPressureNonNegativeAcrossMachines(t *testing.T) {
 			if c >= 2 {
 				ddg.InsertCopies(g, ddg.MaxUses)
 			}
-			s, _, err := core.Schedule(g, machine.Clustered(c), core.Options{})
+			s, _, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(c), core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

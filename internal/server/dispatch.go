@@ -51,8 +51,12 @@ var errLeaseExpired = errors.New("server: lease expired")
 // pullers (standalone) or worker processes (Distribute) lease from —
 // remote leases come in chunks routed by the units' content hashes,
 // with work stealing (see jobs.Queue) — and appends the results to
-// each batch's job. A unit is resolved exactly once (see postResults):
-// a result raced by a lease expiry is never double-appended.
+// each batch's job. The queue is the one record of which units are
+// live and which lease holds them: each task carries its unit as
+// payload, and a unit is resolved exactly once, by the queue ack of
+// its result (see postResults), so a result raced by a lease expiry,
+// or posted under a lease that does not hold the unit, is never
+// appended.
 type dispatcher struct {
 	q        jobs.Queue
 	cache    *Cache
@@ -66,25 +70,17 @@ type dispatcher struct {
 	jobErrors atomic.Int64
 	portfolio portfolioAgg
 
-	mu         sync.Mutex
-	units      map[string]*unit        // live (pending or leased) units by ID
-	leases     map[string]*leaseState  // lease → units handed out under it
-	workers    map[string]*workerState // per-worker dispatch gauges, keyed by worker ID
-	dispatched uint64
-	resolved   uint64
+	dispatched atomic.Uint64 // units queued
+	resolved   atomic.Uint64 // units acked off the queue or withdrawn from it
 
-	closed   bool        // Close has begun; guarded by mu
+	mu      sync.Mutex
+	workers map[string]*workerState // per-worker dispatch gauges, keyed by worker ID
+	closed  bool                    // Close has begun
+
 	shutdown atomic.Bool // process exiting: leave canceled batches for a restart
 
 	stop chan struct{}
 	wg   sync.WaitGroup // janitor, pullers, batches being queued
-}
-
-// leaseState records what one live lease holds and which worker holds
-// it, so a results post can be attributed back to the worker's gauges.
-type leaseState struct {
-	worker string
-	units  []string // unit IDs handed out under this lease
 }
 
 // workerState is the dispatch table row of one worker: what it
@@ -193,8 +189,6 @@ func newDispatcher(cache *Cache, durable *durableState, opt Options) *dispatcher
 		pullers:  pullers,
 		perBatch: int32((pullers + 1) / 2),
 		ttl:      ttl,
-		units:    make(map[string]*unit),
-		leases:   make(map[string]*leaseState),
 		workers:  make(map[string]*workerState),
 		stop:     make(chan struct{}),
 	}
@@ -269,8 +263,8 @@ func claim(tasks []jobs.Task) []*unit {
 
 // janitor sweeps overdue leases while no worker traffic is driving the
 // lazy expiry, so a crashed worker's units requeue even on an
-// otherwise idle coordinator, and prunes resolved units out of the
-// lease index.
+// otherwise idle coordinator, and prunes worker rows that have gone
+// quiet.
 func (d *dispatcher) janitor() {
 	defer d.wg.Done()
 	interval := d.ttl / 4
@@ -285,20 +279,6 @@ func (d *dispatcher) janitor() {
 			now := time.Now()
 			d.q.Expire(now)
 			d.mu.Lock()
-			//dms:orderok janitor prune: each lease entry is filtered independently
-			for id, ls := range d.leases {
-				kept := ls.units[:0]
-				for _, uid := range ls.units {
-					if _, live := d.units[uid]; live {
-						kept = append(kept, uid)
-					}
-				}
-				if len(kept) == 0 {
-					delete(d.leases, id)
-				} else {
-					ls.units = kept
-				}
-			}
 			// Drop worker rows that have gone quiet for many TTLs: the
 			// gauge table tracks the current fleet, not its whole history.
 			//dms:orderok janitor prune: each worker row is aged independently
@@ -444,17 +424,14 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, done []bool
 			t.Hash = u.key
 		}
 		b.units = append(b.units, u)
-		// The unit is registered before it is queued, so it can be
-		// claimed the moment it is. The unit queue is unbounded —
-		// admission control already happened at the engine — and unit
-		// IDs are unique, so Enqueue cannot fail.
-		d.mu.Lock()
-		d.units[u.id] = u
+		// Counted before it is queued, so resolved never runs ahead of
+		// dispatched. The unit queue is unbounded — admission control
+		// already happened at the engine — and unit IDs are unique, so
+		// Enqueue cannot fail.
+		d.dispatched.Add(1)
 		if err := d.q.Enqueue(t); err != nil {
 			panic(fmt.Sprintf("server: unit enqueue failed: %v", err))
 		}
-		d.dispatched++
-		d.mu.Unlock()
 	}
 }
 
@@ -484,14 +461,11 @@ func (d *dispatcher) cancelBatch(b *dispatchBatch) {
 	if closed || d.shutdown.Load() {
 		return
 	}
-	d.mu.Lock()
 	for _, u := range b.units {
 		if d.q.Withdraw(u.id) {
-			delete(d.units, u.id)
-			d.resolved++
+			d.resolved.Add(1)
 		}
 	}
-	d.mu.Unlock()
 	if d.durable != nil {
 		d.durable.recordCanceled(b.job)
 	}
@@ -502,8 +476,7 @@ func (d *dispatcher) cancelBatch(b *dispatchBatch) {
 // for it: nil when the worker takes anything (no advertisement), else
 // a closure over a snapshot of the advertisement and the fleet's
 // current coverage — deliberately lock-free, because the queue invokes
-// it under its own lock and the dispatcher's lock order is d.mu before
-// q.mu.
+// it under its own lock.
 func (d *dispatcher) noteWorker(req api.LeaseRequest, granted int) func(jobs.Task) bool {
 	now := time.Now()
 	d.mu.Lock()
@@ -584,14 +557,9 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 		if len(tasks) > 0 {
 			claimed := claim(tasks)
 			units := make([]api.WorkUnit, len(claimed))
-			ids := make([]string, len(claimed))
 			for i, u := range claimed {
 				units[i] = u.wireForm()
-				ids[i] = u.id
 			}
-			d.mu.Lock()
-			d.leases[id] = &leaseState{worker: req.Worker, units: ids}
-			d.mu.Unlock()
 			// Remaining reports the backlog left after this lease was
 			// carved out: the input to the worker's next chunk decision.
 			remaining := d.q.Stats().Pending
@@ -622,84 +590,76 @@ func (d *dispatcher) lease(ctx context.Context, req api.LeaseRequest, wait time.
 
 // postResults applies one worker post — a batch of zero or more unit
 // results under a live lease; an empty post is a pure heartbeat. The
-// first result posted for a live unit resolves it (exactly once: the
-// claim is removing the unit from d.units, so a result raced by expiry
-// and a re-lease is discarded, never double-emitted), and only then
-// are the units acked off the queue, in one batch. A unit's result
-// record in its segment is what makes it resolved across a restart;
-// the ack only frees the queue. It returns errLeaseExpired when the
-// lease itself is no longer honored. The response lists the lease's
-// still-outstanding units whose batch has been canceled, so the worker
-// skips them. stored reports that CompileRecord already stored the
-// results in the dispatcher's cache, as it does for an in-process
-// puller; a remote worker's results are stored here.
-func (d *dispatcher) postResults(lease string, results []api.UnitResult, stored bool) (*api.WorkResultsResponse, error) {
+// queue ack is the claim: the posted units are acked in one batch
+// before anything is settled, and only the results the lease could
+// ack are settled, each exactly once. A result raced by expiry and a
+// re-lease, or naming a unit another lease holds, is discarded, never
+// appended. The units, and the worker the gauges credit, are read from
+// the queue's own record of the lease (jobs.Queue.Held). Acked first,
+// a unit's result record in its segment is what then makes it
+// resolved across a restart. It returns errLeaseExpired when the lease
+// itself is no longer honored. The response lists the lease's
+// still-held units whose batch has been canceled, so the worker skips
+// them. local marks a post by an in-process puller: CompileRecord
+// already stored its result in the dispatcher's cache, and it feeds no
+// worker gauge; a remote worker's results are stored here.
+func (d *dispatcher) postResults(lease string, results []api.UnitResult, local bool) (*api.WorkResultsResponse, error) {
 	if !d.q.Heartbeat(lease) {
-		d.mu.Lock()
-		delete(d.leases, lease)
-		d.mu.Unlock()
 		return nil, errLeaseExpired
 	}
+	owner, held := d.q.Held(lease)
 	resp := &api.WorkResultsResponse{}
-	// One pass under d.mu claims every live unit and attributes it to
-	// the posting worker's gauges; the batch resolution (cache adds and
-	// job appends) runs outside the lock in post order, one settle —
-	// one segment write on a durable store — per batch.
 	var done []resolvedUnit
-	d.mu.Lock()
-	var ws *workerState
-	if ls := d.leases[lease]; ls != nil {
-		ws = d.workers[ls.worker]
-	}
-	now := time.Now()
-	ids := make([]string, len(results))
-	for i, ur := range results {
-		ids[i] = ur.Unit
-		u := d.units[ur.Unit]
-		delete(d.units, ur.Unit)
-		if u == nil {
-			continue
+	if len(results) > 0 {
+		ids := make([]string, len(results))
+		for i, ur := range results {
+			ids[i] = ur.Unit
 		}
-		d.resolved++
-		resp.Acked++
-		if ws != nil {
-			ws.lastSeen = now
-			ws.resolved++
-			if ur.Result.Cached {
-				ws.cached++
-			}
-		}
-		done = append(done, resolvedUnit{u, ur.Result})
-	}
-	d.mu.Unlock()
-	d.resolve(done, stored)
-	if len(ids) > 0 {
-		d.q.AckBatch(lease, ids)
-	}
-	d.mu.Lock()
-	if ls := d.leases[lease]; ls != nil {
-		kept := ls.units[:0]
-		for _, uid := range ls.units {
-			u, live := d.units[uid]
-			if !live {
+		for i, ok := range d.q.AckBatch(lease, ids) {
+			if !ok {
 				continue
 			}
-			kept = append(kept, uid)
-			u.batch.mu.Lock() //dms:lockok established lock order: dispatcher.mu before batch.mu
-			closed := u.batch.closed
-			u.batch.mu.Unlock()
-			if closed {
-				resp.Canceled = append(resp.Canceled, uid)
-			}
+			// A task the lease acked was among those it held: a lease
+			// never gains tasks after it is granted.
+			k := slices.IndexFunc(held, func(t jobs.Task) bool { return t.ID == ids[i] })
+			done = append(done, resolvedUnit{held[k].Payload.(*unit), results[i].Result})
+			held = slices.Delete(held, k, k+1)
 		}
-		if len(kept) == 0 {
-			delete(d.leases, lease)
-		} else {
-			ls.units = kept
+		resp.Acked = len(done)
+		d.resolved.Add(uint64(len(done)))
+		if !local && len(done) > 0 {
+			d.credit(owner, done)
+		}
+		d.resolve(done, local)
+	}
+	for _, t := range held {
+		u := t.Payload.(*unit)
+		u.batch.mu.Lock()
+		closed := u.batch.closed
+		u.batch.mu.Unlock()
+		if closed {
+			resp.Canceled = append(resp.Canceled, u.id)
 		}
 	}
-	d.mu.Unlock()
 	return resp, nil
+}
+
+// credit attributes the units a worker resolved to its gauge row, if
+// the row has not been pruned.
+func (d *dispatcher) credit(worker string, done []resolvedUnit) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	ws := d.workers[worker]
+	if ws == nil {
+		return
+	}
+	ws.lastSeen = time.Now()
+	for _, r := range done {
+		ws.resolved++
+		if r.rec.Cached {
+			ws.cached++
+		}
+	}
 }
 
 // resolvedUnit is one unit a results post resolved, with its result.
@@ -801,8 +761,8 @@ func (d *dispatcher) Metrics() api.DispatchMetrics {
 		PendingUnits: qs.Pending,
 		LeasedUnits:  qs.Leased,
 		ActiveLeases: qs.Leases,
-		Dispatched:   d.dispatched,
-		Resolved:     d.resolved,
+		Dispatched:   d.dispatched.Load(),
+		Resolved:     d.resolved.Load(),
 		Requeued:     qs.Requeued,
 		Workers:      workers,
 	}

@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -572,10 +571,9 @@ func TestDurableRecoveryIncompleteBatchCanceled(t *testing.T) {
 	}
 }
 
-// TestDurableRecoveryCompletedJobSettles: a previous-format buffer
-// covering all n indices re-registers as done even when the queue log
-// still holds a unit for it (a result whose ack frame was lost) — the
-// stale unit is dropped, not re-dispatched.
+// TestDurableRecoveryCompletedJobSettles: a segment whose records
+// cover all n indices re-registers as done, even under a record that
+// carries no request: nothing is left to queue.
 func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 	dir := t.TempDir()
 	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
@@ -587,14 +585,6 @@ func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.Close()
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Enqueue(jobs.Task{ID: "ghost/0", Hash: "h", Payload: api.WorkUnit{ID: "ghost/0"}}); err != nil {
-		t.Fatal(err)
-	}
-	wal.Close()
 
 	svc, err := Open(Options{DataDir: dir, Distribute: true})
 	if err != nil {
@@ -609,10 +599,10 @@ func TestDurableRecoveryCompletedJobSettles(t *testing.T) {
 		t.Fatalf("completed job = %+v, want done", snap)
 	}
 	if dm := svc.Snapshot().Dispatch; dm.PendingUnits != 0 || dm.LeasedUnits != 0 {
-		t.Fatalf("stale unit survived settlement: %+v", dm)
+		t.Fatalf("completed job queued units: %+v", dm)
 	}
-	if m := svc.Snapshot().Durability; m.RecoveredTasks != 1 {
-		t.Fatalf("durability = %+v, want 1 recovered task", m)
+	if m := svc.Snapshot().Durability; m.RecoveredTasks != 0 {
+		t.Fatalf("durability = %+v, want no recovered task", m)
 	}
 }
 
@@ -638,75 +628,6 @@ func TestDurableRecoverySegmentWithoutMeta(t *testing.T) {
 	}
 	if _, ok := svc.durable.store.Get("orphan"); ok {
 		t.Fatal("metaless segment kept in the store")
-	}
-}
-
-// TestDurableParentFormatResumes: a data dir written by the previous
-// format — a segment whose record holds only n, and the batch's
-// unresolved units in a queue/ write-ahead log — still recovers. The
-// units are read once and queued through the submit path, the batch
-// resumes to results byte-identical to driver.CompileAll, and queue/
-// is removed.
-func TestDurableParentFormatResumes(t *testing.T) {
-	dir := t.TempDir()
-	req := api.CompileRequest{
-		Loops:      goldenLoops(t)[:3],
-		Machines:   []api.MachineSpec{{Clusters: 2}},
-		Schedulers: []string{"dms"},
-	}
-	njobs := req.Jobs()
-	want := directRecords(t, req, []*machine.Machine{machine.Clustered(2)})
-	jobList, err := New(Options{}).buildJobs(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "parentjob"
-
-	ds, err := jobs.NewDiskStore(filepath.Join(dir, "results"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := ds.Create(id)
-	if err := ds.SetMeta(id, []byte(`{"n":3}`)); err != nil {
-		t.Fatal(err)
-	}
-	var first api.JobResult
-	if err := json.Unmarshal([]byte(want[0]), &first); err != nil {
-		t.Fatal(err)
-	}
-	buf.Append(first)
-	ds.Close()
-	wal, err := jobs.NewWALQueue(jobs.NewMemQueue(), filepath.Join(dir, "queue"), jobs.WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := newKeyer()
-	for i := 1; i < njobs; i++ {
-		u := &unit{id: id + "/" + strconv.Itoa(i), key: keys.key(jobList[i]), job: jobList[i], index: i}
-		if err := wal.Enqueue(jobs.Task{ID: u.id, Payload: u.wireForm()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wal.Close()
-
-	svc, ts := openDurableServer(t, Options{DataDir: dir})
-	t.Cleanup(ts.Close)
-	t.Cleanup(svc.Close)
-	noQueueDir(t, dir)
-	if m := svc.Snapshot().Durability; m == nil || m.RecoveredTasks != njobs-1 || m.RecoveredBuffers != 1 {
-		t.Fatalf("durability = %+v, want %d tasks, 1 buffer", m, njobs-1)
-	}
-	done := waitJob(t, ts.URL, id)
-	if done.State != api.JobDone || done.Done != njobs || done.Errors != 0 {
-		t.Fatalf("resumed job = %+v", done)
-	}
-	recs, _ := readResults(t, ts.URL, id, 0, 0)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
-	for i, rec := range recs {
-		rec.Cached = false
-		if g := marshal(t, rec); g != want[i] {
-			t.Errorf("resumed record %d diverges:\n got %s\nwant %s", i, g, want[i])
-		}
 	}
 }
 
@@ -798,10 +719,12 @@ func TestDurableRecoveryQueuesInAdmissionOrder(t *testing.T) {
 	}
 	var got []string
 	for _, u := range lease.Units {
-		jobID, _, ok := splitUnitID(u.ID)
-		if !ok {
+		// A unit ID is "<job ID>/<index>".
+		k := strings.LastIndexByte(u.ID, '/')
+		if k <= 0 {
 			t.Fatalf("unit ID %q", u.ID)
 		}
+		jobID := u.ID[:k]
 		if len(got) == 0 || got[len(got)-1] != jobID {
 			got = append(got, jobID)
 		}

@@ -297,10 +297,7 @@ func Open(opt Options) (*Server, error) {
 	}
 	s.dispatch = newDispatcher(cache, durable, opt)
 	if durable != nil {
-		if err := s.recoverDurable(opt.DataDir); err != nil {
-			s.Close()
-			return nil, err
-		}
+		s.recoverDurable()
 	}
 	s.dispatch.startPullers()
 	return s, nil
@@ -381,10 +378,15 @@ func (ms machineSpec) machine() (*machine.Machine, error) {
 	if ms.Clusters < 1 {
 		return nil, fmt.Errorf("machine needs clusters >= 1 or a config")
 	}
+	build := machine.Clustered
 	if ms.Unclustered {
-		return machine.Unclustered(ms.Clusters), nil
+		build = machine.Unclustered
 	}
-	return machine.Clustered(ms.Clusters), nil
+	m := build(ms.Clusters)
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // machineSpec gives the wire type the machine-resolution method; the

@@ -841,6 +841,11 @@ func TestServerRequestValidation(t *testing.T) {
 		{"unknown scheduler", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"clusters":2}],"schedulers":["nope"]}`, api.CodeUnknownScheduler},
 		{"bad machine", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"clusters":0}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
 		{"bad machine config", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"config":{"clusters":0}}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
+		{"too many clusters", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"clusters":100000}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
+		{"too many unclustered units", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"clusters":65,"unclustered":true}],"schedulers":["ims"]}`, api.CodeInvalidRequest},
+		{"too many config clusters", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"config":{"clusters":65,"units_per_cluster":{"mem":1}}}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
+		{"too many config units", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"config":{"clusters":2,"units_per_cluster":{"mem":65}}}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
+		{"too long a latency", `{"loops":["loop a trip 1\nx = load\n"],"machines":[{"config":{"clusters":2,"units_per_cluster":{"mem":1},"latencies":{"load":65}}}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
 		{"unknown field", `{"loop_texts":["x"],"machines":[{"clusters":2}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
 		{"future protocol", `{"protocol":"v9","loops":["loop a trip 1\nx = load\n"],"machines":[{"clusters":2}],"schedulers":["dms"]}`, api.CodeInvalidRequest},
 	}

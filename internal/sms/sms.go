@@ -39,23 +39,20 @@ type Stats struct {
 	// Forward / Backward count placements by scan direction.
 	Forward, Backward int
 	// Promotions counts ordering repairs for structurally stuck nodes
-	// (see Schedule).
+	// (see ScheduleCtx).
 	Promotions int
 	// FellBack reports that SMS proper failed at every candidate II
 	// and the schedule comes from the IMS fallback.
 	FellBack bool
 }
 
-// Schedule modulo-schedules the graph on an unclustered machine with
+// ScheduleCtx modulo-schedules the graph on an unclustered machine with
 // SMS. The graph is not modified.
-func Schedule(g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
-	return ScheduleCtx(context.Background(), g, m, opt) //dms:ctxok documented ctx-less compatibility wrapper around ScheduleCtx
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: ctx is checked
-// before every candidate-II attempt (including the promotion retries,
-// so a canceled context aborts within one attempt) and is forwarded to
-// the IMS fallback. The returned error wraps ctx.Err().
+//
+// Cancellation is cooperative: ctx is checked before every
+// candidate-II attempt (including the promotion retries, so a canceled
+// context aborts within one attempt) and is forwarded to the IMS
+// fallback. The returned error wraps ctx.Err().
 func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	var st Stats
 	if m.Clusters != 1 {

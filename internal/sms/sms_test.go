@@ -1,6 +1,7 @@
 package sms
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ddg"
@@ -18,7 +19,7 @@ func TestScheduleKernels(t *testing.T) {
 		for _, width := range []int{1, 2, 4, 8} {
 			g := ddg.FromLoop(k, lat())
 			m := machine.Unclustered(width)
-			s, st, err := Schedule(g, m, Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", k.Name, width, err)
 			}
@@ -36,7 +37,7 @@ func TestScheduleCorpusSample(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 100) {
 		g := ddg.FromLoop(l, lat())
 		m := machine.Unclustered(3)
-		s, st, err := Schedule(g, m, Options{})
+		s, st, err := ScheduleCtx(context.Background(), g, m, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -52,7 +53,7 @@ func TestScheduleCorpusSample(t *testing.T) {
 
 func TestRejectsClusteredMachine(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelDot(), lat())
-	if _, _, err := Schedule(g, machine.Clustered(2), Options{}); err == nil {
+	if _, _, err := ScheduleCtx(context.Background(), g, machine.Clustered(2), Options{}); err == nil {
 		t.Fatal("clustered machine accepted")
 	}
 }
@@ -61,7 +62,7 @@ func TestBackwardScansHappen(t *testing.T) {
 	total := Stats{}
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 60) {
 		g := ddg.FromLoop(l, lat())
-		_, st, err := Schedule(g, machine.Unclustered(3), Options{})
+		_, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(3), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +83,11 @@ func TestCompetitiveIIAndLowerPressure(t *testing.T) {
 	var smsLives, imsLives int
 	for _, l := range loops {
 		g := ddg.FromLoop(l, lat())
-		sIMS, stIMS, err := ims.Schedule(g, m, ims.Options{})
+		sIMS, stIMS, err := ims.ScheduleCtx(context.Background(), g, m, ims.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sSMS, stSMS, err := Schedule(g, m, Options{})
+		sSMS, stSMS, err := ScheduleCtx(context.Background(), g, m, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

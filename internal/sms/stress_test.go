@@ -1,6 +1,7 @@
 package sms
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ddg"
@@ -21,7 +22,7 @@ func TestStressFullCorpus(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, perfect.CorpusSize) {
 		for _, w := range []int{1, 2, 5, 10} {
 			g := ddg.FromLoop(l, lat())
-			s, st, err := Schedule(g, machine.Unclustered(w), Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, machine.Unclustered(w), Options{})
 			if err != nil {
 				t.Fatalf("%s width %d: %v", l.Name, w, err)
 			}

@@ -84,16 +84,13 @@ type Stats struct {
 	CommCost int
 }
 
-// Schedule runs the two-phase baseline. The input graph is cloned;
+// ScheduleCtx runs the two-phase baseline. The input graph is cloned;
 // the returned schedule references the clone with its static moves.
-func Schedule(g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
-	return ScheduleCtx(context.Background(), g, m, opt) //dms:ctxok documented ctx-less compatibility wrapper around ScheduleCtx
-}
-
-// ScheduleCtx is Schedule with cooperative cancellation: the II search
-// checks ctx between candidate IIs and periodically inside each
-// attempt's budget loop, so a canceled context aborts within one
-// candidate II. The returned error wraps ctx.Err().
+//
+// Cancellation is cooperative: the II search checks ctx between
+// candidate IIs and periodically inside each attempt's budget loop, so
+// a canceled context aborts within one candidate II. The returned
+// error wraps ctx.Err().
 func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Options) (*schedule.Schedule, Stats, error) {
 	var st Stats
 	if err := m.Validate(); err != nil {

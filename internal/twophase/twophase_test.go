@@ -1,6 +1,7 @@
 package twophase
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ func TestScheduleKernels(t *testing.T) {
 			if c >= 2 {
 				ddg.InsertCopies(g, ddg.MaxUses)
 			}
-			s, st, err := Schedule(g, machine.Clustered(c), Options{})
+			s, st, err := ScheduleCtx(context.Background(), g, machine.Clustered(c), Options{})
 			if err != nil {
 				t.Fatalf("%s on %d clusters: %v", k.Name, c, err)
 			}
@@ -89,7 +90,7 @@ func TestRoutedGraphHasNoFarEdges(t *testing.T) {
 		g := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g, ddg.MaxUses)
 		m := machine.Clustered(8)
-		s, _, err := Schedule(g.Clone(), m, Options{})
+		s, _, err := ScheduleCtx(context.Background(), g.Clone(), m, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", l.Name, err)
 		}
@@ -106,7 +107,7 @@ func TestSemanticsPreserved(t *testing.T) {
 		trip := 20
 		gold := vliw.NewReference(ddg.FromLoop(k, lat()), trip).StoreTrace()
 		g := clusteredGraph(t, name, 6)
-		s, _, err := Schedule(g, machine.Clustered(6), Options{})
+		s, _, err := ScheduleCtx(context.Background(), g, machine.Clustered(6), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -137,13 +138,13 @@ func TestTwoPhaseLosesToDMS(t *testing.T) {
 		m := machine.Clustered(6)
 		g1 := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g1, ddg.MaxUses)
-		_, dmsStats, err := core.Schedule(g1, m, core.Options{})
+		_, dmsStats, err := core.ScheduleCtx(context.Background(), g1, m, core.Options{})
 		if err != nil {
 			t.Fatalf("%s dms: %v", l.Name, err)
 		}
 		g2 := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g2, ddg.MaxUses)
-		_, tpStats, err := Schedule(g2, m, Options{})
+		_, tpStats, err := ScheduleCtx(context.Background(), g2, m, Options{})
 		if err != nil {
 			t.Fatalf("%s twophase: %v", l.Name, err)
 		}
@@ -166,7 +167,7 @@ func TestTwoPhaseLosesToDMS(t *testing.T) {
 
 func TestStatsAndCommCost(t *testing.T) {
 	g := clusteredGraph(t, "cmul", 8)
-	_, st, err := Schedule(g, machine.Clustered(8), Options{})
+	_, st, err := ScheduleCtx(context.Background(), g, machine.Clustered(8), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vliw
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -78,9 +79,9 @@ func pipeline(t testing.TB, l *loop.Loop, clusters int, clustered bool, trip int
 		if clusters >= 2 {
 			ddg.InsertCopies(g, ddg.MaxUses)
 		}
-		s, _, err = core.Schedule(g, machine.Clustered(clusters), core.Options{})
+		s, _, err = core.ScheduleCtx(context.Background(), g, machine.Clustered(clusters), core.Options{})
 	} else {
-		s, _, err = ims.Schedule(g, machine.Unclustered(clusters), ims.Options{})
+		s, _, err = ims.ScheduleCtx(context.Background(), g, machine.Unclustered(clusters), ims.Options{})
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", l.Name, err)
@@ -165,7 +166,7 @@ func TestObservedDepthWithinAnalyticBound(t *testing.T) {
 	for _, l := range perfect.CorpusN(perfect.DefaultSeed, 30) {
 		g := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g, ddg.MaxUses)
-		s, _, err := core.Schedule(g, machine.Clustered(4), core.Options{})
+		s, _, err := core.ScheduleCtx(context.Background(), g, machine.Clustered(4), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestSimulateCatchesCrossedQueues(t *testing.T) {
 
 func TestSimulateRejectsBadInput(t *testing.T) {
 	g := ddg.FromLoop(perfect.KernelDot(), lat())
-	s, _, err := ims.Schedule(g, machine.Unclustered(1), ims.Options{})
+	s, _, err := ims.ScheduleCtx(context.Background(), g, machine.Unclustered(1), ims.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -486,5 +488,156 @@ func TestWorkerLeaseExpiredPostRejected(t *testing.T) {
 	}
 	if release.Units[0].ID != lease.Units[0].ID {
 		t.Errorf("requeued unit %q, want %q", release.Units[0].ID, lease.Units[0].ID)
+	}
+}
+
+// compileWire compiles one leased wire unit the way a worker does and
+// returns its result record.
+func compileWire(t *testing.T, u api.WorkUnit) api.JobResult {
+	t.Helper()
+	job, err := server.UnitJob(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := driver.CompileAll(context.Background(), []driver.Job{job}, driver.BatchOptions{})[0]
+	if res.Err != nil {
+		t.Fatalf("unit %s: %v", u.ID, res.Err)
+	}
+	return server.Record(res)
+}
+
+// TestWorkerForeignUnitPostRejected: only the coordinator-side ack of
+// the lease that holds a unit resolves it. A post under live lease A
+// naming the unit lease B holds is acked by nothing and settles
+// nothing; when B posts its real result, the job's stream is
+// byte-identical to direct driver.CompileAll.
+func TestWorkerForeignUnitPostRejected(t *testing.T) {
+	svc, ts := newCoordinator(t, server.Options{})
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:2],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+		NoCache:    true,
+	}
+	want := directRecords(t, req, []*machine.Machine{machine.Clustered(2)})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cli := dmsclient.New(ts.URL)
+	job, err := cli.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaseOne := func(worker string) *api.Lease {
+		t.Helper()
+		l, err := cli.LeaseWork(ctx, api.LeaseRequest{Worker: worker, MaxUnits: 1, WaitMS: 5000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.ID == "" || len(l.Units) != 1 {
+			t.Fatalf("lease for %s = %+v, want one unit", worker, l)
+		}
+		return l
+	}
+	a, b := leaseOne("a"), leaseOne("b")
+
+	before := svc.Snapshot().Dispatch.Resolved
+	resp, err := cli.PushWorkResults(ctx, a.ID, []api.UnitResult{{
+		Unit:   b.Units[0].ID,
+		Result: api.JobResult{Job: "forged", Error: "forged", ErrorCode: api.CodeInternal},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Acked != 0 {
+		t.Fatalf("post naming another lease's unit: acked %d, want 0", resp.Acked)
+	}
+	if got := svc.Snapshot().Dispatch.Resolved; got != before {
+		t.Fatalf("dispatch.resolved %d -> %d after a foreign post", before, got)
+	}
+
+	for _, l := range []*api.Lease{b, a} {
+		resp, err := cli.PushWorkResults(ctx, l.ID, []api.UnitResult{{Unit: l.Units[0].ID, Result: compileWire(t, l.Units[0])}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Acked != 1 {
+			t.Fatalf("real post under lease %s: acked %d, want 1", l.ID, resp.Acked)
+		}
+	}
+	if done, err := cli.Wait(ctx, job.ID); err != nil || done.State != api.JobDone {
+		t.Fatalf("job = %+v, %v; want done", done, err)
+	}
+	recs, _, err := cli.ResultsAll(ctx, job.ID, len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Index < recs[j].Index })
+	compareRecords(t, recs, want)
+}
+
+// TestWorkerCanceledListReleasesLease: once the client cancels a job
+// whose units a worker holds, a heartbeat post lists those units in
+// canceled; posting canceled results for them acks them, and the job
+// stays canceled with no record appended.
+func TestWorkerCanceledListReleasesLease(t *testing.T) {
+	svc, ts := newCoordinator(t, server.Options{})
+	req := api.CompileRequest{
+		Loops:      goldenLoops(t)[:2],
+		Machines:   []api.MachineSpec{{Clusters: 2}},
+		Schedulers: []string{"dms"},
+		NoCache:    true,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cli := dmsclient.New(ts.URL)
+	job, err := cli.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease, err := cli.LeaseWork(ctx, api.LeaseRequest{Worker: "w", MaxUnits: 8, WaitMS: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lease.Units) != req.Jobs() {
+		t.Fatalf("lease holds %d units, want %d", len(lease.Units), req.Jobs())
+	}
+	if c, err := cli.Cancel(ctx, job.ID); err != nil || c.State != api.JobCanceled {
+		t.Fatalf("cancel = %+v, %v", c, err)
+	}
+
+	hb, err := cli.PushWorkResults(ctx, lease.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []string
+	for _, u := range lease.Units {
+		held = append(held, u.ID)
+	}
+	if hb.Acked != 0 || !slices.Equal(hb.Canceled, held) {
+		t.Fatalf("heartbeat = %+v, want canceled %v", hb, held)
+	}
+
+	results := make([]api.UnitResult, len(lease.Units))
+	for i, u := range lease.Units {
+		results[i] = api.UnitResult{Unit: u.ID, Result: api.JobResult{
+			Job: u.Scheduler, Error: "canceled by coordinator", ErrorCode: api.CodeCanceled,
+		}}
+	}
+	resp, err := cli.PushWorkResults(ctx, lease.ID, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Acked != len(results) || len(resp.Canceled) != 0 {
+		t.Fatalf("canceled post = %+v, want %d acked and none left", resp, len(results))
+	}
+	got, err := cli.Job(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != api.JobCanceled || got.Done != 0 {
+		t.Fatalf("job after the canceled post = %+v, want canceled with no record", got)
+	}
+	if dm := svc.Snapshot().Dispatch; dm.LeasedUnits != 0 || dm.ActiveLeases != 0 {
+		t.Fatalf("lease not released: %+v", dm)
 	}
 }
