@@ -105,13 +105,7 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 		return nil, st, err
 	}
 	st.MII = mii
-	maxII := opt.MaxII
-	if maxII <= 0 {
-		maxII = ims.MaxIIBound(g)
-	}
-	if maxII < mii {
-		maxII = mii
-	}
+	maxII := ims.MaxII(g, mii, opt.MaxII)
 	work := g.Clone()
 	snap := work.Snapshot()
 	w := &worker{

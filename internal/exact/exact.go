@@ -47,6 +47,7 @@ import (
 	"sync"
 
 	"repro/internal/ddg"
+	"repro/internal/ims"
 	"repro/internal/machine"
 	"repro/internal/sat"
 	"repro/internal/schedule"
@@ -80,14 +81,6 @@ type Stats struct {
 	Propagations int64
 }
 
-// MaxIIBound returns the default MaxII for a graph, mirroring IMS: a
-// sequential-schedule II at which scheduling is trivially feasible.
-func MaxIIBound(g *ddg.Graph) int {
-	sum := g.NumNodes()
-	g.Edges(func(e ddg.Edge) { sum += e.Delay })
-	return sum
-}
-
 // ScheduleCtx finds a provably optimal modulo schedule of the graph on
 // an unclustered machine (m.Clusters must be 1). The graph is not
 // modified. Cancellation is cooperative: the II search checks ctx
@@ -108,13 +101,7 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 		return nil, st, err
 	}
 	st.MII = mii
-	maxII := opt.MaxII
-	if maxII <= 0 {
-		maxII = MaxIIBound(g)
-	}
-	if maxII < mii {
-		maxII = mii
-	}
+	maxII := ims.MaxII(g, mii, opt.MaxII)
 	enc := newEncoder(g, m)
 	defer solvers.Put(enc.s)
 	for ii := mii; ii <= maxII; ii++ {

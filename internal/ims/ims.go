@@ -11,6 +11,12 @@
 // (forced) and conflicting operations are unscheduled and retried. A
 // budget bounds the total number of placements; when it is exhausted,
 // II is incremented and scheduling restarts.
+//
+// Search is that II search with each operation pinned to a cluster.
+// It is the repo's one budgeted iterative modulo scheduler outside
+// DMS: ScheduleCtx runs it with every operation in cluster 0, and the
+// partition-first baseline (internal/twophase) runs it with its routed
+// cluster assignment.
 package ims
 
 import (
@@ -39,13 +45,6 @@ type Options struct {
 	MaxII int
 }
 
-func (o Options) budgetRatio() int {
-	if o.BudgetRatio <= 0 {
-		return DefaultBudgetRatio
-	}
-	return o.BudgetRatio
-}
-
 // Stats reports how the scheduler worked.
 type Stats struct {
 	MII        int // lower bound it started from
@@ -61,6 +60,16 @@ func MaxIIBound(g *ddg.Graph) int {
 	sum := g.NumNodes()
 	g.Edges(func(e ddg.Edge) { sum += e.Delay })
 	return sum
+}
+
+// MaxII is the candidate-II ceiling every II search applies: the
+// requested cap when positive, MaxIIBound(g) otherwise, and never
+// below mii.
+func MaxII(g *ddg.Graph, mii, requested int) int {
+	if requested <= 0 {
+		requested = MaxIIBound(g)
+	}
+	return max(requested, mii)
 }
 
 // ScheduleCtx modulo-schedules the graph on an unclustered machine
@@ -85,35 +94,9 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 		return nil, st, err
 	}
 	st.MII = mii
-	maxII := opt.MaxII
-	if maxII <= 0 {
-		maxII = MaxIIBound(g)
-	}
-	if maxII < mii {
-		maxII = mii
-	}
-	// II-invariant state is computed once and reused across candidate
-	// IIs: IMS never mutates the graph, so the node set, scratch
-	// buffers, schedule storage and ready queue all survive — only the
-	// heights are II-dependent and are recomputed into a reused buffer.
-	sr := &searcher{
-		g:              g,
-		m:              m,
-		ids:            g.NodeIDs(),
-		prevTime:       make([]int, g.NumIDs()),
-		neverScheduled: make([]bool, g.NumIDs()),
-		q:              schedule.NewQueue(),
-	}
-	for ii := mii; ii <= maxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, st, fmt.Errorf("ims: %s on %s: %w", g.Name(), m.Name, err)
-		}
-		st.IIsTried++
-		s, ok := sr.tryII(ctx, ii, opt.budgetRatio(), &st)
-		if ok {
-			st.II = ii
-			return s, st, nil
-		}
+	maxII := MaxII(g, mii, opt.MaxII)
+	if s, ok := Search(ctx, g, m, nil, mii, maxII, opt.BudgetRatio, &st); ok {
+		return s, st, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("ims: %s on %s: %w", g.Name(), m.Name, err)
@@ -121,17 +104,57 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 	return nil, st, fmt.Errorf("ims: %s did not schedule within MaxII %d", g.Name(), maxII)
 }
 
+// Search is the iterative modulo scheduler's II search: it tries each
+// candidate II from mii to maxII and returns the first schedule that
+// places every operation, setting st.II and accumulating IIsTried,
+// Placements and Evictions into st. Operation n is placed in cluster
+// cluster[n]; a nil cluster places every operation in cluster 0. A
+// budgetRatio ≤ 0 means DefaultBudgetRatio. The graph is not modified.
+//
+// Search returns ok=false when no candidate II schedules or ctx is
+// canceled (it checks ctx between candidate IIs and periodically
+// inside each attempt's budget loop); the caller tells the two apart
+// with ctx.Err().
+func Search(ctx context.Context, g *ddg.Graph, m *machine.Machine, cluster []int, mii, maxII, budgetRatio int, st *Stats) (*schedule.Schedule, bool) {
+	if budgetRatio <= 0 {
+		budgetRatio = DefaultBudgetRatio
+	}
+	// II-invariant state is computed once and reused across candidate
+	// IIs: the search never mutates the graph, so the node set, scratch
+	// buffers, schedule storage and ready queue all survive — only the
+	// heights are II-dependent and are recomputed into a reused buffer.
+	sr := &searcher{
+		g:        g,
+		m:        m,
+		cluster:  cluster,
+		ids:      g.NodeIDs(),
+		prevTime: make([]int, g.NumIDs()),
+		q:        schedule.NewQueue(),
+	}
+	for ii := mii; ii <= maxII; ii++ {
+		if ctx.Err() != nil {
+			return nil, false
+		}
+		st.IIsTried++
+		if s, ok := sr.tryII(ctx, ii, budgetRatio, st); ok {
+			st.II = ii
+			return s, true
+		}
+	}
+	return nil, false
+}
+
 // searcher holds the II-invariant state of one scheduling run plus the
 // per-II scratch that is rewound rather than reallocated.
 type searcher struct {
-	g              *ddg.Graph
-	m              *machine.Machine
-	ids            []int
-	s              *schedule.Schedule
-	heights        []int
-	prevTime       []int
-	neverScheduled []bool
-	q              *schedule.Queue
+	g        *ddg.Graph
+	m        *machine.Machine
+	cluster  []int // pinned cluster per node ID; nil = cluster 0
+	ids      []int
+	s        *schedule.Schedule
+	heights  []int
+	prevTime []int // last placement time per node ID; -1 = never scheduled
+	q        *schedule.Queue
 }
 
 // tryII attempts one candidate II. It returns ok=false when the budget
@@ -146,9 +169,9 @@ func (sr *searcher) tryII(ctx context.Context, ii, budgetRatio int, st *Stats) (
 	s := sr.s
 	sr.heights = g.HeightsInto(ii, sr.heights)
 	heights := sr.heights
-	prevTime, neverScheduled := sr.prevTime, sr.neverScheduled
-	for i := range neverScheduled {
-		neverScheduled[i] = true
+	prevTime := sr.prevTime
+	for i := range prevTime {
+		prevTime[i] = -1
 	}
 
 	q := sr.q
@@ -168,32 +191,32 @@ func (sr *searcher) tryII(ctx context.Context, ii, budgetRatio int, st *Stats) (
 		budget--
 		op := q.Pop()
 		st.Placements++
+		cluster := 0
+		if sr.cluster != nil {
+			cluster = sr.cluster[op]
+		}
+		class := g.Node(op).Class
 
 		estart := earliestStart(g, s, op, ii)
-		timeSlot, found := findSlot(g, s, op, estart, ii)
-		forced := false
+		timeSlot, found := findSlot(s, class, cluster, estart, ii)
 		if !found {
-			forced = true
+			// Forced placement at estart, but past the op's previous
+			// time so it cannot cycle; make room by evicting the
+			// lowest-priority occupant(s) of the target slot.
 			timeSlot = estart
-			if !neverScheduled[op] && prevTime[op]+1 > timeSlot {
-				timeSlot = prevTime[op] + 1
+			if prev := prevTime[op]; prev >= 0 && prev+1 > timeSlot {
+				timeSlot = prev + 1
 			}
-		}
-
-		if forced {
-			// Make room: evict the lowest-priority occupant(s) of the
-			// target slot.
-			kind := g.Node(op).Class.FU()
-			for !s.Table().Free(timeSlot, 0, g.Node(op).Class) {
-				victim := lowestPriority(s.Table().Occupants(timeSlot, 0, kind), heights)
+			kind := class.FU()
+			for !s.Table().Free(timeSlot, cluster, class) {
+				victim := lowestPriority(s.Table().Occupants(timeSlot, cluster, kind), heights)
 				s.Evict(victim)
 				q.Push(victim, heights[victim])
 				st.Evictions++
 			}
 		}
-		s.Place(op, schedule.Placement{Time: timeSlot, Cluster: 0})
+		s.Place(op, schedule.Placement{Time: timeSlot, Cluster: cluster})
 		prevTime[op] = timeSlot
-		neverScheduled[op] = false
 
 		// Unschedule successors whose dependence constraints the new
 		// placement violates (their earliest start moved past them).
@@ -236,11 +259,11 @@ func earliestStart(g *ddg.Graph, s *schedule.Schedule, op, ii int) int {
 	return estart
 }
 
-// findSlot scans the II-wide window for a resource-free slot.
-func findSlot(g *ddg.Graph, s *schedule.Schedule, op, estart, ii int) (int, bool) {
-	class := g.Node(op).Class
+// findSlot scans the II-wide window for a slot of the cluster free for
+// the operation class.
+func findSlot(s *schedule.Schedule, class machine.OpClass, cluster, estart, ii int) (int, bool) {
 	for t := estart; t < estart+ii; t++ {
-		if s.Table().Free(t, 0, class) {
+		if s.Table().Free(t, cluster, class) {
 			return t, true
 		}
 	}
@@ -253,17 +276,9 @@ func findSlot(g *ddg.Graph, s *schedule.Schedule, op, estart, ii int) (int, bool
 func lowestPriority(occupants []int, heights []int) int {
 	victim := occupants[0]
 	for _, n := range occupants[1:] {
-		hn, hv := heightOf(n, heights), heightOf(victim, heights)
-		if hn < hv || (hn == hv && n > victim) {
+		if heights[n] < heights[victim] || (heights[n] == heights[victim] && n > victim) {
 			victim = n
 		}
 	}
 	return victim
-}
-
-func heightOf(n int, heights []int) int {
-	if n < len(heights) {
-		return heights[n]
-	}
-	return int(^uint(0) >> 1) // nodes added after height computation (moves) rank highest
 }

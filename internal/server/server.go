@@ -516,19 +516,31 @@ type batch struct {
 	record  []byte // the durable batch record; nil without DataDir
 }
 
+// decodeBody decodes a JSON request body into v under the request size
+// bound, refusing unknown fields and any protocol other than this
+// server's; protocol points at v's Protocol field. A decode failure's
+// message starts with what. On failure it writes the structured error
+// itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any, protocol *string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, api.CodeInvalidRequest, "%s: %v", what, err)
+		return false
+	}
+	if *protocol != "" && *protocol != api.Version {
+		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", *protocol, api.Version)
+		return false
+	}
+	return true
+}
+
 // parseRequest decodes and validates a compile/submit body into a
 // batch. On failure it writes the structured error itself and returns
 // ok=false.
 func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request) (b batch, ok bool) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
 	var req api.CompileRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, api.CodeInvalidRequest, "bad request body: %v", err)
-		return b, false
-	}
-	if req.Protocol != "" && req.Protocol != api.Version {
-		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", req.Protocol, api.Version)
+	if !decodeBody(w, r, "bad request body", &req, &req.Protocol) {
 		return b, false
 	}
 	jobList, err := s.buildJobs(&req)
@@ -769,15 +781,8 @@ func streamJob(ctx context.Context, w http.ResponseWriter, j *jobs.Job, from int
 // worker a chunk of queued compile units, long-polling within the
 // request's wait budget when the queue is empty.
 func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
 	var req api.LeaseRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, api.CodeInvalidRequest, "bad lease request: %v", err)
-		return
-	}
-	if req.Protocol != "" && req.Protocol != api.Version {
-		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", req.Protocol, api.Version)
+	if !decodeBody(w, r, "bad lease request", &req, &req.Protocol) {
 		return
 	}
 	if req.Worker == "" {
@@ -794,15 +799,8 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 // — its unresolved units already belong to the queue again.
 func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
 	var req api.WorkResultsRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, api.CodeInvalidRequest, "bad results post: %v", err)
-		return
-	}
-	if req.Protocol != "" && req.Protocol != api.Version {
-		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", req.Protocol, api.Version)
+	if !decodeBody(w, r, "bad results post", &req, &req.Protocol) {
 		return
 	}
 	resp, err := s.dispatch.postResults(leaseID, req.Results, false)

@@ -953,6 +953,39 @@ func TestServerStructuredRouteErrors(t *testing.T) {
 	}
 }
 
+// TestServerBodyDecodeErrors: every POST body the server decodes
+// refuses malformed JSON, unknown fields and a foreign protocol with a
+// structured invalid_request whose message names the body it read.
+func TestServerBodyDecodeErrors(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, c := range []struct {
+		path, prefix string
+	}{
+		{api.PathCompile, "bad request body: "},
+		{api.PathJobs, "bad request body: "},
+		{api.PathWorkersLease, "bad lease request: "},
+		{api.WorkerResultsPath("no-such-lease"), "bad results post: "},
+	} {
+		for _, body := range []struct{ text, prefix string }{
+			{`{`, c.prefix},
+			{`{"no_such_field":1}`, c.prefix + "json: unknown field "},
+			{`{"protocol":"v0"}`, `protocol "v0" not supported (this server speaks ` + api.Version + ")"},
+		} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(body.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %s: status %d, want 400", c.path, body.text, resp.StatusCode)
+			}
+			e := decodeErrorResponse(t, resp)
+			if e.Code != api.CodeInvalidRequest || !strings.HasPrefix(e.Message, body.prefix) {
+				t.Errorf("POST %s %s: %s %q, want %s with prefix %q", c.path, body.text, e.Code, e.Message, api.CodeInvalidRequest, body.prefix)
+			}
+		}
+	}
+}
+
 // TestServerJobTTLExpiry: after the retention TTL a finished job's ID
 // answers not_found on every job route.
 func TestServerJobTTLExpiry(t *testing.T) {

@@ -63,13 +63,7 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 		return nil, st, err
 	}
 	st.MII = mii
-	maxII := opt.MaxII
-	if maxII <= 0 {
-		maxII = ims.MaxIIBound(g)
-	}
-	if maxII < mii {
-		maxII = mii
-	}
+	maxII := ims.MaxII(g, mii, opt.MaxII)
 	// boost forces stuck nodes to the front of the order. SMS's
 	// published ordering pulls "nodes on paths" between ordered regions
 	// in together, which prevents a node from ending up with both

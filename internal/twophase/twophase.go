@@ -14,8 +14,8 @@
 //  2. Route: every true dependence that still crosses
 //     indirectly-connected clusters gets a static chain of move
 //     operations along the cheaper ring direction.
-//  3. Schedule: an IMS-style budgeted modulo scheduler places each
-//     operation in its pinned cluster.
+//  3. Schedule: ims.Search, the iterative modulo scheduler's own
+//     budgeted II search, places each operation in its pinned cluster.
 //
 // Because the assignment cannot react to scheduling conflicts, the
 // achieved II is generally no better — and often worse — than DMS's
@@ -47,13 +47,6 @@ type Options struct {
 	// LoadSlack is the extra per-(cluster, kind) headroom above the
 	// perfectly balanced load during partitioning (default 1).
 	LoadSlack int
-}
-
-func (o Options) budgetRatio() int {
-	if o.BudgetRatio <= 0 {
-		return ims.DefaultBudgetRatio
-	}
-	return o.BudgetRatio
 }
 
 func (o Options) refinementPasses() int {
@@ -103,46 +96,24 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 	recMII := work.RecMII()
 	assign := partition(work, m, opt, recMII)
 	st.CommCost = commCost(work, m, assign)
-	moves, err := route(work, m, assign)
-	if err != nil {
-		return nil, st, err
-	}
-	st.MovesInserted = moves
+	st.MovesInserted = route(work, m, assign)
 
 	mii, err := pinnedMII(work, m, assign, recMII)
 	if err != nil {
 		return nil, st, err
 	}
 	st.MII = mii
-	maxII := opt.MaxII
-	if maxII <= 0 {
-		maxII = ims.MaxIIBound(work)
-	}
-	if maxII < mii {
-		maxII = mii
-	}
-	// Pin the cluster assignment into a dense slice and reuse the
-	// schedule, queue and per-node scratch across candidate IIs.
-	sr := &searcher{
-		g:        work,
-		m:        m,
-		ids:      work.NodeIDs(),
-		assign:   make([]int, work.NumIDs()),
-		prevTime: make([]int, work.NumIDs()),
-		q:        schedule.NewQueue(),
-	}
+	maxII := ims.MaxII(work, mii, opt.MaxII)
+	// Pin the cluster assignment into a dense slice for the search.
+	cluster := make([]int, work.NumIDs())
 	for n, c := range assign {
-		sr.assign[n] = c
+		cluster[n] = c
 	}
-	for ii := mii; ii <= maxII; ii++ {
-		if err := ctx.Err(); err != nil {
-			return nil, st, fmt.Errorf("twophase: %s on %s: %w", g.Name(), m.Name, err)
-		}
-		st.IIsTried++
-		if s, ok := sr.tryII(ctx, ii, opt.budgetRatio(), &st); ok {
-			st.II = ii
-			return s, st, nil
-		}
+	var ist ims.Stats
+	s, ok := ims.Search(ctx, work, m, cluster, mii, maxII, opt.BudgetRatio, &ist)
+	st.II, st.IIsTried, st.Placements, st.Evictions = ist.II, ist.IIsTried, ist.Placements, ist.Evictions
+	if ok {
+		return s, st, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, fmt.Errorf("twophase: %s on %s: %w", g.Name(), m.Name, err)
@@ -170,8 +141,6 @@ func partition(g *ddg.Graph, m *machine.Machine, opt Options, recMII int) map[in
 
 	counts := g.CountKinds()
 	cap := func(k machine.FUKind) int {
-		per := (counts[k] + m.TotalFUs(k) - 1) / max(1, m.TotalFUs(k)) // ≈ ResMII share
-		_ = per
 		// Balanced share of operations of this kind per cluster.
 		share := (counts[k] + m.Clusters - 1) / m.Clusters
 		return share + opt.loadSlack()
@@ -282,7 +251,7 @@ func commCost(g *ddg.Graph, m *machine.Machine, assign map[int]int) int {
 // route statically inserts move chains for every carried edge between
 // indirectly-connected clusters, choosing the ring direction with
 // fewer moves (ties: fewer moves already routed through the path).
-func route(g *ddg.Graph, m *machine.Machine, assign map[int]int) (int, error) {
+func route(g *ddg.Graph, m *machine.Machine, assign map[int]int) int {
 	moveLat := g.Lat().Of(machine.Move)
 	copyLoad := make([]int, m.Clusters)
 	inserted := 0
@@ -312,7 +281,7 @@ func route(g *ddg.Graph, m *machine.Machine, assign map[int]int) (int, error) {
 		}
 		g.AddEdge(prev, e.To, prevDelay, prevDist, true)
 	}
-	return inserted, nil
+	return inserted
 }
 
 func pathLoad(load []int, via []int) int {
@@ -331,7 +300,6 @@ func pinnedMII(g *ddg.Graph, m *machine.Machine, assign map[int]int, recMII int)
 	for c := range load {
 		load[c] = make([]int, machine.NumFUKinds)
 	}
-	var err error
 	g.Nodes(func(n ddg.Node) {
 		load[assign[n.ID]][n.Class.FU()]++
 	})
@@ -350,131 +318,5 @@ func pinnedMII(g *ddg.Graph, m *machine.Machine, assign map[int]int, recMII int)
 			}
 		}
 	}
-	return res, err
-}
-
-// searcher holds the II-invariant state of the pinned-cluster II
-// search plus per-II scratch rewound between candidates.
-type searcher struct {
-	g        *ddg.Graph
-	m        *machine.Machine
-	ids      []int
-	assign   []int // pinned cluster per node ID
-	s        *schedule.Schedule
-	heights  []int
-	prevTime []int // last placement time per node; -1 = never scheduled
-	q        *schedule.Queue
-}
-
-// tryII is the IMS core with pinned clusters. It returns ok=false when
-// the budget is exhausted or the context is canceled (the caller
-// re-checks ctx).
-func (sr *searcher) tryII(ctx context.Context, ii, budgetRatio int, st *Stats) (*schedule.Schedule, bool) {
-	g := sr.g
-	if sr.s == nil {
-		sr.s = schedule.New(g, sr.m, ii)
-	} else {
-		sr.s.Reset(ii)
-	}
-	s := sr.s
-	sr.heights = g.HeightsInto(ii, sr.heights)
-	heights := sr.heights
-	prevTime := sr.prevTime
-	for i := range prevTime {
-		prevTime[i] = -1
-	}
-
-	q := sr.q
-	q.Reset()
-	for _, n := range sr.ids {
-		q.Push(n, heights[n])
-	}
-	budget := budgetRatio * len(sr.ids)
-
-	heightOf := func(n int) int {
-		if n < len(heights) {
-			return heights[n]
-		}
-		return int(^uint(0) >> 1)
-	}
-
-	for q.Len() > 0 {
-		if budget == 0 {
-			return nil, false
-		}
-		if budget&63 == 0 && ctx.Err() != nil {
-			return nil, false
-		}
-		budget--
-		op := q.Pop()
-		st.Placements++
-		cluster := sr.assign[op]
-		class := g.Node(op).Class
-
-		estart := 0
-		for _, eid := range g.InEdgeIDs(op) {
-			if !g.EdgeAlive(eid) {
-				continue
-			}
-			e := g.EdgeAt(eid)
-			if e.From == op {
-				continue
-			}
-			if p, ok := s.At(e.From); ok {
-				if t := p.Time + e.Delay - ii*e.Distance; t > estart {
-					estart = t
-				}
-			}
-		}
-		timeSlot, found := -1, false
-		for t := estart; t < estart+ii; t++ {
-			if s.Table().Free(t, cluster, class) {
-				timeSlot, found = t, true
-				break
-			}
-		}
-		if !found {
-			timeSlot = estart
-			if prev := prevTime[op]; prev >= 0 && prev+1 > timeSlot {
-				timeSlot = prev + 1
-			}
-			kind := class.FU()
-			for !s.Table().Free(timeSlot, cluster, class) {
-				occ := s.Table().Occupants(timeSlot, cluster, kind)
-				victim := occ[0]
-				for _, n := range occ[1:] {
-					if heightOf(n) < heightOf(victim) || (heightOf(n) == heightOf(victim) && n > victim) {
-						victim = n
-					}
-				}
-				s.Evict(victim)
-				q.Push(victim, heightOf(victim))
-				st.Evictions++
-			}
-		}
-		s.Place(op, schedule.Placement{Time: timeSlot, Cluster: cluster})
-		prevTime[op] = timeSlot
-		for _, eid := range g.OutEdgeIDs(op) {
-			if !g.EdgeAlive(eid) {
-				continue
-			}
-			e := g.EdgeAt(eid)
-			if e.To == op {
-				continue
-			}
-			if p, ok := s.At(e.To); ok && p.Time < timeSlot+e.Delay-ii*e.Distance {
-				s.Evict(e.To)
-				q.Push(e.To, heightOf(e.To))
-				st.Evictions++
-			}
-		}
-	}
-	return s, true
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return res, nil
 }

@@ -101,6 +101,39 @@ func TestRoutedGraphHasNoFarEdges(t *testing.T) {
 	}
 }
 
+// TestPlacementsKeepAssignedCluster pins the two phases together:
+// every node the schedule places, routed moves included, sits in the
+// cluster partition and route assigned it. schedule.Verify checks
+// resources and dependences, not the partition.
+func TestPlacementsKeepAssignedCluster(t *testing.T) {
+	for _, k := range perfect.Kernels() {
+		for _, c := range []int{2, 4, 8} {
+			g := clusteredGraph(t, k.Name, c)
+			m := machine.Clustered(c)
+			work := g.Clone()
+			assign := partition(work, m, Options{}, work.RecMII())
+			route(work, m, assign)
+
+			s, _, err := ScheduleCtx(context.Background(), g, m, Options{})
+			if err != nil {
+				t.Fatalf("%s on %d clusters: %v", k.Name, c, err)
+			}
+			if got, want := s.Graph().NumNodes(), work.NumNodes(); got != want {
+				t.Fatalf("%s on %d clusters: scheduled graph has %d nodes, routed graph %d", k.Name, c, got, want)
+			}
+			s.Graph().Nodes(func(n ddg.Node) {
+				p, ok := s.At(n.ID)
+				if !ok {
+					t.Fatalf("%s on %d clusters: node %s unplaced", k.Name, c, n.Name)
+				}
+				if want, ok := assign[n.ID]; !ok || p.Cluster != want {
+					t.Errorf("%s on %d clusters: node %s in cluster %d, assigned %d (assigned: %v)", k.Name, c, n.Name, p.Cluster, want, ok)
+				}
+			})
+		}
+	}
+}
+
 func TestSemanticsPreserved(t *testing.T) {
 	for _, name := range []string{"fir4", "iir", "cmul"} {
 		k, _ := perfect.KernelByName(name)

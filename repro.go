@@ -26,10 +26,16 @@
 //		Clusters: 4,
 //	})
 //
-// Every compilation in the repo — the library facade, both CLIs, the
-// compile service and the evaluation harness — flows through this one
-// path, so validation (scheduler/machine family pairing, unroll
-// bounds) happens in exactly one place. The scheduling artefacts
+// The library facade, cmd/dms and the evaluation harness's figures
+// (cmd/dmsbench's default mode) compile through this method, which
+// validates a Request (scheduler/machine family pairing, unroll
+// bounds) and hands one job to driver.Compile. The compile service
+// (server.CompileRecord, in the server and its workers alike) and the
+// harness's comparison studies (cmd/dmsbench -compare) build their
+// jobs themselves and call driver.Compile directly, so every
+// compilation in the repo meets in the driver's single-job path:
+// graph preparation, scheduling, schedule verification and
+// measurement. The scheduling artefacts
 // (Schedule, Stats, Metrics) are computed eagerly; the back half of
 // the tool chain (queue allocation, code emission, simulation) is
 // computed lazily by the Compiled methods, so bulk harnesses that only
