@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -186,6 +188,131 @@ func TestStreamLineAllocBudget(t *testing.T) {
 	if bytesPerOp > streamLineBytesBudget {
 		t.Fatalf("stream line codec allocates %d B/op, above the checked-in budget of %d — "+
 			"AppendResultLine or DecodeStreamLine has regressed", bytesPerOp, streamLineBytesBudget)
+	}
+}
+
+// The worker-pull wire's per-unit allocation baselines, measured on a
+// lease of the pinned corpus's first 32 loops, dms on the 4-cluster
+// machine, and the results body those units post back:
+//
+//   - workResultsDecodeAllocBudget: DecodeWorkResults, the
+//     coordinator's strict decode of the results body;
+//   - leaseEncodeAllocBudget: AppendLease into a reused buffer, the
+//     coordinator's lease response;
+//   - leaseJobsAllocBudget: LeaseJobs, the worker's parse, machine
+//     build and keying of a decoded lease.
+//
+// Measured at 14.3, 0 and 67.8 allocs per unit; the budgets leave
+// ~50% headroom (one alloc for the encoder). The code they replaced (a
+// json.Decoder with DisallowUnknownFields; an indented json.Encoder; a
+// machine.ReadConfig and a loop.Format per unit) sat at 23.9, 0.7 and
+// 119.7, and BenchmarkWorkerWire's µs per unit fell from 16.8, 8.9 and
+// 23.8 to 3.5, 0.7 and 12.3 on a 2-vCPU Xeon.
+const (
+	workResultsDecodeAllocBudget = 21
+	leaseEncodeAllocBudget       = 1
+	leaseJobsAllocBudget         = 102
+)
+
+// workerWireFixture builds the lease and results body the worker-pull
+// budget and benchmark measure.
+func workerWireFixture(tb testing.TB) (lease api.Lease, body []byte) {
+	tb.Helper()
+	sample := perfect.CorpusN(perfect.DefaultSeed, 32)
+	m := machine.Clustered(4)
+	config, err := json.Marshal(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	jobs := make([]driver.Job, len(sample))
+	lease = api.Lease{ID: "lease", TTLMS: 15000, Remaining: 64, Units: make([]api.WorkUnit, len(sample))}
+	for i, l := range sample {
+		jobs[i] = driver.Job{Loop: l, Machine: m, Scheduler: "dms"}
+		lease.Units[i] = api.WorkUnit{
+			ID: fmt.Sprintf("job/%d", i), Hash: server.JobKey(jobs[i]), Loop: loop.Format(l),
+			Machine: api.MachineSpec{Config: config}, Scheduler: "dms", TimeoutMS: 30000, NoCache: true,
+		}
+	}
+	post := api.WorkResultsRequest{Protocol: api.Version}
+	for i, r := range driver.CompileAll(context.Background(), jobs, driver.BatchOptions{}) {
+		if r.Err != nil {
+			tb.Fatalf("%s: %v", r.Job, r.Err)
+		}
+		post.Results = append(post.Results, api.UnitResult{Unit: lease.Units[i].ID, Result: server.Record(r)})
+	}
+	if body, err = api.AppendWorkResults(nil, &post); err != nil {
+		tb.Fatal(err)
+	}
+	return lease, body
+}
+
+// workerWireSteps are the three measured steps over the fixture, each
+// handling every unit of it once.
+func workerWireSteps(tb testing.TB, lease api.Lease, body []byte) []struct {
+	name string
+	run  func()
+} {
+	var buf []byte
+	return []struct {
+		name string
+		run  func()
+	}{
+		{"results-decode", func() {
+			if _, err := api.DecodeWorkResults(body); err != nil {
+				tb.Fatal(err)
+			}
+		}},
+		{"lease-encode", func() {
+			var err error
+			if buf, err = api.AppendLease(buf[:0], &lease); err != nil {
+				tb.Fatal(err)
+			}
+		}},
+		{"lease-jobs", func() {
+			for _, lj := range server.LeaseJobs(lease.Units) {
+				if lj.Err != nil {
+					tb.Fatal(lj.Err)
+				}
+			}
+		}},
+	}
+}
+
+// TestWorkerWireAllocBudget fails when a step of the worker-pull wire
+// regresses above its checked-in per-unit allocation baseline.
+func TestWorkerWireAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	lease, body := workerWireFixture(t)
+	budgets := map[string]float64{
+		"results-decode": workResultsDecodeAllocBudget,
+		"lease-encode":   leaseEncodeAllocBudget,
+		"lease-jobs":     leaseJobsAllocBudget,
+	}
+	for _, step := range workerWireSteps(t, lease, body) {
+		step.run() // size reused buffers
+		perUnit := testing.AllocsPerRun(16, step.run) / float64(len(lease.Units))
+		t.Logf("%s: %.2f allocs/unit (budget %v)", step.name, perUnit, budgets[step.name])
+		if perUnit > budgets[step.name] {
+			t.Errorf("%s allocates %.2f/unit, above the checked-in budget of %v — "+
+				"the worker-pull wire has regressed", step.name, perUnit, budgets[step.name])
+		}
+	}
+}
+
+// BenchmarkWorkerWire reports the microseconds per unit of each step
+// TestWorkerWireAllocBudget pins.
+func BenchmarkWorkerWire(b *testing.B) {
+	lease, body := workerWireFixture(b)
+	for _, step := range workerWireSteps(b, lease, body) {
+		b.Run(step.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				step.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(lease.Units)), "us/unit")
+		})
 	}
 }
 

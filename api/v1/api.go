@@ -101,6 +101,14 @@
 //	   └───────────────┘
 //	    expiry (requeue)
 //
+// Both worker-pull bodies go through the result line's codec:
+// AppendLease and DecodeLease for the lease, AppendWorkResults and
+// DecodeWorkResults for the results post. The encoders write
+// json.Marshal's bytes. DecodeLease skips unknown fields;
+// DecodeWorkResults, like every request body, rejects them, and it
+// matches keys byte-exactly too, so a case-folded key such as "UNIT"
+// is an unknown field.
+//
 // # Versioning
 //
 // The protocol version is carried in the Dms-Protocol header of every

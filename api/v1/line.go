@@ -2,7 +2,6 @@ package api
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -13,12 +12,13 @@ import (
 	"unicode/utf8"
 )
 
-// This file is the codec of the NDJSON result line: the one place that
-// writes a JobResult line (AppendResultLine) or reads a stream line
-// (DecodeStreamLine). Both are hand-written and reflection-free; their
-// contract is encoding/json's behaviour on the same types, which the
-// package tests pin byte for byte (encoder) and value for value
-// (decoder, fuzzed).
+// This file and body.go are the package's one JSON codec: the place
+// that writes a JobResult line (AppendResultLine) or reads a stream
+// line (DecodeStreamLine), and writes or reads the two worker-pull
+// bodies that carry units and results (body.go). All of it is
+// hand-written and reflection-free; its contract is encoding/json's
+// behaviour on the same types, which the package tests pin byte for
+// byte (encoders) and value for value (decoders, fuzzed).
 
 // AppendResultLine appends the NDJSON line of r to buf: exactly the
 // bytes json.Marshal(r) produces, followed by '\n'. That covers the
@@ -31,6 +31,18 @@ import (
 //dms:hotpath
 func AppendResultLine(buf []byte, r *JobResult) ([]byte, error) {
 	n := len(buf)
+	buf, err := appendResult(buf, r)
+	if err != nil {
+		return buf[:n], err
+	}
+	return append(buf, '\n'), nil
+}
+
+// appendResult appends the JSON object of r: exactly json.Marshal(r).
+// On error the tail it leaves after the caller's length is garbage.
+//
+//dms:hotpath
+func appendResult(buf []byte, r *JobResult) ([]byte, error) {
 	buf = append(buf, `{"index":`...)
 	buf = strconv.AppendInt(buf, int64(r.Index), 10)
 	buf = append(buf, `,"job":`...)
@@ -59,7 +71,7 @@ func AppendResultLine(buf []byte, r *JobResult) ([]byte, error) {
 		buf = append(buf, `,"metrics":`...)
 		var err error
 		if buf, err = appendMetrics(buf, r.Metrics); err != nil {
-			return buf[:n], err
+			return buf, err
 		}
 	}
 	if r.Schedule != "" {
@@ -69,7 +81,7 @@ func AppendResultLine(buf []byte, r *JobResult) ([]byte, error) {
 	if r.Cached {
 		buf = append(buf, `,"cached":true`...)
 	}
-	return append(buf, '}', '\n'), nil
+	return append(buf, '}'), nil
 }
 
 // appendStats appends s as its JSON object.
@@ -249,10 +261,10 @@ func appendJSONString(buf []byte, s string) []byte {
 // match the struct tags byte for byte (after unescaping), whereas
 // encoding/json also accepts case-folded keys such as "INDEX".
 func DecodeStreamLine(line []byte) (*JobResult, *Summary, error) {
-	d := lineDecoder{data: line}
+	d := decoder{data: line}
 	rec := new(JobResult)
 	var sum *Summary
-	if err := d.line(rec, &sum); err != nil {
+	if err := d.topLevel("stream line", true, func(key []byte) error { return d.resultField(key, rec, &sum) }); err != nil {
 		return nil, nil, fmt.Errorf("api: bad stream line: %w", err)
 	}
 	if sum != nil {
@@ -261,29 +273,34 @@ func DecodeStreamLine(line []byte) (*JobResult, *Summary, error) {
 	return rec, nil, nil
 }
 
-// maxLineDepth is encoding/json's nesting limit: deeper input is a
+// maxDepth is encoding/json's nesting limit: deeper input is a
 // syntax error there, so it is one here.
-const maxLineDepth = 10000
+const maxDepth = 10000
 
-// lineDecoder is a cursor over one stream line.
-type lineDecoder struct {
+// decoder is a cursor over one JSON document: a stream line or a
+// worker-pull body.
+type decoder struct {
 	data  []byte
 	pos   int
 	depth int
+	// strict makes an unknown object key an error at every depth, as
+	// json.Decoder.DisallowUnknownFields does; otherwise its value is
+	// skipped.
+	strict bool
 }
 
 // syntaxError reports malformed JSON at the cursor.
-func (d *lineDecoder) syntaxError(msg string) error {
+func (d *decoder) syntaxError(msg string) error {
 	return fmt.Errorf("%s at offset %d", msg, d.pos)
 }
 
 // typeError reports a well-formed value, at the cursor, of the wrong
 // JSON type for field.
-func (d *lineDecoder) typeError(field, want string) error {
+func (d *decoder) typeError(field, want string) error {
 	return fmt.Errorf("field %q needs %s at offset %d", field, want, d.pos)
 }
 
-func (d *lineDecoder) skipSpace() {
+func (d *decoder) skipSpace() {
 	for d.pos < len(d.data) {
 		switch d.data[d.pos] {
 		case ' ', '\t', '\n', '\r':
@@ -294,22 +311,24 @@ func (d *lineDecoder) skipSpace() {
 	}
 }
 
-// peek returns the byte at the cursor, or 0 at the end of the line.
-func (d *lineDecoder) peek() byte {
+// peek returns the byte at the cursor, or 0 at the end of the input.
+func (d *decoder) peek() byte {
 	if d.pos < len(d.data) {
 		return d.data[d.pos]
 	}
 	return 0
 }
 
-// line decodes the top-level value: an object, or null (which decodes
-// to the zero result, as it does for json.Unmarshal), then nothing but
-// whitespace.
-func (d *lineDecoder) line(rec *JobResult, sum **Summary) error {
+// topLevel decodes the top-level value, what names it in errors: an
+// object, whose members go to member, or null, which decodes to the
+// zero value as it does for encoding/json. With whole set, nothing but
+// whitespace may follow, as for json.Unmarshal; otherwise the rest of
+// the input is left unread, as json.Decoder.Decode leaves it.
+func (d *decoder) topLevel(what string, whole bool, member func(key []byte) error) error {
 	d.skipSpace()
 	switch d.peek() {
 	case '{':
-		if err := d.object(func(key []byte) error { return d.resultField(key, rec, sum) }); err != nil {
+		if err := d.object(member); err != nil {
 			return err
 		}
 	case 'n':
@@ -320,7 +339,10 @@ func (d *lineDecoder) line(rec *JobResult, sum **Summary) error {
 		if err := d.skipValue(); err != nil {
 			return err
 		}
-		return errors.New("stream line is not a JSON object")
+		return fmt.Errorf("%s is not a JSON object", what)
+	}
+	if !whole {
+		return nil
 	}
 	d.skipSpace()
 	if d.pos < len(d.data) {
@@ -329,7 +351,20 @@ func (d *lineDecoder) line(rec *JobResult, sum **Summary) error {
 	return nil
 }
 
-func (d *lineDecoder) resultField(key []byte, rec *JobResult, sum **Summary) error {
+// unknown handles the value of an object key no field matches: an
+// error in strict mode, with encoding/json's text, and skipped
+// otherwise.
+func (d *decoder) unknown(key []byte) error {
+	if d.strict {
+		return fmt.Errorf("json: unknown field %q", key)
+	}
+	return d.skipValue()
+}
+
+// resultField decodes one member of a JobResult object. A stream line
+// also has the summary member, which sum (nil for a results body)
+// receives.
+func (d *decoder) resultField(key []byte, rec *JobResult, sum **Summary) error {
 	switch string(key) {
 	case "index":
 		return d.intField("index", &rec.Index)
@@ -352,15 +387,17 @@ func (d *lineDecoder) resultField(key []byte, rec *JobResult, sum **Summary) err
 	case "cached":
 		return d.boolField("cached", &rec.Cached)
 	case "summary":
-		return d.summaryField(sum)
+		if sum != nil {
+			return d.summaryField(sum)
+		}
 	}
-	return d.skipValue()
+	return d.unknown(key)
 }
 
 // objectField decodes an object-typed field into *pp the way
 // encoding/json decodes into a pointer: null stores nil; an object
 // merges its members, through member, into *pp (allocated if nil).
-func objectField[T any](d *lineDecoder, field string, pp **T, member func(v *T, key []byte) error) error {
+func objectField[T any](d *decoder, field string, pp **T, member func(v *T, key []byte) error) error {
 	switch d.peek() {
 	case 'n':
 		if err := d.literal("null"); err != nil {
@@ -372,7 +409,18 @@ func objectField[T any](d *lineDecoder, field string, pp **T, member func(v *T, 
 		if *pp == nil {
 			*pp = new(T)
 		}
-		v := *pp
+	}
+	return structField(d, field, *pp, member)
+}
+
+// structField decodes an object-typed field into the struct value *v
+// the way encoding/json does: null leaves *v alone; an object merges
+// its members, through member, into *v.
+func structField[T any](d *decoder, field string, v *T, member func(v *T, key []byte) error) error {
+	switch d.peek() {
+	case 'n':
+		return d.literal("null")
+	case '{':
 		return d.object(func(key []byte) error { return member(v, key) })
 	}
 	if err := d.checkValue(); err != nil {
@@ -381,7 +429,70 @@ func objectField[T any](d *lineDecoder, field string, pp **T, member func(v *T, 
 	return d.typeError(field, "an object")
 }
 
-func (d *lineDecoder) statsField(pp **Stats) error {
+// sliceField decodes an array-typed field into *s the way encoding/json
+// decodes into a slice: null stores nil; an array decodes its element
+// i, through elem, into (*s)[i], and leaves *s holding exactly its
+// elements, an empty array as a non-nil empty slice. Like encoding/json
+// it decodes into the elements an earlier duplicate key left, and into
+// those that key's array left past the new length in the capacity,
+// rather than zeroing them first.
+func sliceField[T any](d *decoder, field string, s *[]T, elem func(v *T) error) error {
+	switch d.peek() {
+	case 'n':
+		if err := d.literal("null"); err != nil {
+			return err
+		}
+		*s = nil
+		return nil
+	case '[':
+	default:
+		if err := d.checkValue(); err != nil {
+			return err
+		}
+		return d.typeError(field, "an array")
+	}
+	d.depth++
+	if d.depth > maxDepth {
+		return d.syntaxError("exceeded max depth")
+	}
+	d.pos++ // '['
+	d.skipSpace()
+	v := *s
+	i := 0
+	for d.peek() != ']' {
+		if i == cap(v) {
+			var zero T
+			v = append(v, zero)
+		} else if i >= len(v) {
+			v = v[:i+1]
+		}
+		if err := elem(&v[i]); err != nil {
+			return err
+		}
+		i++
+		d.skipSpace()
+		switch d.peek() {
+		case ',':
+			d.pos++
+			d.skipSpace()
+			if d.peek() == ']' {
+				return d.syntaxError("invalid character ']' looking for beginning of value")
+			}
+		case ']':
+		default:
+			return d.syntaxError("expected ',' or ']' after array element")
+		}
+	}
+	d.pos++
+	d.depth--
+	if i == 0 {
+		v = make([]T, 0)
+	}
+	*s = v[:i]
+	return nil
+}
+
+func (d *decoder) statsField(pp **Stats) error {
 	return objectField(d, "stats", pp, func(s *Stats, key []byte) error {
 		switch string(key) {
 		case "mii":
@@ -401,14 +512,14 @@ func (d *lineDecoder) statsField(pp **Stats) error {
 		case "extra":
 			return d.extraField(&s.Extra)
 		}
-		return d.skipValue()
+		return d.unknown(key)
 	})
 }
 
 // extraField decodes the Extra map the way encoding/json decodes a
 // map: null stores nil; an object adds its members to the map
 // (allocated if nil), a null member value as 0.
-func (d *lineDecoder) extraField(pm *map[string]int) error {
+func (d *decoder) extraField(pm *map[string]int) error {
 	switch d.peek() {
 	case 'n':
 		if err := d.literal("null"); err != nil {
@@ -436,7 +547,7 @@ func (d *lineDecoder) extraField(pm *map[string]int) error {
 	return d.typeError("extra", "an object")
 }
 
-func (d *lineDecoder) metricsField(pp **ScheduleMetrics) error {
+func (d *decoder) metricsField(pp **ScheduleMetrics) error {
 	return objectField(d, "metrics", pp, func(m *ScheduleMetrics, key []byte) error {
 		switch string(key) {
 		case "ii":
@@ -456,11 +567,11 @@ func (d *lineDecoder) metricsField(pp **ScheduleMetrics) error {
 		case "moves_in":
 			return d.intField("moves_in", &m.MovesIn)
 		}
-		return d.skipValue()
+		return d.unknown(key)
 	})
 }
 
-func (d *lineDecoder) summaryField(pp **Summary) error {
+func (d *decoder) summaryField(pp **Summary) error {
 	return objectField(d, "summary", pp, func(s *Summary, key []byte) error {
 		switch string(key) {
 		case "jobs":
@@ -470,16 +581,16 @@ func (d *lineDecoder) summaryField(pp **Summary) error {
 		case "cached":
 			return d.intField("cached", &s.Cached)
 		}
-		return d.skipValue()
+		return d.unknown(key)
 	})
 }
 
 // object walks the object at the cursor, calling member for each key
 // (unescaped) with the cursor on the key's value; member must consume
 // that value.
-func (d *lineDecoder) object(member func(key []byte) error) error {
+func (d *decoder) object(member func(key []byte) error) error {
 	d.depth++
-	if d.depth > maxLineDepth {
+	if d.depth > maxDepth {
 		return d.syntaxError("exceeded max depth")
 	}
 	d.pos++ // '{'
@@ -527,7 +638,7 @@ func (d *lineDecoder) object(member func(key []byte) error) error {
 
 // intField decodes an integer field: null leaves *p alone; a number
 // must be an integer literal in int range.
-func (d *lineDecoder) intField(field string, p *int) error {
+func (d *decoder) intField(field string, p *int) error {
 	var v int64
 	if stored, err := d.integer(field, &v); !stored {
 		return err
@@ -539,14 +650,14 @@ func (d *lineDecoder) intField(field string, p *int) error {
 	return nil
 }
 
-func (d *lineDecoder) int64Field(field string, p *int64) error {
+func (d *decoder) int64Field(field string, p *int64) error {
 	_, err := d.integer(field, p)
 	return err
 }
 
 // integer decodes an integer-typed value into *p, reporting whether it
 // stored one (false for null or on error).
-func (d *lineDecoder) integer(field string, p *int64) (bool, error) {
+func (d *decoder) integer(field string, p *int64) (bool, error) {
 	switch c := d.peek(); {
 	case c == 'n':
 		return false, d.literal("null")
@@ -595,7 +706,7 @@ func parseJSONInt(lit []byte) (int64, bool) {
 	return 0, false
 }
 
-func (d *lineDecoder) floatField(field string, p *float64) error {
+func (d *decoder) floatField(field string, p *float64) error {
 	switch c := d.peek(); {
 	case c == 'n':
 		return d.literal("null")
@@ -617,7 +728,7 @@ func (d *lineDecoder) floatField(field string, p *float64) error {
 	return d.typeError(field, "a number")
 }
 
-func (d *lineDecoder) boolField(field string, p *bool) error {
+func (d *decoder) boolField(field string, p *bool) error {
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -640,7 +751,7 @@ func (d *lineDecoder) boolField(field string, p *bool) error {
 	return d.typeError(field, "a bool")
 }
 
-func (d *lineDecoder) stringField(field string, p *string) error {
+func (d *decoder) stringField(field string, p *string) error {
 	switch d.peek() {
 	case 'n':
 		return d.literal("null")
@@ -665,14 +776,14 @@ func (d *lineDecoder) stringField(field string, p *string) error {
 // checkValue validates the value at the cursor without consuming it,
 // so a malformed value is reported as the syntax error it is rather
 // than as a type mismatch.
-func (d *lineDecoder) checkValue() error {
+func (d *decoder) checkValue() error {
 	start, depth := d.pos, d.depth
 	err := d.skipValue()
 	d.pos, d.depth = start, depth
 	return err
 }
 
-func (d *lineDecoder) literal(lit string) error {
+func (d *decoder) literal(lit string) error {
 	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
 		return d.syntaxError("invalid literal")
 	}
@@ -681,7 +792,7 @@ func (d *lineDecoder) literal(lit string) error {
 }
 
 // skipValue consumes one well-formed JSON value of any type.
-func (d *lineDecoder) skipValue() error {
+func (d *decoder) skipValue() error {
 	switch c := d.peek(); {
 	case c == '{':
 		return d.object(func([]byte) error { return d.skipValue() })
@@ -705,9 +816,9 @@ func (d *lineDecoder) skipValue() error {
 	return d.syntaxError("invalid character looking for beginning of value")
 }
 
-func (d *lineDecoder) array() error {
+func (d *decoder) array() error {
 	d.depth++
-	if d.depth > maxLineDepth {
+	if d.depth > maxDepth {
 		return d.syntaxError("exceeded max depth")
 	}
 	d.pos++ // '['
@@ -738,7 +849,7 @@ func (d *lineDecoder) array() error {
 
 // scanNumber consumes a number literal, checking the JSON grammar
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *lineDecoder) scanNumber() ([]byte, error) {
+func (d *decoder) scanNumber() ([]byte, error) {
 	start := d.pos
 	if d.peek() == '-' {
 		d.pos++
@@ -771,7 +882,7 @@ func (d *lineDecoder) scanNumber() ([]byte, error) {
 
 // skipDigits consumes a run of decimal digits, reporting whether there
 // was at least one.
-func (d *lineDecoder) skipDigits() bool {
+func (d *decoder) skipDigits() bool {
 	start := d.pos
 	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
 		d.pos++
@@ -782,7 +893,7 @@ func (d *lineDecoder) skipDigits() bool {
 // scanString consumes a string literal and returns its raw content
 // between the quotes. plain reports that the content is ASCII without
 // escapes, so it is its own decoded value.
-func (d *lineDecoder) scanString() (raw []byte, plain bool, err error) {
+func (d *decoder) scanString() (raw []byte, plain bool, err error) {
 	d.pos++ // '"'
 	start := d.pos
 	plain = true

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -265,14 +263,7 @@ func TestDecodeStreamLineExactKeys(t *testing.T) {
 
 // lineFieldNames lists every key DecodeStreamLine matches.
 func lineFieldNames() []string {
-	names := []string{"summary"}
-	for _, v := range []any{JobResult{}, Stats{}, ScheduleMetrics{}, Summary{}} {
-		typ := reflect.TypeOf(v)
-		for i := range typ.NumField() {
-			names = append(names, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
-		}
-	}
-	return names
+	return append([]string{"summary"}, fieldNames(JobResult{}, Stats{}, ScheduleMetrics{}, Summary{})...)
 }
 
 // usesFoldedKey reports whether some object key of line (valid JSON)
@@ -321,23 +312,7 @@ func usesFoldedKey(line []byte, names []string) bool {
 // goldenStreamLines returns the result and summary lines pinned in the
 // wire golden, compacted to their stream form.
 func goldenStreamLines(f interface{ Fatal(...any) }) [][]byte {
-	data, err := os.ReadFile(filepath.Join("testdata", "wire_v1.golden.json"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(data, &doc); err != nil {
-		f.Fatal(err)
-	}
-	var lines [][]byte
-	for _, k := range []string{"job_result", "error_result", "summary_line"} {
-		var b bytes.Buffer
-		if err := json.Compact(&b, doc[k]); err != nil {
-			f.Fatal(err)
-		}
-		lines = append(lines, b.Bytes())
-	}
-	return lines
+	return goldenBodies(f, "job_result", "error_result", "summary_line")
 }
 
 // FuzzDecodeStreamLine checks the one-pass decoder against the

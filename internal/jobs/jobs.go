@@ -54,6 +54,7 @@ import (
 	"time"
 
 	api "repro/api/v1"
+	"repro/internal/ewma"
 )
 
 // ErrQueueFull is returned by Submit when the queued jobs are at
@@ -151,7 +152,7 @@ type Engine struct {
 	drops         []string // IDs evicted under mu, for unlock to drop
 	running       int
 	closed        bool
-	ewma          time.Duration // smoothed service time of completed batches
+	serviceTime   ewma.Mean // smoothed service time of completed batches, in ns
 
 	admitted  uint64
 	rejected  uint64
@@ -165,7 +166,7 @@ type Engine struct {
 // New returns an engine with the given options. Its retention janitor
 // runs until Close.
 func New(opt Options) *Engine {
-	e := &Engine{opt: opt, store: opt.Store, byID: make(map[string]*Job), stop: make(chan struct{})}
+	e := &Engine{opt: opt, store: opt.Store, byID: make(map[string]*Job), serviceTime: ewma.New(ewmaAlpha), stop: make(chan struct{})}
 	if e.store == nil {
 		e.store = NewMemStore()
 	}
@@ -408,7 +409,7 @@ func (e *Engine) Metrics() api.QueueMetrics {
 		Rejected:      e.rejected,
 		Completed:     e.completed,
 		Canceled:      e.canceled,
-		EWMAServiceMS: float64(e.ewma) / float64(time.Millisecond),
+		EWMAServiceMS: e.serviceTime.Value() / float64(time.Millisecond),
 	}
 }
 
@@ -651,12 +652,7 @@ func (j *Job) finish(state api.JobState) bool {
 	} else {
 		e.completed++
 		if !started.IsZero() {
-			sample := now.Sub(started)
-			if e.ewma == 0 {
-				e.ewma = sample
-			} else {
-				e.ewma = time.Duration((1-ewmaAlpha)*float64(e.ewma) + ewmaAlpha*float64(sample))
-			}
+			e.serviceTime.Observe(float64(now.Sub(started)))
 		}
 	}
 	e.retireLocked(j, now)

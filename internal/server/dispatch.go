@@ -16,7 +16,6 @@ import (
 	api "repro/api/v1"
 	"repro/internal/driver"
 	"repro/internal/jobs"
-	"repro/internal/loop"
 )
 
 // Defaults for the worker-pull dispatcher.
@@ -126,16 +125,27 @@ type unit struct {
 	batch   *dispatchBatch
 	index   int
 
-	wireOnce sync.Once
-	wire     api.WorkUnit // see wireForm
+	// The canonical loop text and machine config the key was computed
+	// over, shared read-only with the batch's other units of the same
+	// loop or machine: the wire form's payload, rendered once.
+	loopText string
+	config   json.RawMessage
 }
 
-// wireForm returns the unit's self-contained wire form, rendering it
-// on first use: only a unit that crosses a process boundary, in a
-// remote lease, ever needs one, and it is rendered at most once.
+// wireForm returns the unit's self-contained wire form: canonical loop
+// text, the full machine config, and the scheduler options. It renders
+// nothing; the text and config are the ones keying the unit rendered.
 func (u *unit) wireForm() api.WorkUnit {
-	u.wireOnce.Do(func() { u.wire = wireUnit(u) })
-	return u.wire
+	return api.WorkUnit{
+		ID:        u.id,
+		Hash:      u.key,
+		Loop:      u.loopText,
+		Machine:   api.MachineSpec{Config: u.config},
+		Scheduler: u.job.Scheduler,
+		Options:   wireOptions(u.job.Options),
+		TimeoutMS: int(u.timeout / time.Millisecond),
+		NoCache:   u.noCache,
+	}
 }
 
 // dispatchBatch tracks one batch's outstanding units on behalf of its
@@ -398,7 +408,7 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, done []bool
 		if b.ctx.Err() != nil {
 			return // canceled: cancelBatch withdraws what was queued
 		}
-		key := keys.key(job)
+		key, loopText, config := keys.key(job)
 		if !noCache {
 			// A puller resolves a miss through Cache.Do, which counts
 			// it; with no pullers the miss is counted here.
@@ -411,13 +421,15 @@ func (d *dispatcher) enqueue(b *dispatchBatch, jobList []driver.Job, done []bool
 			}
 		}
 		u := &unit{
-			id:      batchID + "/" + strconv.Itoa(i),
-			key:     key,
-			job:     job,
-			timeout: timeout,
-			noCache: noCache,
-			batch:   b,
-			index:   i,
+			id:       batchID + "/" + strconv.Itoa(i),
+			key:      key,
+			job:      job,
+			timeout:  timeout,
+			noCache:  noCache,
+			batch:    b,
+			index:    i,
+			loopText: loopText,
+			config:   config,
 		}
 		t := jobs.Task{ID: u.id, Payload: u}
 		if route {
@@ -768,21 +780,6 @@ func (d *dispatcher) Metrics() api.DispatchMetrics {
 	}
 }
 
-// wireUnit renders a unit in its self-contained wire form: canonical
-// loop text, the full machine config, and the scheduler options.
-func wireUnit(u *unit) api.WorkUnit {
-	return api.WorkUnit{
-		ID:        u.id,
-		Hash:      u.key,
-		Loop:      loop.Format(u.job.Loop),
-		Machine:   api.MachineSpec{Config: json.RawMessage(machineSection(u.job.Machine))},
-		Scheduler: u.job.Scheduler,
-		Options:   wireOptions(u.job.Options),
-		TimeoutMS: int(u.timeout / time.Millisecond),
-		NoCache:   u.noCache,
-	}
-}
-
 // wireOptions maps driver options back onto the wire form — the exact
 // inverse of driverOptions, so a unit round-trips through a worker
 // with the same tuning the batch was admitted with.
@@ -795,20 +792,4 @@ func wireOptions(o driver.Options) api.Options {
 		RefinementPasses: o.RefinementPasses,
 		LoadSlack:        o.LoadSlack,
 	}
-}
-
-// UnitJob assembles the in-process compile job of one wire unit. It is
-// the worker-side counterpart of wireUnit and shares the server's
-// machine/option conversions, so a unit compiles identically wherever
-// it lands.
-func UnitJob(u api.WorkUnit) (driver.Job, error) {
-	l, err := loop.ParseString(u.Loop)
-	if err != nil {
-		return driver.Job{}, fmt.Errorf("unit %s: bad loop: %w", u.ID, err)
-	}
-	m, err := machineSpec(u.Machine).machine()
-	if err != nil {
-		return driver.Job{}, fmt.Errorf("unit %s: bad machine: %w", u.ID, err)
-	}
-	return driver.Job{Loop: l, Machine: m, Scheduler: u.Scheduler, Options: driverOptions(u.Options)}, nil
 }

@@ -36,8 +36,9 @@ func JobKey(job driver.Job) string {
 	return Key(job.Loop, job.Machine, job.Scheduler, job.Options)
 }
 
-// machineSection renders the machine section of a key.
-func machineSection(m *machine.Machine) string {
+// machineSection renders the machine section of a key: the machine's
+// JSON config, which is also the config a wire unit carries.
+func machineSection(m *machine.Machine) json.RawMessage {
 	mj, err := json.Marshal(m)
 	if err != nil {
 		// Machine marshaling is infallible for valid machines (fixed
@@ -45,7 +46,7 @@ func machineSection(m *machine.Machine) string {
 		// corruption, not bad input.
 		panic(fmt.Sprintf("server: machine %s failed to marshal: %v", m.Name, err))
 	}
-	return string(mj)
+	return mj
 }
 
 // optionsSection renders the options section of a key. Options is a
@@ -58,7 +59,7 @@ func optionsSection(opt driver.Options) string {
 // keyOf hashes the rendered sections of a key, each framed as
 // "<name> <len>\n<data>\n". It assembles the frames in buf, grown as
 // needed, and returns it for reuse.
-func keyOf(buf []byte, loopText, machineJSON, scheduler, options string) (string, []byte) {
+func keyOf(buf []byte, loopText string, machineJSON []byte, scheduler, options string) (string, []byte) {
 	buf = appendSection(buf[:0], "loop", loopText)
 	buf = appendSection(buf, "machine", machineJSON)
 	buf = appendSection(buf, "scheduler", scheduler)
@@ -69,7 +70,7 @@ func keyOf(buf []byte, loopText, machineJSON, scheduler, options string) (string
 	return string(hexSum[:]), buf
 }
 
-func appendSection(buf []byte, name, data string) []byte {
+func appendSection[T string | []byte](buf []byte, name string, data T) []byte {
 	buf = append(buf, name...)
 	buf = append(buf, ' ')
 	buf = strconv.AppendInt(buf, int64(len(data)), 10)
@@ -85,60 +86,103 @@ func appendSection(buf []byte, name, data string) []byte {
 type keyer struct {
 	buf      []byte
 	loops    map[*loop.Loop]string
-	machines map[machine.Machine]string
+	machines map[machine.Machine]json.RawMessage
 	options  map[driver.Options]string
 }
 
 func newKeyer() *keyer {
 	return &keyer{
 		loops:    make(map[*loop.Loop]string),
-		machines: make(map[machine.Machine]string),
+		machines: make(map[machine.Machine]json.RawMessage),
 		options:  make(map[driver.Options]string),
 	}
 }
 
-// key returns JobKey(job).
-func (k *keyer) key(job driver.Job) string {
-	lt, ok := k.loops[job.Loop]
+// key returns JobKey(job), with the loop text and machine config it
+// hashed: their canonical renderings, or a text seeded into k.loops
+// (see LeaseJobs). Jobs that share a loop or a machine share the
+// returned text or config, which callers must treat as read-only.
+func (k *keyer) key(job driver.Job) (key, loopText string, config json.RawMessage) {
+	loopText, ok := k.loops[job.Loop]
 	if !ok {
-		lt = loop.Format(job.Loop)
-		k.loops[job.Loop] = lt
+		loopText = loop.Format(job.Loop)
+		k.loops[job.Loop] = loopText
 	}
-	mj, ok := k.machines[*job.Machine]
+	config, ok = k.machines[*job.Machine]
 	if !ok {
-		mj = machineSection(job.Machine)
-		k.machines[*job.Machine] = mj
+		config = machineSection(job.Machine)
+		k.machines[*job.Machine] = config
 	}
 	opts, ok := k.options[job.Options]
 	if !ok {
 		opts = optionsSection(job.Options)
 		k.options[job.Options] = opts
 	}
-	var key string
-	key, k.buf = keyOf(k.buf, lt, mj, job.Scheduler, opts)
-	return key
+	key, k.buf = keyOf(k.buf, loopText, config, job.Scheduler, opts)
+	return key, loopText, config
 }
 
-// LeasedJob is one wire unit ready to compile: its job (UnitJob) and
-// cache key (JobKey), or the error that kept it from assembling.
+// LeasedJob is one wire unit ready to compile: its job and cache key,
+// or the error that kept it from assembling. The key is
+// JobKey when the unit's loop text is canonical, as a coordinator
+// sends it; see LeaseJobs.
 type LeasedJob struct {
 	Job driver.Job
 	Key string
 	Err error
 }
 
-// LeaseJobs assembles and keys the units of one lease through one
-// keyer, so units sharing a machine or options render them once.
+// LeaseJobs assembles and keys the units of one lease. Units with the
+// same loop text share one parsed *loop.Loop and units with the same
+// machine config one *machine.Machine, each built once, so they also
+// share one keyer rendering; the jobs compile concurrently, and the
+// back-ends treat both as read-only. A unit whose loop or machine does
+// not build fails alone.
+//
+// A unit's loop section is keyed with the unit's own text rather than
+// a re-rendering of the parsed loop. A coordinator sends the canonical
+// text, so the key is JobKey; a text that is not canonical still keys
+// injectively, since it parses to exactly one loop, and only misses
+// cache entries its canonical form keyed.
 func LeaseJobs(units []api.WorkUnit) []LeasedJob {
 	k := newKeyer()
+	loops := make(map[string]built[*loop.Loop])
+	configs := make(map[string]built[*machine.Machine])
 	out := make([]LeasedJob, len(units))
 	for i, u := range units {
-		job, err := UnitJob(u)
-		if err != nil {
-			out[i].Err = err
-			continue
+		l, ok := loops[u.Loop]
+		if !ok {
+			l.v, l.err = loop.ParseString(u.Loop)
+			loops[u.Loop] = l
+			if l.err == nil {
+				k.loops[l.v] = u.Loop
+			}
 		}
-		out[i] = LeasedJob{Job: job, Key: k.key(job)}
+		var m built[*machine.Machine]
+		if len(u.Machine.Config) == 0 {
+			m.v, m.err = machineSpec(u.Machine).machine()
+		} else if m, ok = configs[string(u.Machine.Config)]; !ok {
+			m.v, m.err = machineSpec(u.Machine).machine()
+			configs[string(u.Machine.Config)] = m
+		}
+		switch {
+		case l.err != nil:
+			out[i].Err = fmt.Errorf("unit %s: bad loop: %w", u.ID, l.err)
+		case m.err != nil:
+			out[i].Err = fmt.Errorf("unit %s: bad machine: %w", u.ID, m.err)
+		default:
+			// The server's own option conversion: a unit compiles
+			// identically wherever it lands.
+			job := driver.Job{Loop: l.v, Machine: m.v, Scheduler: u.Scheduler, Options: driverOptions(u.Options)}
+			key, _, _ := k.key(job)
+			out[i] = LeasedJob{Job: job, Key: key}
+		}
 	}
 	return out
+}
+
+// built is the outcome of building one value from its wire form.
+type built[T any] struct {
+	v   T
+	err error
 }

@@ -43,7 +43,7 @@ func TestKeyGolden(t *testing.T) {
 		if got := JobKey(c.job); got != c.want {
 			t.Errorf("JobKey(%s) = %s, want %s", c.job, got, c.want)
 		}
-		if got := k.key(c.job); got != c.want {
+		if got, _, _ := k.key(c.job); got != c.want {
 			t.Errorf("keyer.key(%s) = %s, want %s", c.job, got, c.want)
 		}
 	}
@@ -59,8 +59,13 @@ func TestKeyerMatchesJobKey(t *testing.T) {
 		for _, m := range machines {
 			for _, s := range []string{"dms", "ims"} {
 				job := driver.Job{Loop: l, Machine: m, Scheduler: s}
-				if got, want := k.key(job), JobKey(job); got != want {
+				got, loopText, config := k.key(job)
+				if want := JobKey(job); got != want {
 					t.Fatalf("keyer.key(%s) = %s, JobKey = %s", job, got, want)
+				}
+				// The rendered sections are the unit's wire payload.
+				if loopText != loop.Format(l) || string(config) != string(machineSection(m)) {
+					t.Fatalf("keyer.key(%s) rendered %q and %s", job, loopText, config)
 				}
 			}
 		}

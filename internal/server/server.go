@@ -58,6 +58,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -528,8 +529,15 @@ func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any, prot
 		writeError(w, api.CodeInvalidRequest, "%s: %v", what, err)
 		return false
 	}
-	if *protocol != "" && *protocol != api.Version {
-		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", *protocol, api.Version)
+	return speaksProtocol(w, *protocol)
+}
+
+// speaksProtocol accepts a body's protocol assertion: "" or this
+// server's version. Otherwise it writes the structured error itself and
+// returns false.
+func speaksProtocol(w http.ResponseWriter, protocol string) bool {
+	if protocol != "" && protocol != api.Version {
+		writeError(w, api.CodeInvalidRequest, "protocol %q not supported (this server speaks %s)", protocol, api.Version)
 		return false
 	}
 	return true
@@ -790,17 +798,36 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lease := s.dispatch.lease(r.Context(), req, time.Duration(req.WaitMS)*time.Millisecond)
-	writeJSON(w, lease)
+	// The lease's bytes are json.Marshal's, written without reflection.
+	body, err := api.AppendLease(nil, &lease)
+	if err != nil {
+		// Unreachable: the coordinator rendered every config it leases.
+		writeError(w, api.CodeInternal, "lease %s did not encode: %v", lease.ID, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(body, '\n'))
 }
 
 // handleWorkerResults is POST /v1/workers/{lease}/results: append unit
 // results (each Ack'd exactly once) and heartbeat the lease; an empty
 // post is a pure heartbeat. An expired lease answers 410 lease_expired
-// — its unresolved units already belong to the queue again.
+// — its unresolved units already belong to the queue again. The body,
+// which carries every distributed result, is read whole and decoded
+// by api.DecodeWorkResults: as strict as decodeBody, without
+// reflection.
 func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
-	var req api.WorkResultsRequest
-	if !decodeBody(w, r, "bad results post", &req, &req.Protocol) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	var req *api.WorkResultsRequest
+	if err == nil {
+		req, err = api.DecodeWorkResults(body)
+	}
+	if err != nil {
+		writeError(w, api.CodeInvalidRequest, "bad results post: %v", err)
+		return
+	}
+	if !speaksProtocol(w, req.Protocol) {
 		return
 	}
 	resp, err := s.dispatch.postResults(leaseID, req.Results, false)

@@ -121,15 +121,11 @@ func ScheduleCtx(ctx context.Context, g *ddg.Graph, m *machine.Machine, opt Opti
 	return nil, st, fmt.Errorf("twophase: %s did not schedule on %s within MaxII %d", g.Name(), m.Name, maxII)
 }
 
-// Partition assigns every live node a cluster: greedy in decreasing
+// partition assigns every live node a cluster: greedy in decreasing
 // height order (neighbour-affine, load-capped), then refined by
-// single-node moves that lower the communication cost.
-func Partition(g *ddg.Graph, m *machine.Machine, opt Options) map[int]int {
-	return partition(g, m, opt, g.RecMII())
-}
-
-// partition is Partition with the graph's RecMII precomputed, so the
-// II search can share one recurrence analysis with pinnedMII.
+// single-node moves that lower the communication cost. recMII is the
+// graph's RecMII, precomputed so the II search can share one
+// recurrence analysis with pinnedMII.
 func partition(g *ddg.Graph, m *machine.Machine, opt Options, recMII int) map[int]int {
 	assign := make(map[int]int, g.NumNodes())
 	if m.Clusters == 1 {

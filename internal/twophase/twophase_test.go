@@ -52,7 +52,7 @@ func TestScheduleKernels(t *testing.T) {
 func TestPartitionBalancesLoad(t *testing.T) {
 	g := clusteredGraph(t, "fir4", 4)
 	m := machine.Clustered(4)
-	assign := Partition(g, m, Options{})
+	assign := partition(g, m, Options{}, g.RecMII())
 	load := make([][]int, m.Clusters)
 	for c := range load {
 		load[c] = make([]int, machine.NumFUKinds)
@@ -77,7 +77,7 @@ func TestPartitionBalancesLoad(t *testing.T) {
 
 func TestPartitionSingleCluster(t *testing.T) {
 	g := clusteredGraph(t, "dot", 1)
-	assign := Partition(g, machine.Clustered(1), Options{})
+	assign := partition(g, machine.Clustered(1), Options{}, g.RecMII())
 	for n, c := range assign {
 		if c != 0 {
 			t.Fatalf("node %d in cluster %d on a 1-cluster machine", n, c)
@@ -218,8 +218,8 @@ func TestRefinementReducesCommCost(t *testing.T) {
 		g := ddg.FromLoop(l, lat())
 		ddg.InsertCopies(g, ddg.MaxUses)
 		m := machine.Clustered(8)
-		a := commCost(g, m, Partition(g, m, Options{RefinementPasses: 1}))
-		b := commCost(g, m, Partition(g, m, Options{RefinementPasses: 4}))
+		a := commCost(g, m, partition(g, m, Options{RefinementPasses: 1}, g.RecMII()))
+		b := commCost(g, m, partition(g, m, Options{RefinementPasses: 4}, g.RecMII()))
 		if b > a {
 			worse++
 		}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ewma"
 	"repro/internal/server"
 )
 
@@ -46,9 +47,8 @@ const numCostClasses = 2
 // classEWMA is one cost class's smoothed service time and its decayed
 // share of recent traffic.
 type classEWMA struct {
-	ewmaMS float64
-	obs    uint64
-	share  float64
+	serviceMS ewma.Mean
+	share     float64
 }
 
 // chunkCalc sizes the worker's next lease request from its own
@@ -81,7 +81,11 @@ func newChunkCalc(initial, parallelism int, target time.Duration) *chunkCalc {
 	if target <= 0 {
 		target = DefaultChunkTarget
 	}
-	return &chunkCalc{initial: initial, par: parallelism, target: target}
+	c := &chunkCalc{initial: initial, par: parallelism, target: target}
+	for i := range c.classes {
+		c.classes[i].serviceMS = ewma.New(chunkEWMAAlpha)
+	}
+	return c
 }
 
 // Observe records one completed unit's service time.
@@ -97,13 +101,7 @@ func (c *chunkCalc) Observe(scheduler string, d time.Duration) {
 		}
 		c.classes[i].share = (1-chunkMixAlpha)*c.classes[i].share + chunkMixAlpha*hit
 	}
-	e := &c.classes[cls]
-	if e.obs == 0 {
-		e.ewmaMS = ms
-	} else {
-		e.ewmaMS = (1-chunkEWMAAlpha)*e.ewmaMS + chunkEWMAAlpha*ms
-	}
-	e.obs++
+	c.classes[cls].serviceMS.Observe(ms)
 	c.total++
 }
 
@@ -112,11 +110,11 @@ func (c *chunkCalc) Observe(scheduler string, d time.Duration) {
 func (c *chunkCalc) blendedLocked() float64 {
 	num, den := 0.0, 0.0
 	for i := range c.classes {
-		e := c.classes[i]
-		if e.obs == 0 || e.share <= 0 {
+		e := &c.classes[i]
+		if e.serviceMS.Count() == 0 || e.share <= 0 {
 			continue
 		}
-		num += e.share * e.ewmaMS
+		num += e.share * e.serviceMS.Value()
 		den += e.share
 	}
 	if den == 0 {

@@ -495,11 +495,11 @@ func TestWorkerLeaseExpiredPostRejected(t *testing.T) {
 // returns its result record.
 func compileWire(t *testing.T, u api.WorkUnit) api.JobResult {
 	t.Helper()
-	job, err := server.UnitJob(u)
-	if err != nil {
-		t.Fatal(err)
+	lj := server.LeaseJobs([]api.WorkUnit{u})[0]
+	if lj.Err != nil {
+		t.Fatal(lj.Err)
 	}
-	res := driver.CompileAll(context.Background(), []driver.Job{job}, driver.BatchOptions{})[0]
+	res := driver.CompileAll(context.Background(), []driver.Job{lj.Job}, driver.BatchOptions{})[0]
 	if res.Err != nil {
 		t.Fatalf("unit %s: %v", u.ID, res.Err)
 	}

@@ -600,11 +600,15 @@ func (c *Client) LeaseWork(ctx context.Context, req api.LeaseRequest) (*api.Leas
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var lease api.Lease
-	if err := json.NewDecoder(resp.Body).Decode(&lease); err != nil {
+	body, err = io.ReadAll(resp.Body)
+	if err != nil {
 		return nil, err
 	}
-	return &lease, nil
+	lease, err := api.DecodeLease(body)
+	if err != nil {
+		return nil, fmt.Errorf("dmsclient: bad lease: %w", err)
+	}
+	return lease, nil
 }
 
 // PushWorkResults posts unit results (or, with an empty slice, a pure
@@ -612,7 +616,7 @@ func (c *Client) LeaseWork(ctx context.Context, req api.LeaseRequest) (*api.Leas
 // coordinator no longer honors surfaces as an *api.Error with code
 // lease_expired — the worker must drop the lease's remaining work.
 func (c *Client) PushWorkResults(ctx context.Context, lease string, results []api.UnitResult) (*api.WorkResultsResponse, error) {
-	body, err := json.Marshal(api.WorkResultsRequest{Protocol: api.Version, Results: results})
+	body, err := api.AppendWorkResults(nil, &api.WorkResultsRequest{Protocol: api.Version, Results: results})
 	if err != nil {
 		return nil, err
 	}
