@@ -207,7 +207,7 @@ func TestStreamLineAllocBudget(t *testing.T) {
 // json.Decoder with DisallowUnknownFields; an indented json.Encoder; a
 // machine.ReadConfig and a loop.Format per unit) sat at 23.9, 0.7 and
 // 119.7, and BenchmarkWorkerWire's µs per unit fell from 16.8, 8.9 and
-// 23.8 to 3.5, 0.7 and 12.3 on a 2-vCPU Xeon.
+// 23.8 to 4.0, 1.8 and 11.8 on a 2-vCPU Xeon.
 const (
 	workResultsDecodeAllocBudget = 21
 	leaseEncodeAllocBudget       = 1

@@ -13,9 +13,7 @@ import (
 // AppendLease appends the JSON of l to buf: exactly the bytes
 // json.Marshal(l) produces. A unit's machine config, a raw JSON value,
 // is validated, compacted and HTML-escaped as json.Marshal does; an
-// invalid one is an error, and buf is then returned unchanged. A unit
-// whose config equals the last one written (the common case: one
-// machine per batch) reuses the bytes written for it.
+// invalid one is an error, and buf is then returned unchanged.
 //
 //dms:hotpath
 func AppendLease(buf []byte, l *Lease) ([]byte, error) {
@@ -30,8 +28,6 @@ func AppendLease(buf []byte, l *Lease) ([]byte, error) {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, `"units":[`...)
-		var prevConfig json.RawMessage
-		prevStart, prevEnd := -1, -1
 		for i := range l.Units {
 			u := &l.Units[i]
 			if i > 0 {
@@ -52,15 +48,9 @@ func AppendLease(buf []byte, l *Lease) ([]byte, error) {
 					buf = append(buf, ',')
 				}
 				buf = append(buf, `"config":`...)
-				if prevStart >= 0 && string(cfg) == string(prevConfig) {
-					buf = append(buf, buf[prevStart:prevEnd]...)
-				} else {
-					prevStart = len(buf)
-					var err error
-					if buf, err = appendRawJSON(buf, cfg); err != nil {
-						return buf[:n], err
-					}
-					prevConfig, prevEnd = cfg, len(buf)
+				var err error
+				if buf, err = appendRawJSON(buf, cfg); err != nil {
+					return buf[:n], err
 				}
 			}
 			buf = append(buf, `},"scheduler":`...)

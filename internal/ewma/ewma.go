@@ -1,33 +1,20 @@
-// Package ewma is the exponentially weighted moving average the
-// service-time estimators share: the job engine's smoothed batch
-// service time and a worker's per-cost-class unit service times.
+// Package ewma is the exponentially weighted moving average of the job
+// engine's and a worker's service-time estimators.
 package ewma
 
 // Mean is an exponentially weighted moving average seeded by its first
-// sample: the first sample x sets the mean to x, and each later one
-// moves it to (1-α)·mean + α·x. Create one with New; it is not safe for
-// concurrent use.
+// sample; the zero Mean is empty. It is not safe for concurrent use.
 type Mean struct {
-	alpha float64
-	mean  float64
-	n     uint64
+	Value  float64 // the mean, 0 before the first sample
+	Seeded bool
 }
 
-// New returns an empty Mean that weights each new sample by alpha.
-func New(alpha float64) Mean { return Mean{alpha: alpha} }
-
-// Observe folds one sample into the mean.
-func (m *Mean) Observe(x float64) {
-	if m.n == 0 {
-		m.mean = x
+// Observe folds x into the mean: the first sample sets it, each later
+// one moves it to (1-alpha)·mean + alpha·x.
+func (m *Mean) Observe(alpha, x float64) {
+	if m.Seeded {
+		m.Value = (1-alpha)*m.Value + alpha*x
 	} else {
-		m.mean = (1-m.alpha)*m.mean + m.alpha*x
+		m.Value, m.Seeded = x, true
 	}
-	m.n++
 }
-
-// Value returns the mean, 0 before the first sample.
-func (m *Mean) Value() float64 { return m.mean }
-
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.n }

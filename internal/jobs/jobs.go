@@ -166,7 +166,7 @@ type Engine struct {
 // New returns an engine with the given options. Its retention janitor
 // runs until Close.
 func New(opt Options) *Engine {
-	e := &Engine{opt: opt, store: opt.Store, byID: make(map[string]*Job), serviceTime: ewma.New(ewmaAlpha), stop: make(chan struct{})}
+	e := &Engine{opt: opt, store: opt.Store, byID: make(map[string]*Job), stop: make(chan struct{})}
 	if e.store == nil {
 		e.store = NewMemStore()
 	}
@@ -409,7 +409,7 @@ func (e *Engine) Metrics() api.QueueMetrics {
 		Rejected:      e.rejected,
 		Completed:     e.completed,
 		Canceled:      e.canceled,
-		EWMAServiceMS: e.serviceTime.Value() / float64(time.Millisecond),
+		EWMAServiceMS: e.serviceTime.Value / float64(time.Millisecond),
 	}
 }
 
@@ -652,7 +652,7 @@ func (j *Job) finish(state api.JobState) bool {
 	} else {
 		e.completed++
 		if !started.IsZero() {
-			e.serviceTime.Observe(float64(now.Sub(started)))
+			e.serviceTime.Observe(ewmaAlpha, float64(now.Sub(started)))
 		}
 	}
 	e.retireLocked(j, now)

@@ -81,11 +81,7 @@ func newChunkCalc(initial, parallelism int, target time.Duration) *chunkCalc {
 	if target <= 0 {
 		target = DefaultChunkTarget
 	}
-	c := &chunkCalc{initial: initial, par: parallelism, target: target}
-	for i := range c.classes {
-		c.classes[i].serviceMS = ewma.New(chunkEWMAAlpha)
-	}
-	return c
+	return &chunkCalc{initial: initial, par: parallelism, target: target}
 }
 
 // Observe records one completed unit's service time.
@@ -101,7 +97,7 @@ func (c *chunkCalc) Observe(scheduler string, d time.Duration) {
 		}
 		c.classes[i].share = (1-chunkMixAlpha)*c.classes[i].share + chunkMixAlpha*hit
 	}
-	c.classes[cls].serviceMS.Observe(ms)
+	c.classes[cls].serviceMS.Observe(chunkEWMAAlpha, ms)
 	c.total++
 }
 
@@ -110,11 +106,11 @@ func (c *chunkCalc) Observe(scheduler string, d time.Duration) {
 func (c *chunkCalc) blendedLocked() float64 {
 	num, den := 0.0, 0.0
 	for i := range c.classes {
-		e := &c.classes[i]
-		if e.serviceMS.Count() == 0 || e.share <= 0 {
+		e := c.classes[i]
+		if !e.serviceMS.Seeded || e.share <= 0 {
 			continue
 		}
-		num += e.share * e.serviceMS.Value()
+		num += e.share * e.serviceMS.Value
 		den += e.share
 	}
 	if den == 0 {

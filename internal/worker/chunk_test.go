@@ -118,7 +118,7 @@ func TestChunkCalcClassBlend(t *testing.T) {
 	// The heuristic class's own estimate is untouched by the exact
 	// stream.
 	c.mu.Lock()
-	heurMS := c.classes[costClass("dms")].serviceMS.Value()
+	heurMS := c.classes[costClass("dms")].serviceMS.Value
 	c.mu.Unlock()
 	if heurMS > 3 {
 		t.Errorf("heuristic EWMA polluted by exact units: %v ms", heurMS)
