@@ -81,7 +81,6 @@ func drainOnce(b *testing.B, req api.CompileRequest) (makespan time.Duration, po
 		{ID: "slow", Parallelism: 8, UnitDelay: slowdown * baseDelay},
 	} {
 		opt.Coordinator = ts.URL
-		opt.Wait = 200 * time.Millisecond
 		opt.ChunkTarget = 150 * time.Millisecond
 		wg.Add(1)
 		go func(opt worker.Options) {

@@ -275,7 +275,7 @@ func (w *worker) run() (*schedule.Schedule, bool) {
 //
 //dms:hotpath
 func (w *worker) scheduleOp(op int) {
-	estart := w.earliestStart(op)
+	estart := ims.EarliestStart(w.g, w.s, op, w.ii)
 	if w.strategy1(op, estart) {
 		w.st.Strategy1++
 		return
@@ -286,30 +286,6 @@ func (w *worker) scheduleOp(op int) {
 	}
 	w.strategy3(op, estart)
 	w.st.Strategy3++
-}
-
-// earliestStart is the smallest dependence-feasible issue time given
-// the currently scheduled predecessors (self edges excluded: they are
-// satisfied by II ≥ RecMII).
-//
-//dms:hotpath
-func (w *worker) earliestStart(op int) int {
-	estart := 0
-	for _, eid := range w.g.InEdgeIDs(op) {
-		if !w.g.EdgeAlive(eid) {
-			continue
-		}
-		e := w.g.EdgeAt(eid)
-		if e.From == op {
-			continue
-		}
-		if p, ok := w.s.At(e.From); ok {
-			if t := p.Time + e.Delay - w.ii*e.Distance; t > estart {
-				estart = t
-			}
-		}
-	}
-	return estart
 }
 
 // place books the node and ejects scheduled successors whose dependence

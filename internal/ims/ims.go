@@ -197,7 +197,7 @@ func (sr *searcher) tryII(ctx context.Context, ii, budgetRatio int, st *Stats) (
 		}
 		class := g.Node(op).Class
 
-		estart := earliestStart(g, s, op, ii)
+		estart := EarliestStart(g, s, op, ii)
 		timeSlot, found := findSlot(s, class, cluster, estart, ii)
 		if !found {
 			// Forced placement at estart, but past the op's previous
@@ -238,9 +238,12 @@ func (sr *searcher) tryII(ctx context.Context, ii, budgetRatio int, st *Stats) (
 	return s, true
 }
 
-// earliestStart returns the smallest dependence-feasible issue time of
-// op given its currently scheduled predecessors.
-func earliestStart(g *ddg.Graph, s *schedule.Schedule, op, ii int) int {
+// EarliestStart returns the smallest dependence-feasible issue time of
+// op given its currently scheduled predecessors. DMS places every
+// operation through it, as IMS does.
+//
+//dms:hotpath
+func EarliestStart(g *ddg.Graph, s *schedule.Schedule, op, ii int) int {
 	estart := 0
 	for _, eid := range g.InEdgeIDs(op) {
 		if !g.EdgeAlive(eid) {

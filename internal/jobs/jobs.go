@@ -228,9 +228,7 @@ func (e *Engine) Close() {
 // newID returns a fresh 128-bit job ID.
 func newID() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("jobs: id entropy unavailable: %v", err))
-	}
+	rand.Read(b[:]) // never fails: an entropy error crashes the program instead
 	return hex.EncodeToString(b[:])
 }
 

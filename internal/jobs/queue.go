@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"slices"
 	"sort"
 	"sync"
@@ -169,30 +168,10 @@ func NewMemQueue(...int) Queue {
 	}
 }
 
-// leaseEntropy feeds newLeaseID; a test can swap it out to exercise
-// the fallback path.
-var leaseEntropy io.Reader = rand.Reader
-
-// leaseIDFallback hands out sequential IDs when the entropy source
-// fails. Sequential IDs are fine here: lease IDs only need to be
-// unique within one queue's lifetime, not unguessable.
-var leaseIDFallback struct {
-	mu sync.Mutex
-	n  uint64
-}
-
-// newLeaseID returns a fresh 64-bit lease ID. A transient entropy
-// read failure falls back to a counter-based ID — a coordinator must
-// not crash because /dev/urandom hiccuped under fd pressure.
+// newLeaseID returns a fresh 64-bit lease ID.
 func newLeaseID() string {
 	var b [8]byte
-	if _, err := io.ReadFull(leaseEntropy, b[:]); err != nil {
-		leaseIDFallback.mu.Lock()
-		leaseIDFallback.n++
-		n := leaseIDFallback.n
-		leaseIDFallback.mu.Unlock()
-		return fmt.Sprintf("lease-%016x", n)
-	}
+	rand.Read(b[:]) // never fails: an entropy error crashes the program instead
 	return hex.EncodeToString(b[:])
 }
 

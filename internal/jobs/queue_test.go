@@ -1,9 +1,7 @@
 package jobs
 
 import (
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -215,41 +213,6 @@ func route(q *memQueue, hash string) (string, bool) {
 	defer q.mu.Unlock()
 	owner, ok := q.affinity[hash]
 	return owner, ok
-}
-
-// failingReader always errors, standing in for a transient entropy
-// outage (fd exhaustion, sandbox without /dev/urandom).
-type failingReader struct{}
-
-func (failingReader) Read([]byte) (int, error) { return 0, errors.New("entropy unavailable") }
-
-// TestLeaseIDEntropyFallback pins that a transient entropy failure
-// degrades to counter-based lease IDs instead of panicking the
-// coordinator.
-func TestLeaseIDEntropyFallback(t *testing.T) {
-	old := leaseEntropy
-	leaseEntropy = failingReader{}
-	defer func() { leaseEntropy = old }()
-
-	a, b := newLeaseID(), newLeaseID()
-	if a == "" || b == "" || a == b {
-		t.Fatalf("fallback lease IDs %q, %q: want distinct non-empty", a, b)
-	}
-	if !strings.HasPrefix(a, "lease-") {
-		t.Fatalf("fallback lease ID %q not from the counter path", a)
-	}
-
-	// The queue keeps serving: a full Lease cycle under the failing
-	// entropy source.
-	q := NewMemQueue()
-	mustEnqueue(t, q, Task{ID: "t1"})
-	lease, tasks := q.Lease("owner-a", 1, 0)
-	if lease == "" || len(tasks) != 1 {
-		t.Fatalf("lease under entropy failure: (%q, %v)", lease, ids(tasks))
-	}
-	if !q.Ack(lease, "t1") {
-		t.Fatal("ack under entropy failure rejected")
-	}
 }
 
 // TestPendingReleasesVacatedSlots: leasing or withdrawing a task must

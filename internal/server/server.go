@@ -158,7 +158,7 @@ func (o Options) retryAfter() time.Duration {
 	return DefaultRetryAfter
 }
 
-// Server is the compile service. Create one with New; it is safe for
+// Server is the compile service. Create one with Open; it is safe for
 // concurrent use.
 type Server struct {
 	opt      Options
@@ -258,22 +258,11 @@ func copyCounts(src map[string]int64) map[string]int64 {
 	return dst
 }
 
-// New returns a service with the given options; its puller pool runs
-// until Close. It panics when durable state under Options.DataDir
-// cannot be opened — callers setting DataDir should prefer Open.
-func New(opt Options) *Server {
-	s, err := Open(opt)
-	if err != nil {
-		panic(fmt.Sprintf("server: %v", err))
-	}
-	return s
-}
-
-// Open is New with the durable-state error surfaced: with
-// Options.DataDir set it opens (or creates) the disk-backed result
-// store under that directory and recovers whatever a previous process
-// left there — interrupted batches resume under their original job
-// IDs — before any request can be served.
+// Open returns a service with the given options; its puller pool runs
+// until Close. With Options.DataDir set it opens (or creates) the
+// disk-backed result store under that directory and recovers whatever
+// a previous process left there — interrupted batches resume under
+// their original job IDs — before any request can be served.
 func Open(opt Options) (*Server, error) {
 	cache := NewCache(opt.CacheSize)
 	var store jobs.ResultStore // nil = the engine's in-memory store

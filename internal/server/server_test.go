@@ -55,7 +55,10 @@ func goldenLoops(t *testing.T) []string {
 // down with the test.
 func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
-	svc := New(opt)
+	svc, err := Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(svc.Close)

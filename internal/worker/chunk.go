@@ -1,7 +1,7 @@
 package worker
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,47 +18,21 @@ const (
 	// comfortably inside the default lease TTL with heartbeats to
 	// spare.
 	DefaultChunkTarget = time.Second
-	// chunkEWMAAlpha is the smoothing factor of the per-class
-	// service-time EWMAs: recent units dominate, but one outlier unit
-	// cannot whipsaw the chunk size.
+	// chunkEWMAAlpha is the smoothing factor of the service-time EWMA:
+	// recent units dominate, but one outlier unit cannot whipsaw the
+	// chunk size.
 	chunkEWMAAlpha = 0.3
-	// chunkMixAlpha decays the per-class mix shares, so the blend
-	// tracks what the queue is sending now rather than the whole run.
-	chunkMixAlpha = 0.1
 	// chunkWarmup is the observation count below which the calculator
 	// keeps requesting the configured initial size.
 	chunkWarmup = 3
 )
 
-// costClass buckets a scheduler by expected per-unit cost, so the
-// calculator's EWMAs are not polluted across regimes: an exact SAT
-// solve is orders of magnitude slower than a heuristic pass, and
-// averaging the two would mis-size chunks for both.
-func costClass(scheduler string) int {
-	switch scheduler {
-	case "exact", "portfolio":
-		return 1
-	}
-	return 0
-}
-
-const numCostClasses = 2
-
-// classEWMA is one cost class's smoothed service time and its decayed
-// share of recent traffic.
-type classEWMA struct {
-	serviceMS ewma.Mean
-	share     float64
-}
-
 // chunkCalc sizes the worker's next lease request from its own
 // measured service times — guided self-scheduling computed at the
 // worker, where the service-time signal lives, rather than at the
-// coordinator. It keeps one EWMA per unit cost class (heuristic
-// schedulers versus exact/portfolio solves) and blends them by the
-// decayed mix of recent units, so a queue that shifts from cheap to
-// expensive units shrinks the next request before a chunk overruns
-// the lease TTL.
+// coordinator. One EWMA covers every unit, so a queue that shifts from
+// cheap to expensive units shrinks the next request within a few
+// units, before a chunk overruns the lease TTL.
 //
 // Next applies a factoring-style rule to the coordinator-reported
 // backlog: request the units that fit the target lease time at the
@@ -66,12 +40,12 @@ type classEWMA struct {
 // tail of a draining queue stays divisible among the faster workers
 // instead of serializing behind one straggler.
 type chunkCalc struct {
-	mu      sync.Mutex
-	initial int           // warm-up request size (0 = coordinator default)
-	par     int           // units compiled concurrently
-	target  time.Duration // wall-clock budget one chunk should take
-	total   uint64        // observations across all classes
-	classes [numCostClasses]classEWMA
+	mu        sync.Mutex
+	initial   int           // warm-up request size (0 = coordinator default)
+	par       int           // units compiled concurrently
+	target    time.Duration // wall-clock budget one chunk should take
+	total     uint64        // observations
+	serviceMS ewma.Mean
 }
 
 func newChunkCalc(initial, parallelism int, target time.Duration) *chunkCalc {
@@ -85,46 +59,19 @@ func newChunkCalc(initial, parallelism int, target time.Duration) *chunkCalc {
 }
 
 // Observe records one completed unit's service time.
-func (c *chunkCalc) Observe(scheduler string, d time.Duration) {
-	cls := costClass(scheduler)
-	ms := float64(d) / float64(time.Millisecond)
+func (c *chunkCalc) Observe(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i := range c.classes {
-		hit := 0.0
-		if i == cls {
-			hit = 1.0
-		}
-		c.classes[i].share = (1-chunkMixAlpha)*c.classes[i].share + chunkMixAlpha*hit
-	}
-	c.classes[cls].serviceMS.Observe(chunkEWMAAlpha, ms)
+	c.serviceMS.Observe(chunkEWMAAlpha, float64(d)/float64(time.Millisecond))
 	c.total++
 }
 
-// blendedLocked is the mix-weighted service-time estimate in
-// milliseconds, 0 until something has been observed.
-func (c *chunkCalc) blendedLocked() float64 {
-	num, den := 0.0, 0.0
-	for i := range c.classes {
-		e := c.classes[i]
-		if !e.serviceMS.Seeded || e.share <= 0 {
-			continue
-		}
-		num += e.share * e.serviceMS.Value
-		den += e.share
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// EWMA reports the blended per-unit service time in milliseconds for
-// self-reporting on lease requests (0 = not yet warmed up).
+// EWMA reports the per-unit service time in milliseconds for
+// self-reporting on lease requests (0 = nothing observed yet).
 func (c *chunkCalc) EWMA() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.blendedLocked()
+	return c.serviceMS.Value
 }
 
 // Next computes the units to request on the next lease given the
@@ -136,7 +83,7 @@ func (c *chunkCalc) Next(remaining int) int {
 	if c.total < chunkWarmup {
 		return c.initial
 	}
-	ewma := c.blendedLocked()
+	ewma := c.serviceMS.Value
 	if ewma <= 0 {
 		// Sub-millisecond units (a fully warm cache): the rate bound is
 		// effectively infinite; take the factoring bound alone.
@@ -162,17 +109,5 @@ func (c *chunkCalc) Next(remaining int) int {
 
 // normalizeSchedulers sorts and deduplicates an advertisement list.
 func normalizeSchedulers(names []string) []string {
-	if len(names) == 0 {
-		return nil
-	}
-	out := append([]string(nil), names...)
-	sort.Strings(out)
-	w := 0
-	for i, s := range out {
-		if i == 0 || s != out[i-1] {
-			out[w] = s
-			w++
-		}
-	}
-	return out[:w]
+	return slices.Compact(slices.Sorted(slices.Values(names)))
 }

@@ -21,12 +21,12 @@ func TestChunkCalcWarmup(t *testing.T) {
 		t.Fatalf("cold EWMA = %v, want 0 (unreported)", got)
 	}
 	for i := 0; i < chunkWarmup-1; i++ {
-		c.Observe("dms", 10*time.Millisecond)
+		c.Observe(10 * time.Millisecond)
 		if got := c.Next(1000); got != 0 {
 			t.Fatalf("Next after %d observations = %d, still warming — want 0", i+1, got)
 		}
 	}
-	c.Observe("dms", 10*time.Millisecond)
+	c.Observe(10 * time.Millisecond)
 	if got := c.Next(1000); got <= 0 {
 		t.Fatalf("warm Next = %d, want a self-sized positive request", got)
 	}
@@ -42,7 +42,7 @@ func TestChunkCalcTargetSizing(t *testing.T) {
 	warm := func(unitMS int, par int) *chunkCalc {
 		c := newChunkCalc(8, par, time.Second)
 		for i := 0; i < 20; i++ {
-			c.Observe("dms", time.Duration(unitMS)*time.Millisecond)
+			c.Observe(time.Duration(unitMS) * time.Millisecond)
 		}
 		return c
 	}
@@ -68,7 +68,7 @@ func TestChunkCalcTargetSizing(t *testing.T) {
 func TestChunkCalcFactoringBound(t *testing.T) {
 	c := newChunkCalc(8, 1, time.Second)
 	for i := 0; i < 10; i++ {
-		c.Observe("dms", time.Millisecond) // rate bound ≈ 1000 units
+		c.Observe(time.Millisecond) // rate bound ≈ 1000 units
 	}
 	cases := []struct{ remaining, want int }{
 		{10, 5},
@@ -91,46 +91,30 @@ func TestChunkCalcFactoringBound(t *testing.T) {
 func TestChunkCalcClampMax(t *testing.T) {
 	c := newChunkCalc(8, 8, time.Second)
 	for i := 0; i < 10; i++ {
-		c.Observe("dms", 10*time.Microsecond)
+		c.Observe(10 * time.Microsecond)
 	}
 	if got := c.Next(1_000_000); got != server.DefaultLeaseChunkMax {
 		t.Errorf("Next = %d, want clamped to %d", got, server.DefaultLeaseChunkMax)
 	}
 }
 
-// TestChunkCalcClassBlend: per-cost-class EWMAs keep regimes separate
-// — a shift from cheap heuristic units to exact solves shrinks the
-// next request as the mix share moves, without the exact observations
-// polluting the heuristic class's estimate.
-func TestChunkCalcClassBlend(t *testing.T) {
+// TestChunkCalcMixShift: a shift from cheap heuristic units to exact
+// solves shrinks the next request within a few units, and a return to
+// cheap units grows it back as quickly.
+func TestChunkCalcMixShift(t *testing.T) {
 	c := newChunkCalc(8, 1, time.Second)
-	for i := 0; i < 30; i++ {
-		c.Observe("dms", 2*time.Millisecond)
+	observe := func(n int, d time.Duration) int {
+		for i := 0; i < n; i++ {
+			c.Observe(d)
+		}
+		return c.Next(100_000)
 	}
-	cheap := c.Next(100_000)
-	for i := 0; i < 30; i++ {
-		c.Observe("exact", 500*time.Millisecond)
+	cheap := observe(30, 2*time.Millisecond)
+	if slow := observe(5, 500*time.Millisecond); slow >= cheap/10 {
+		t.Fatalf("chunk did not shrink as traffic turned to 500 ms units: cheap %d, after 5 slow units %d", cheap, slow)
 	}
-	mixed := c.Next(100_000)
-	if mixed >= cheap {
-		t.Fatalf("chunk did not shrink as the mix turned exact: cheap %d, mixed %d", cheap, mixed)
-	}
-	// The heuristic class's own estimate is untouched by the exact
-	// stream.
-	c.mu.Lock()
-	heurMS := c.classes[costClass("dms")].serviceMS.Value
-	c.mu.Unlock()
-	if heurMS > 3 {
-		t.Errorf("heuristic EWMA polluted by exact units: %v ms", heurMS)
-	}
-}
-
-func TestCostClass(t *testing.T) {
-	if costClass("exact") != 1 || costClass("portfolio") != 1 {
-		t.Error("exact/portfolio must share the expensive class")
-	}
-	if costClass("dms") != 0 || costClass("twophase") != 0 || costClass("") != 0 {
-		t.Error("heuristic schedulers must share the cheap class")
+	if back := observe(30, 2*time.Millisecond); back < cheap*9/10 {
+		t.Errorf("chunk did not grow back after a return to 2 ms units: cheap %d, back %d", cheap, back)
 	}
 }
 

@@ -41,6 +41,8 @@ func restrictedRegistry(t *testing.T, names ...string) *driver.Registry {
 type fakeLeaseCoordinator struct {
 	t     *testing.T
 	lease api.Lease
+	// stallFirstPost delays the answer to the first results post.
+	stallFirstPost time.Duration
 
 	mu          sync.Mutex
 	handed      bool
@@ -84,7 +86,11 @@ func (f *fakeLeaseCoordinator) handler() http.Handler {
 		for _, ur := range req.Results {
 			f.resolved[ur.Unit] = true
 		}
+		stall := len(req.Results) > 0 && len(f.resultPosts) == 1
 		f.mu.Unlock()
+		if stall {
+			time.Sleep(f.stallFirstPost)
+		}
 		writeJSON(w, api.WorkResultsResponse{Acked: len(req.Results)})
 	})
 	return mux
@@ -132,7 +138,6 @@ func TestWorkerBatchedResultPosts(t *testing.T) {
 		ID:          "batcher",
 		Parallelism: 2,
 		UnitDelay:   2 * time.Millisecond,
-		Wait:        50 * time.Millisecond,
 	})
 	fake.waitResolved(t, n)
 	// Let the worker issue at least one warm follow-up lease request.
@@ -176,6 +181,47 @@ func TestWorkerBatchedResultPosts(t *testing.T) {
 	}
 	if warm.MaxUnits < 1 {
 		t.Errorf("warm lease request MaxUnits = %d, want a self-sized request", warm.MaxUnits)
+	}
+}
+
+// TestWorkerCompilesDuringPost: a results post in flight never holds
+// up the compiles. The fake coordinator stalls the first post for
+// 300 ms while the remaining units, 20 ms each on one compile
+// goroutine, all finish; the lease then drains in exactly one more
+// post carrying every one of them. (The 60 s TTL keeps heartbeat ticks
+// out of the window.)
+func TestWorkerCompilesDuringPost(t *testing.T) {
+	loopText := goldenLoops(t)[0]
+	const n = 6
+	units := make([]api.WorkUnit, n)
+	for i := range units {
+		id := string(rune('a' + i))
+		units[i] = api.WorkUnit{ID: id, Hash: id, Loop: loopText, Machine: api.MachineSpec{Clusters: 2}, Scheduler: "dms"}
+	}
+	fake := &fakeLeaseCoordinator{
+		t:              t,
+		lease:          api.Lease{ID: "lease-stall", Units: units, TTLMS: 60_000},
+		resolved:       map[string]bool{},
+		stallFirstPost: 300 * time.Millisecond,
+	}
+	ts := httptest.NewServer(fake.handler())
+	t.Cleanup(ts.Close)
+
+	stop := startWorker(t, ts.URL, worker.Options{ID: "staller", Parallelism: 1, UnitDelay: 20 * time.Millisecond})
+	fake.waitResolved(t, n)
+	stop()
+
+	fake.mu.Lock()
+	defer fake.mu.Unlock()
+	if got := len(fake.resultPosts); got != 2 {
+		sizes := make([]int, got)
+		for i, batch := range fake.resultPosts {
+			sizes[i] = len(batch)
+		}
+		t.Fatalf("drained %d units in %d result posts of sizes %v, want 2: the compiles stalled behind the first post", n, got, sizes)
+	}
+	if first, second := len(fake.resultPosts[0]), len(fake.resultPosts[1]); first+second != n {
+		t.Errorf("posts carried %d + %d results, want %d", first, second, n)
 	}
 }
 
@@ -307,7 +353,10 @@ func (p *recordingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // worker's, the whole drain takes far fewer result POSTs than units,
 // and the coordinator's per-worker gauges expose the asymmetry.
 func TestWorkerHeterogeneousFleet(t *testing.T) {
-	svc := server.New(server.Options{Distribute: true})
+	svc, err := server.Open(server.Options{Distribute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	proxy := &recordingProxy{inner: svc.Handler(), leaseUnits: map[string][]int{}}
 	ts := httptest.NewServer(proxy)
 	t.Cleanup(ts.Close)

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	api "repro/api/v1"
 	"repro/internal/driver"
@@ -132,7 +131,7 @@ func TestLeaseSharesMachines(t *testing.T) {
 			}
 			ts := httptest.NewServer(fake.handler())
 			t.Cleanup(ts.Close)
-			stop := startWorker(t, ts.URL, worker.Options{ID: "sharer", Parallelism: 4, Wait: 50 * time.Millisecond})
+			stop := startWorker(t, ts.URL, worker.Options{ID: "sharer", Parallelism: 4})
 			fake.waitResolved(t, len(units))
 			stop()
 
@@ -207,7 +206,10 @@ func (p *bodyRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // json.Marshal of the request it decodes to. The drain's results are
 // byte-identical to direct driver.CompileAll.
 func TestWorkerWireBodiesMatchMarshal(t *testing.T) {
-	svc := server.New(server.Options{Distribute: true})
+	svc, err := server.Open(server.Options{Distribute: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(svc.Close)
 	proxy := &bodyRecorder{inner: svc.Handler()}
 	ts := httptest.NewServer(proxy)

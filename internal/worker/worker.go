@@ -19,11 +19,12 @@
 //	                                   lease's deadline
 //
 // The worker self-schedules its chunk size: per-unit service times
-// feed a cost-class-aware EWMA (see chunkCalc), and each lease
-// request asks for the units that fit the target lease time at the
-// observed rate, bounded by half the coordinator-reported backlog.
-// Completed results batch into flush-window posts instead of one
-// round trip per unit.
+// feed one EWMA (see chunkCalc), and each lease request asks for the
+// units that fit the target lease time at the observed rate, bounded
+// by half the coordinator-reported backlog. Each lease has one poster
+// goroutine, the only one that posts for it: completed results batch
+// into flush-window posts instead of one round trip per unit, and
+// heartbeat ticks keep a slow lease alive.
 //
 // Crash safety is the coordinator's lease expiry: a worker that stops
 // posting — killed, partitioned, wedged — loses its lease and the
@@ -44,7 +45,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"os"
 	"runtime"
 	"sync"
@@ -56,8 +56,9 @@ import (
 	"repro/pkg/dmsclient"
 )
 
-// Defaults for Options.
+// Pull-loop defaults.
 const (
+	// DefaultWait is the long-poll budget sent with lease requests.
 	DefaultWait    = 2 * time.Second
 	DefaultBackoff = 250 * time.Millisecond
 	maxBackoff     = 5 * time.Second
@@ -102,9 +103,6 @@ type Options struct {
 	// CacheSize bounds the local schedule cache
 	// (0 = server.DefaultCacheSize).
 	CacheSize int
-	// Wait is the long-poll budget sent with lease requests
-	// (0 = DefaultWait).
-	Wait time.Duration
 	// Registry resolves scheduler names (nil = driver.Default).
 	Registry *driver.Registry
 	// Client substitutes the coordinator client (tests); nil dials
@@ -123,17 +121,8 @@ func (o Options) id() string {
 		host = "worker"
 	}
 	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("worker: id entropy unavailable: %v", err))
-	}
+	rand.Read(b[:]) // never fails: an entropy error crashes the program instead
 	return host + "-" + hex.EncodeToString(b[:])
-}
-
-func (o Options) wait() time.Duration {
-	if o.Wait > 0 {
-		return o.Wait
-	}
-	return DefaultWait
 }
 
 func (o Options) logf(format string, args ...any) {
@@ -181,7 +170,7 @@ func (w Options) run(ctx context.Context) error {
 		lease, err := cli.LeaseWork(ctx, api.LeaseRequest{
 			Worker:     id,
 			MaxUnits:   calc.Next(remaining),
-			WaitMS:     int(w.wait() / time.Millisecond),
+			WaitMS:     int(DefaultWait / time.Millisecond),
 			Schedulers: schedulers,
 			EWMAUnitMS: calc.EWMA(),
 		})
@@ -218,128 +207,67 @@ func (w Options) run(ctx context.Context) error {
 // Run pulls and compiles work until ctx ends, returning ctx's error.
 func Run(ctx context.Context, opt Options) error { return opt.run(ctx) }
 
-// runLease compiles one leased chunk, batching completed results into
-// flush-window posts (each of which heartbeats the lease) plus an idle
-// heartbeat ticker for units that outlast the TTL. The lease context
-// is canceled the moment the coordinator reports the lease expired, so
-// the worker stops burning cycles on work that has been requeued
-// elsewhere. Completed units feed calc's service-time EWMA.
+// runLease compiles one leased, non-empty chunk. The compile
+// goroutines hand each result to the lease's one poster goroutine,
+// the only caller of PushWorkResults for it, over a channel buffered
+// to the chunk, so a compile never waits on a post in flight. Results
+// accumulate for up to DefaultPostWindow after the first one arrives
+// and then go out as one results[] post; a heartbeat tick (a third of
+// the lease TTL) flushes early, or posts a pure heartbeat when nothing
+// is buffered, so a unit that outlasts the TTL keeps its lease. The
+// lease's last result goes out in one final post and the poster
+// returns: the coordinator forgets a lease the moment its final unit
+// is acked, and no heartbeat can follow that post into a spurious 410
+// lease_expired. A 410 cancels the lease context, which stops the
+// poster and the compiles, so the worker burns no cycles on work that
+// has been requeued elsewhere; a unit is skipped only once that
+// context has ended. Completed units feed calc's service-time EWMA.
 func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *server.Cache, id string, lease *api.Lease, calc *chunkCalc) {
 	leaseCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var mu sync.Mutex
-	canceled := make(map[string]bool)
-	merge := func(resp *api.WorkResultsResponse) {
-		if resp == nil || len(resp.Canceled) == 0 {
-			return
-		}
-		mu.Lock()
-		for _, uid := range resp.Canceled {
-			canceled[uid] = true
-		}
-		mu.Unlock()
-	}
-	isCanceled := func(uid string) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return canceled[uid]
-	}
-	// post delivers a batch of unit results (or, with none, a pure
-	// heartbeat), canceling the lease on lease_expired.
-	post := func(results []api.UnitResult) {
-		resp, err := cli.PushWorkResults(leaseCtx, lease.ID, results)
-		if err != nil {
+	var canceled sync.Map // unit IDs the coordinator listed as canceled
+	// A slot per unit, so no send blocks.
+	results := make(chan api.UnitResult, len(lease.Units))
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		post := func(batch []api.UnitResult) {
+			resp, err := cli.PushWorkResults(leaseCtx, lease.ID, batch)
 			var apiErr *api.Error
-			if errors.As(err, &apiErr) && apiErr.Code == api.CodeLeaseExpired {
+			switch {
+			case errors.As(err, &apiErr) && apiErr.Code == api.CodeLeaseExpired:
 				w.logf("worker %s: lease %s expired; dropping its remaining units", id, lease.ID)
 				cancel()
+			case err == nil:
+				for _, uid := range resp.Canceled {
+					canceled.Store(uid, true)
+				}
 			}
-			return
 		}
-		merge(resp)
-	}
-
-	// Unit results and idle heartbeats are serialized behind postMu
-	// with a remaining-units counter, and the flush of the last unit
-	// stops the heartbeat ticker before releasing the mutex. The
-	// coordinator forgets a lease the moment its final unit is acked,
-	// so a heartbeat racing (or following) that final post would draw a
-	// spurious 410 lease_expired and cancel work that drained cleanly.
-	//
-	// Completed results accumulate in buf for up to DefaultPostWindow
-	// before going out as one results[] post; the lease boundary (last
-	// unit) and the heartbeat ticker both force a flush, so nothing
-	// buffered outlives either the lease or a TTL third.
-	hbStop := make(chan struct{})
-	var postMu sync.Mutex
-	remaining := len(lease.Units)
-	var buf []api.UnitResult
-	var flushTimer *time.Timer
-	stopHeartbeatLocked := func() {
-		select {
-		case <-hbStop:
-		default:
-			close(hbStop)
+		tick := time.NewTicker(max(time.Duration(lease.TTLMS)*time.Millisecond/3, 50*time.Millisecond))
+		defer tick.Stop()
+		var buf []api.UnitResult
+		var window <-chan time.Time // armed by the first buffered result
+		flush := func() {
+			post(buf) // with nothing buffered, a pure heartbeat
+			buf, window = nil, nil
 		}
-	}
-	flushLocked := func() {
-		if flushTimer != nil {
-			flushTimer.Stop()
-			flushTimer = nil
-		}
-		if len(buf) == 0 {
-			return
-		}
-		batch := buf
-		buf = nil
-		post(batch)
-	}
-	postUnit := func(r api.UnitResult) {
-		postMu.Lock()
-		defer postMu.Unlock()
-		remaining--
-		buf = append(buf, r)
-		if remaining == 0 {
-			flushLocked()
-			stopHeartbeatLocked()
-		} else if flushTimer == nil {
-			flushTimer = time.AfterFunc(DefaultPostWindow, func() {
-				postMu.Lock()
-				defer postMu.Unlock()
-				flushLocked()
-			})
-		}
-	}
-	heartbeat := func() {
-		postMu.Lock()
-		defer postMu.Unlock()
-		if remaining == 0 {
-			return // lease already completed by its final unit result
-		}
-		if len(buf) > 0 {
-			flushLocked() // a results flush is the stronger heartbeat
-			return
-		}
-		post(nil)
-	}
-
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		interval := time.Duration(lease.TTLMS) * time.Millisecond / 3
-		if interval < 50*time.Millisecond {
-			interval = 50 * time.Millisecond
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
+		for left := len(lease.Units); ; {
 			select {
-			case <-t.C:
-				heartbeat()
-			case <-hbStop:
-				return
+			case r := <-results:
+				buf = append(buf, r)
+				if left--; left == 0 {
+					post(buf)
+					return
+				}
+				if window == nil {
+					window = time.After(DefaultPostWindow)
+				}
+			case <-window:
+				flush()
+			case <-tick.C:
+				flush()
 			case <-leaseCtx.Done():
 				return
 			}
@@ -355,7 +283,7 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 		}
 		u := lease.Units[i]
 		var rec api.JobResult
-		if isCanceled(u.ID) {
+		if _, ok := canceled.Load(u.ID); ok {
 			// The batch is gone; a cheap canceled record releases the
 			// unit from the queue without scheduling anything. It does
 			// not feed the EWMA — it measured nothing.
@@ -367,19 +295,15 @@ func (w Options) runLease(ctx context.Context, cli *dmsclient.Client, cache *ser
 			}
 			rec = w.compileUnit(leaseCtx, cache, u, leased[i])
 			if leaseCtx.Err() == nil {
-				calc.Observe(u.Scheduler, time.Since(start))
+				calc.Observe(time.Since(start))
 			}
 		}
 		if leaseCtx.Err() != nil {
 			return
 		}
-		postUnit(api.UnitResult{Unit: u.ID, Result: rec})
+		results <- api.UnitResult{Unit: u.ID, Result: rec}
 	})
-	postMu.Lock()
-	flushLocked()         // results buffered when the lease died post (and fail) harmlessly
-	stopHeartbeatLocked() // units may have been skipped on a dead lease
-	postMu.Unlock()
-	hbWG.Wait()
+	<-posted
 }
 
 // compileUnit schedules one assembled wire unit through the local

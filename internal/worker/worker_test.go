@@ -57,7 +57,10 @@ func goldenLoops(t *testing.T) []string {
 func newCoordinator(t *testing.T, opt server.Options) (*server.Server, *httptest.Server) {
 	t.Helper()
 	opt.Distribute = true
-	svc := server.New(opt)
+	svc, err := server.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(svc.Close)
@@ -69,9 +72,6 @@ func newCoordinator(t *testing.T, opt server.Options) (*server.Server, *httptest
 func startWorker(t *testing.T, url string, opt worker.Options) (stop func()) {
 	t.Helper()
 	opt.Coordinator = url
-	if opt.Wait == 0 {
-		opt.Wait = 500 * time.Millisecond
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -418,7 +418,7 @@ func TestWorkerCleanDrainNoSpuriousExpiry(t *testing.T) {
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
-	startWorker(t, ts.URL, worker.Options{ID: "drain", Parallelism: 1, Wait: 100 * time.Millisecond})
+	startWorker(t, ts.URL, worker.Options{ID: "drain", Parallelism: 1})
 
 	select {
 	case <-ackedAll:

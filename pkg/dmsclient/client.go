@@ -392,14 +392,19 @@ func (c *Client) Results(ctx context.Context, id string) iter.Seq2[api.JobResult
 				lastErr = err
 				continue
 			}
-			progressed, done := c.scanResults(resp, &from, yield)
+			start := from
+			_, done, err := readResults(resp.Body, &from, func(rec api.JobResult) bool { return yield(rec, nil) })
+			resp.Body.Close()
 			if done {
+				if err != nil {
+					yield(api.JobResult{}, err)
+				}
 				return
 			}
 			// Dropped mid-stream: any progress re-arms the attempt
 			// counter — the offset advanced, so this is a fresh resume,
 			// not a repeat of a failing one.
-			if progressed {
+			if from > start {
 				attempt = 0
 			}
 			attempt++
@@ -408,15 +413,15 @@ func (c *Client) Results(ctx context.Context, id string) iter.Seq2[api.JobResult
 	}
 }
 
-// scanResults reads one results connection, yielding records and
-// advancing the resume offset. done reports that the stream is
-// finished — the summary record arrived (verified against the offset)
-// or the consumer stopped the iteration or a fatal decode error was
-// yielded; !done means the connection dropped and the caller should
-// re-attach at *from.
-func (c *Client) scanResults(resp *http.Response, from *int, yield func(api.JobResult, error) bool) (progressed, done bool) {
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
+// readResults reads result lines from one NDJSON stream, counting
+// each record in *n (on entry, the lines earlier streams of the same
+// job carried) and passing it to fn. The bool reports that the stream
+// is finished: the summary record arrived and matches *n (returned),
+// fn returned false, or a line was malformed or the summary miscounted
+// (the error). false means the stream ended first; the error is then
+// the read error, if any.
+func readResults(r io.Reader, n *int, fn func(api.JobResult) bool) (*api.Summary, bool, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -425,22 +430,20 @@ func (c *Client) scanResults(resp *http.Response, from *int, yield func(api.JobR
 		}
 		rec, sum, err := api.DecodeStreamLine(line)
 		if err != nil {
-			yield(api.JobResult{}, err)
-			return progressed, true
+			return nil, true, err
 		}
 		if sum != nil {
-			if sum.Jobs != *from {
-				yield(api.JobResult{}, fmt.Errorf("dmsclient: stream carried %d results but the summary counts %d", *from, sum.Jobs))
+			if sum.Jobs != *n {
+				return nil, true, fmt.Errorf("dmsclient: stream carried %d results but the summary counts %d", *n, sum.Jobs)
 			}
-			return progressed, true
+			return sum, true, nil
 		}
-		*from++
-		progressed = true
-		if !yield(*rec, nil) {
-			return progressed, true
+		*n++
+		if !fn(*rec) {
+			return nil, true, nil
 		}
 	}
-	return progressed, false
+	return nil, false, sc.Err()
 }
 
 // streamOnce submits req and invokes fn for every result line, in
@@ -462,30 +465,12 @@ func (c *Client) streamOnce(ctx context.Context, req api.CompileRequest, fn func
 	}
 	defer resp.Body.Close()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	lines := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, sum, err := api.DecodeStreamLine(line)
-		if err != nil {
-			return nil, err
-		}
-		if sum != nil {
-			if sum.Jobs != lines {
-				return nil, fmt.Errorf("dmsclient: stream carried %d results but the summary counts %d", lines, sum.Jobs)
-			}
-			return sum, nil
-		}
-		lines++
-		if !fn(*rec) {
-			return nil, nil
-		}
+	sum, done, err := readResults(resp.Body, &lines, fn)
+	if done {
+		return sum, err
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("dmsclient: reading stream: %w", err)
 	}
 	return nil, fmt.Errorf("dmsclient: stream ended after %d results without a summary record", lines)

@@ -65,7 +65,10 @@ func (b byNameTexts) Swap(i, j int) {
 // it with its base URL.
 func newTestService(t *testing.T, opt server.Options) (*server.Server, *httptest.Server) {
 	t.Helper()
-	svc := server.New(opt)
+	svc, err := server.Open(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	t.Cleanup(svc.Close)
@@ -249,7 +252,10 @@ func (d *dropResultsOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // set byte-identical to a direct driver.CompileAll run.
 func TestClientAsyncEndToEnd(t *testing.T) {
 	_, texts := readGoldenLoops(t)
-	svc := server.New(server.Options{})
+	svc, err := server.Open(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	drop := &dropResultsOnce{inner: svc.Handler(), limit: 900}
 	ts := httptest.NewServer(drop)
 	t.Cleanup(ts.Close)
