@@ -58,14 +58,15 @@ func TestScheduleAllocBudget(t *testing.T) {
 // servePathAllocBudget and servePathBytesBudget are the checked-in
 // allocation baselines for the per-unit serving work around a compile:
 // parse the loop text, key the job, and render the result's wire
-// record. Measured at 128 allocs and ~13.5 KiB per op on the pinned
-// corpus; the budgets leave ~50% headroom. The code they replaced (a
-// 64 KiB scanner buffer per parse, fmt-rendered keys and schedules)
-// sat at 155 allocs and ~73 KiB: the byte budget is the one a
-// per-parse buffer trips.
+// record. Measured at 54 allocs and ~5.2 KiB per op on the pinned
+// corpus; the budgets leave ~50% headroom. The bufio.Scanner parser
+// (a 4 KiB buffer, a string per line and a slice per split) and a
+// Format with a per-call operand table sat at 127 allocs and
+// ~13.4 KiB; before them, a 64 KiB scanner buffer per parse and
+// fmt-rendered keys and schedules sat at 155 allocs and ~73 KiB.
 const (
-	servePathAllocBudget = 192
-	servePathBytesBudget = 21 << 10
+	servePathAllocBudget = 81
+	servePathBytesBudget = 8 << 10
 )
 
 // TestServePathAllocBudget fails when the serving path's allocation
@@ -116,11 +117,104 @@ func TestServePathAllocBudget(t *testing.T) {
 		avg, bytesPerOp, servePathAllocBudget, servePathBytesBudget)
 	if avg > servePathAllocBudget {
 		t.Fatalf("serve path allocates %.1f/op, above the checked-in budget of %d — "+
-			"loop.Parse, JobKey or server.Record has regressed", avg, servePathAllocBudget)
+			"loop.ParseString, JobKey or server.Record has regressed", avg, servePathAllocBudget)
 	}
 	if bytesPerOp > servePathBytesBudget {
 		t.Fatalf("serve path allocates %d B/op, above the checked-in budget of %d — "+
-			"loop.Parse, JobKey or server.Record has regressed", bytesPerOp, servePathBytesBudget)
+			"loop.ParseString, JobKey or server.Record has regressed", bytesPerOp, servePathBytesBudget)
+	}
+}
+
+// The textual loop format's allocation baselines, per loop of the
+// pinned corpus (10 ops on average):
+//
+//   - parseAllocBudget: loop.ParseString, measured at 5: the Loop, its
+//     Ops and Deps, the name table and Validate's one (a loop without
+//     dependences skips Deps). The parser's scratch lives on the stack
+//     up to 32 ops; the budget leaves ~50% headroom. The bufio.Scanner
+//     parser it replaced sat at 76.
+//   - formatAllocBudget and validateAllocBudget: exactly the one
+//     buffer each. loop.Format sat at 17, with a per-call operand
+//     table; Validate at ~14, with a name map and a slice per op.
+const (
+	parseAllocBudget    = 7
+	formatAllocBudget   = 1
+	validateAllocBudget = 1
+)
+
+// loopTextSteps are the measured operations on one loop of the pinned
+// corpus, in turn: parse its canonical text, format the parsed loop,
+// validate it.
+func loopTextSteps(tb testing.TB, n int) []struct {
+	name string
+	run  func()
+} {
+	tb.Helper()
+	sample := perfect.CorpusN(perfect.DefaultSeed, n)
+	texts := make([]string, len(sample))
+	parsed := make([]*loop.Loop, len(sample))
+	for i, l := range sample {
+		texts[i] = loop.Format(l)
+		var err error
+		if parsed[i], err = loop.ParseString(texts[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var i int
+	return []struct {
+		name string
+		run  func()
+	}{
+		{"parse", func() {
+			if _, err := loop.ParseString(texts[i%len(texts)]); err != nil {
+				tb.Fatal(err)
+			}
+			i++
+		}},
+		{"format", func() {
+			_ = loop.Format(parsed[i%len(parsed)])
+			i++
+		}},
+		{"validate", func() {
+			if err := parsed[i%len(parsed)].Validate(); err != nil {
+				tb.Fatal(err)
+			}
+			i++
+		}},
+	}
+}
+
+// TestLoopTextAllocBudget fails when reading, writing or validating
+// loop text regresses above its checked-in allocation baseline.
+func TestLoopTextAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	budgets := map[string]float64{
+		"parse":    parseAllocBudget,
+		"format":   formatAllocBudget,
+		"validate": validateAllocBudget,
+	}
+	for _, step := range loopTextSteps(t, 32) {
+		avg := testing.AllocsPerRun(64, step.run)
+		t.Logf("%s: %.2f allocs/loop (budget %v)", step.name, avg, budgets[step.name])
+		if avg > budgets[step.name] {
+			t.Errorf("%s allocates %.2f/loop, above the checked-in budget of %v — "+
+				"the loop text path has regressed", step.name, avg, budgets[step.name])
+		}
+	}
+}
+
+// BenchmarkLoopText reports the cost per loop of each step
+// TestLoopTextAllocBudget pins, over the first 256 corpus loops.
+func BenchmarkLoopText(b *testing.B) {
+	for _, step := range loopTextSteps(b, 256) {
+		b.Run(step.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				step.run()
+			}
+		})
 	}
 }
 
@@ -202,16 +296,18 @@ func TestStreamLineAllocBudget(t *testing.T) {
 //   - leaseJobsAllocBudget: LeaseJobs, the worker's parse, machine
 //     build and keying of a decoded lease.
 //
-// Measured at 14.3, 0 and 67.8 allocs per unit; the budgets leave
+// Measured at 14.3, 0 and 9.1 allocs per unit; the budgets leave
 // ~50% headroom (one alloc for the encoder). The code they replaced (a
 // json.Decoder with DisallowUnknownFields; an indented json.Encoder; a
 // machine.ReadConfig and a loop.Format per unit) sat at 23.9, 0.7 and
 // 119.7, and BenchmarkWorkerWire's µs per unit fell from 16.8, 8.9 and
-// 23.8 to 4.0, 1.8 and 11.8 on a 2-vCPU Xeon.
+// 23.8 to 4.0, 1.8 and 11.8 on a 2-vCPU Xeon. LeaseJobs then sat at
+// 67.8 allocs and ~9.1 µs per unit until loop.ParseString became one
+// pass over the text (~4 µs per unit).
 const (
 	workResultsDecodeAllocBudget = 21
 	leaseEncodeAllocBudget       = 1
-	leaseJobsAllocBudget         = 102
+	leaseJobsAllocBudget         = 14
 )
 
 // workerWireFixture builds the lease and results body the worker-pull

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"strconv"
 )
 
@@ -9,6 +11,24 @@ import (
 // POST /v1/workers/lease with and the WorkResultsRequest a worker posts
 // to /v1/workers/{lease}/results. They go through line.go's codec, so
 // the path that carries every distributed unit pays no reflection.
+
+// maxBodyPresize caps the buffer ReadBody allocates before reading.
+const maxBodyPresize = 1 << 20
+
+// ReadBody reads a worker-pull body to EOF, into one buffer presized
+// from its declared length: an HTTP Content-Length, or -1 when it is
+// unknown. The presize is capped at 1 MiB, so a lying header cannot
+// make the reader allocate more before the bytes arrive; a longer body
+// grows the buffer as it reads. A body of unknown length starts as
+// io.ReadAll's does, at 512 bytes.
+func ReadBody(r io.Reader, declared int64) ([]byte, error) {
+	var buf bytes.Buffer
+	// MinRead spare bytes let the read that reports EOF land without
+	// growing the buffer.
+	buf.Grow(int(min(max(declared, 0), maxBodyPresize)) + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
 
 // AppendLease appends the JSON of l to buf: exactly the bytes
 // json.Marshal(l) produces. A unit's machine config, a raw JSON value,

@@ -302,3 +302,32 @@ func FuzzDecodeLease(f *testing.F) {
 		}
 	})
 }
+
+// ReadBody reads every body whole, whatever length it declares: the
+// declared length presizes the one buffer, a missing one starts small,
+// and a lying one neither truncates the body nor makes the reader
+// allocate more than the 1 MiB cap up front.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1<<10) // 16 KiB
+	for _, declared := range []int64{int64(len(body)), -1, 0, 100, 1 << 40} {
+		got, err := ReadBody(bytes.NewReader(body), declared)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("declared %d: read %d bytes, err %v; want the %d-byte body", declared, len(got), err, len(body))
+		}
+		if declared == 1<<40 && cap(got) >= 2*maxBodyPresize {
+			t.Errorf("declared %d: buffer capacity %d, above the %d-byte presize cap", declared, cap(got), maxBodyPresize)
+		}
+	}
+	// Presized, the read makes one buffer; of unknown length, it grows
+	// one from 512 bytes, as io.ReadAll does.
+	allocs := func(declared int64) float64 {
+		return testing.AllocsPerRun(16, func() {
+			if _, err := ReadBody(bytes.NewReader(body), declared); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if known, unknown := allocs(int64(len(body))), allocs(-1); known >= unknown {
+		t.Errorf("ReadBody allocates %.0f times with the length declared, %.0f without: the presize saved nothing", known, unknown)
+	}
+}

@@ -156,12 +156,11 @@ func loadLoop(kernel, file string) *loop.Loop {
 		}
 		return l
 	case file != "":
-		f, err := os.Open(file)
+		text, err := os.ReadFile(file)
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		l, err := loop.Parse(f)
+		l, err := loop.ParseString(string(text))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -2,9 +2,12 @@ package loop
 
 // Fuzz harness for the text-format parser. The parser fronts the
 // compile service (internal/server feeds client-supplied loop files
-// straight into Parse), so it must never panic on arbitrary input:
-// every byte stream either parses into a loop that passes Validate or
-// is rejected with an error. Accepted loops must additionally
+// straight into ParseString), so it must never panic on arbitrary
+// input: every byte stream either parses into a loop that passes
+// Validate or is rejected with an error. It must also agree with
+// referenceParse, the parser it replaced: both accept the same texts,
+// build deeply equal loops (nil and empty slices told apart) and fail
+// with identical error texts. Accepted loops must additionally
 // round-trip — the canonical re-serialization (Format) re-parses to a
 // fixed point — which is the property the content-addressed cache key
 // relies on.
@@ -18,6 +21,7 @@ package loop
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,14 +67,35 @@ func FuzzParse(f *testing.F) {
 		"loop x trip 1\na = load\nb = add a@\n",
 		"loop x trip 1\na@1 = load\nb = mul a@1\n",
 		strings.Repeat("a", 1<<12),
+		// Line endings, Unicode white space and odd bytes: the
+		// parsers must split tokens and lines identically.
+		"loop x trip 1\r\na = load\r\nb = add a, a@1\r\n",
+		"loop x trip 1\na\t=\tload\nb = add\ta ,\tb@1\n",
+		"loop\tx trip 1\na = load\n",
+		"loop x trip 1\na\u00a0=\u00a0load\nb =\u0085add\u2003a\n",
+		"loop x trip 1\na = load\nb = add\u2003a\u00a0,\u0085a@1\n",
+		"loop x trip 1\n\xff = load\nb = add \xff, \xc2\n",
+		"loop x\x00 trip 1\na = load\x00\n",
+		"loop x trip 1\na = load ,\n",
+		"loop x trip 1\nb = load\nc = load\na = add b,,c\n",
+		"loop x trip 1\nx y = load\nb = add x  y, x\ty\n",
+		"loop x trip 1\n# " + strings.Repeat("x", 1<<20) + "\nbad line\n",
+		"loop x trip 1\na = add nosuch\na = load\n",
 	} {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, src string) {
 		l, err := ParseString(src) // must never panic, whatever src is
+		ref, refErr := referenceParse(src)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("ParseString and referenceParse disagree:\nerr:       %v\nreference: %v\ninput: %q", err, refErr, src)
+		}
 		if err != nil {
 			return // rejected input: the only acceptable failure mode
+		}
+		if !reflect.DeepEqual(l, ref) {
+			t.Fatalf("ParseString and referenceParse build different loops:\ngot:       %#v\nreference: %#v\ninput: %q", l, ref, src)
 		}
 		if err := l.Validate(); err != nil {
 			t.Fatalf("Parse accepted a loop that fails Validate: %v\ninput: %q", err, src)

@@ -141,6 +141,9 @@ func (l *Loop) ClassCount() [machine.NumOpClasses]int {
 //   - flow dependences originate at value-producing operations,
 //   - the distance-0 dependence subgraph is acyclic (an iteration must
 //     be executable in some order).
+//
+// It makes one allocation, which holds the name table and the cycle
+// check's arrays.
 func (l *Loop) Validate() error {
 	if l.Name == "" {
 		return fmt.Errorf("loop: empty name")
@@ -148,7 +151,9 @@ func (l *Loop) Validate() error {
 	if l.Trip < 1 {
 		return fmt.Errorf("loop %s: trip count %d < 1", l.Name, l.Trip)
 	}
-	names := make(map[string]bool, len(l.Ops))
+	size := nameTableSize(len(l.Ops))
+	scratch := make([]int32, size+3*len(l.Ops)+1+len(l.Deps))
+	names := nameTable(scratch[:size])
 	for i, op := range l.Ops {
 		if op.ID != ID(i) {
 			return fmt.Errorf("loop %s: op %d has ID %d", l.Name, i, op.ID)
@@ -162,10 +167,9 @@ func (l *Loop) Validate() error {
 		if op.Name == "" {
 			return fmt.Errorf("loop %s: op %d has empty name", l.Name, i)
 		}
-		if names[op.Name] {
+		if !names.insert(l.Ops, op.ID) {
 			return fmt.Errorf("loop %s: duplicate op name %q", l.Name, op.Name)
 		}
-		names[op.Name] = true
 	}
 	for i, d := range l.Deps {
 		if d.From < 0 || int(d.From) >= len(l.Ops) || d.To < 0 || int(d.To) >= len(l.Ops) {
@@ -190,46 +194,60 @@ func (l *Loop) Validate() error {
 			return fmt.Errorf("loop %s: dep %d has invalid kind", l.Name, i)
 		}
 	}
-	if cyc := l.sameIterationCycle(); cyc != nil {
-		return fmt.Errorf("loop %s: distance-0 dependence cycle through %s", l.Name, l.Ops[cyc[0]].Name)
+	if op, ok := l.sameIterationCycle(scratch[size:]); ok {
+		return fmt.Errorf("loop %s: distance-0 dependence cycle through %s", l.Name, l.Ops[op].Name)
 	}
 	return nil
 }
 
-// sameIterationCycle returns a node on a distance-0 cycle, or nil.
-func (l *Loop) sameIterationCycle() []ID {
-	adj := make([][]ID, len(l.Ops))
-	indeg := make([]int, len(l.Ops))
+// sameIterationCycle returns the first op, by ID, that lies on a
+// distance-0 cycle or depends on one, and whether there is one. It runs Kahn's
+// algorithm over the distance-0 edges in scratch, which holds
+// 3*len(l.Ops)+1+len(l.Deps) zeroed int32s.
+func (l *Loop) sameIterationCycle(scratch []int32) (ID, bool) {
+	n := len(l.Ops)
+	indeg := scratch[:n]
+	// first[i] is where op i's successors start in adj; op i's
+	// successors end where op i+1's start.
+	first := scratch[n : 2*n+1]
+	adj := scratch[2*n+1 : 2*n+1+len(l.Deps)]
+	stack := scratch[2*n+1+len(l.Deps):][:n]
 	for _, d := range l.Deps {
 		if d.Distance == 0 {
-			adj[d.From] = append(adj[d.From], d.To)
+			first[d.From+1]++
 			indeg[d.To]++
 		}
 	}
-	queue := make([]ID, 0, len(l.Ops))
-	for i := range l.Ops {
-		if indeg[i] == 0 {
-			queue = append(queue, ID(i))
+	for i := 1; i <= n; i++ {
+		first[i] += first[i-1]
+	}
+	// Fill adj in Deps order, with stack as each op's fill cursor.
+	copy(stack, first[:n])
+	for _, d := range l.Deps {
+		if d.Distance == 0 {
+			adj[stack[d.From]] = int32(d.To)
+			stack[d.From]++
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, s := range adj[n] {
+	stack = stack[:0]
+	for i, deg := range indeg {
+		if deg == 0 {
+			stack = append(stack, int32(i))
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range adj[first[v]:first[v+1]] {
 			if indeg[s]--; indeg[s] == 0 {
-				queue = append(queue, s)
+				stack = append(stack, s)
 			}
 		}
 	}
-	if seen == len(l.Ops) {
-		return nil
-	}
-	for i := range l.Ops {
-		if indeg[i] > 0 {
-			return []ID{ID(i)}
+	for i, deg := range indeg {
+		if deg > 0 {
+			return ID(i), true
 		}
 	}
-	return nil
+	return 0, false
 }

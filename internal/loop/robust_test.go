@@ -69,12 +69,19 @@ func TestParseMutatedText(t *testing.T) {
 	}
 }
 
-// Every corpus-style random loop must round-trip exactly.
+// Every corpus-style random loop must round-trip exactly, and render
+// as referenceFormat renders it: the builder's loops list a carried
+// operand after later ops' operands, which Format must regroup, and
+// the parsed ones list operands grouped, which Format renders as they
+// stand, into a buffer of exactly formatLen bytes.
 func TestFormatParseRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 200; i++ {
 		l := randomValidLoop(rng)
 		text := Format(l)
+		if want := referenceFormat(l); text != want {
+			t.Fatalf("trial %d: Format differs from referenceFormat:\n%s\n%s", i, text, want)
+		}
 		back, err := ParseString(text)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", i, err, text)
@@ -82,6 +89,29 @@ func TestFormatParseRoundTripRandom(t *testing.T) {
 		if Format(back) != text {
 			t.Fatalf("trial %d: round trip diverged:\n%s\n%s", i, text, Format(back))
 		}
+		if n := formatLen(back); n != len(text) {
+			t.Fatalf("trial %d: formatLen = %d, want %d", i, n, len(text))
+		}
+	}
+}
+
+// A loop whose operands and mem dependences are interleaved out of
+// consumer order renders with each op's operands in Deps order and
+// the mem lines last, in Deps order.
+func TestFormatRegroupsOperands(t *testing.T) {
+	b := NewBuilder("mix")
+	x := b.Load("x")
+	s := b.Store("s", x)
+	y := b.Load("y")
+	b.Mem(s, y, 1)
+	a := b.Add("a", y)
+	b.Carried(a, a, 2)
+	b.Mem(y, s, 1)
+	b.Flow(y, s, 0)
+	l := b.MustBuild()
+	const want = "loop mix trip 100\nx = load\ns = store x, y\ny = load\na = add y, a@2\nmem s -> y @1\nmem y -> s @1\n"
+	if got := Format(l); got != want || got != referenceFormat(l) {
+		t.Errorf("Format = %q, want %q", got, want)
 	}
 }
 

@@ -259,6 +259,11 @@ func TestLeaseSizeClamp(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("lease %s: status %d", body, resp.StatusCode)
 		}
+		// A lease of any size declares its length, which the worker
+		// presizes its read from.
+		if resp.ContentLength < 0 {
+			t.Errorf("lease %s: no Content-Length (%v)", body, resp.TransferEncoding)
+		}
 		var l api.Lease
 		if err := json.NewDecoder(resp.Body).Decode(&l); err != nil {
 			t.Fatal(err)

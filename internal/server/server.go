@@ -58,14 +58,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -169,93 +165,6 @@ type Server struct {
 
 	requests atomic.Int64
 	jobs     atomic.Int64
-}
-
-// portfolioAgg aggregates the portfolio meta-scheduler's results as
-// they land in job buffers. Aggregating at the emit point — rather
-// than inside the scheduler — makes the counters correct wherever a
-// unit compiled: on an in-process puller or a remote worker, all
-// results flow through the same per-record hook.
-type portfolioAgg struct {
-	mu      sync.Mutex
-	races   int64
-	gapObs  int64
-	gapSum  int64
-	gapMax  int64
-	proved  int64
-	wins    map[string]int64
-	losses  map[string]int64
-	cancels map[string]int64
-}
-
-// record folds one successful portfolio result into the aggregate.
-func (p *portfolioAgg) record(st *api.Stats) {
-	keys := make([]string, 0, len(st.Extra))
-	//dms:orderok keys are collected then sorted before any counter is touched
-	for k := range st.Extra {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.races++
-	if st.ProvedOptimal {
-		gap := int64(st.II - st.OptimalII)
-		p.gapObs++
-		p.gapSum += gap
-		if gap > p.gapMax {
-			p.gapMax = gap
-		}
-		if gap == 0 {
-			p.proved++
-		}
-	}
-	for _, k := range keys {
-		switch {
-		case strings.HasPrefix(k, "won_"):
-			if p.wins == nil {
-				p.wins = make(map[string]int64)
-			}
-			p.wins[strings.TrimPrefix(k, "won_")]++
-		case strings.HasPrefix(k, "lost_"):
-			if p.losses == nil {
-				p.losses = make(map[string]int64)
-			}
-			p.losses[strings.TrimPrefix(k, "lost_")]++
-		case strings.HasPrefix(k, "canceled_"):
-			if p.cancels == nil {
-				p.cancels = make(map[string]int64)
-			}
-			p.cancels[strings.TrimPrefix(k, "canceled_")]++
-		}
-	}
-}
-
-// snapshot renders the aggregate in its wire form.
-func (p *portfolioAgg) snapshot() api.PortfolioMetrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return api.PortfolioMetrics{
-		Races:         p.races,
-		GapObserved:   p.gapObs,
-		GapSum:        p.gapSum,
-		GapMax:        p.gapMax,
-		ProvedOptimal: p.proved,
-		Wins:          copyCounts(p.wins),
-		Losses:        copyCounts(p.losses),
-		Cancels:       copyCounts(p.cancels),
-	}
-}
-
-func copyCounts(src map[string]int64) map[string]int64 {
-	if len(src) == 0 {
-		return nil
-	}
-	dst := make(map[string]int64, len(src))
-	for k, v := range src { // map-to-map transfer keyed by the range key
-		dst[k] = v
-	}
-	return dst
 }
 
 // Open returns a service with the given options; its puller pool runs
@@ -794,20 +703,26 @@ func (s *Server) handleWorkerLease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeInternal, "lease %s did not encode: %v", lease.ID, err)
 		return
 	}
+	body = append(body, '\n')
+	// A lease is written in one Write but is often over the 2 KiB the
+	// server buffers before it chunks: a declared length lets the
+	// worker presize its read.
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleWorkerResults is POST /v1/workers/{lease}/results: append unit
 // results (each Ack'd exactly once) and heartbeat the lease; an empty
 // post is a pure heartbeat. An expired lease answers 410 lease_expired
 // — its unresolved units already belong to the queue again. The body,
-// which carries every distributed result, is read whole and decoded
-// by api.DecodeWorkResults: as strict as decodeBody, without
+// which carries every distributed result, is read whole into a buffer
+// presized from its Content-Length and decoded by
+// api.DecodeWorkResults: as strict as decodeBody, without
 // reflection.
 func (s *Server) handleWorkerResults(w http.ResponseWriter, r *http.Request) {
 	leaseID := r.PathValue("lease")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	body, err := api.ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBody), r.ContentLength)
 	var req *api.WorkResultsRequest
 	if err == nil {
 		req, err = api.DecodeWorkResults(body)

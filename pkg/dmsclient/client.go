@@ -585,7 +585,7 @@ func (c *Client) LeaseWork(ctx context.Context, req api.LeaseRequest) (*api.Leas
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err = io.ReadAll(resp.Body)
+	body, err = api.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
